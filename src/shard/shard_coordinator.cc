@@ -1,8 +1,11 @@
 #include "shard/shard_coordinator.h"
 
 #include <algorithm>
+#include <condition_variable>
 #include <cstring>
+#include <exception>
 #include <limits>
+#include <mutex>
 #include <unordered_map>
 #include <utility>
 
@@ -41,6 +44,37 @@ class ShardedStore : public ObjectStore {
   const Vocabulary* vocabulary_;
   std::vector<const ObjectStore*> stores_;
   size_t count_ = 0;
+};
+
+// Theorem 1 shard pruning: once k results are gathered, a shard whose
+// upper bound is strictly below the global kth score cannot contribute
+// (ties cannot displace either: an equal-score object loses only on id,
+// and id-tie objects are unique). With k = 0 nothing can contribute.
+bool CutsShard(double bound, const std::vector<ScoredObject>& merged,
+               uint32_t k) {
+  return merged.size() >= k && (merged.empty() || bound < merged.back().score);
+}
+
+// Adds `found` to the running global top-k. ScoreGreater is a total order
+// over unique ids, so the result does not depend on merge order.
+void MergeInto(std::vector<ScoredObject>* merged,
+               const std::vector<ScoredObject>& found, uint32_t k) {
+  merged->insert(merged->end(), found.begin(), found.end());
+  std::sort(merged->begin(), merged->end(), ScoreGreater{});
+  if (merged->size() > k) merged->resize(k);
+}
+
+// Per-call state of one TopK fan-out. Shared with the pool tasks, so a
+// task dequeued after its request returned finds the cursor exhausted and
+// touches nothing else.
+struct FanOutState {
+  std::vector<uint32_t> shards;  // bound order
+  std::vector<Status> status;
+  std::vector<std::vector<ScoredObject>> found;
+  std::atomic<size_t> next{0};  // claim cursor into `shards`
+  std::mutex mu;
+  std::condition_variable done_cv;
+  size_t finished = 0;  // guarded by mu
 };
 
 uint64_t FnvMix(uint64_t hash, uint64_t value) {
@@ -118,6 +152,12 @@ StatusOr<std::unique_ptr<ShardCoordinator>> ShardCoordinator::Build(
   }
   c->next_insert_id_ = max_id;
   c->topology_ = topology;
+  // The caller visits one shard itself, so num_shards - 2 workers cover
+  // every shard left after the first cut.
+  if (c->shards_.size() >= 3) {
+    c->fanout_pool_ =
+        std::make_unique<ThreadPool>(static_cast<int>(c->shards_.size() - 2));
+  }
   return c;
 }
 
@@ -161,6 +201,88 @@ std::vector<ShardCoordinator::RankedShard> ShardCoordinator::RankShards(
   return order;
 }
 
+StatusOr<std::vector<ScoredObject>> ShardCoordinator::VisitShard(
+    uint32_t shard_id, const SpatialKeywordQuery& query,
+    const CancelToken* cancel, TraceRecorder* trace) const {
+  const Shard& shard = *shards_[shard_id];
+  shard.visited.fetch_add(1, std::memory_order_relaxed);
+  if (trace != nullptr) {
+    trace->Add(TraceCounter::kShardsVisited);
+    trace->Annotate(TraceStage::kShardVisit,
+                    "shard." + std::to_string(shard_id),
+                    static_cast<int64_t>(shard_id));
+  }
+  TraceSpan visit_span(trace, TraceStage::kShardVisit);
+  const QueryBackend* backend =
+      shard.frozen != nullptr
+          ? static_cast<const QueryBackend*>(shard.frozen.get())
+          : shard.engine.get();
+  return backend->TopK(query, cancel, trace);
+}
+
+Status ShardCoordinator::FanOut(const std::vector<RankedShard>& order,
+                                size_t begin, size_t end,
+                                const SpatialKeywordQuery& query,
+                                const CancelToken* cancel,
+                                TraceRecorder* trace,
+                                std::vector<ScoredObject>* merged) const {
+  auto state = std::make_shared<FanOutState>();
+  const size_t n = end - begin;
+  for (size_t i = begin; i < end; ++i) state->shards.push_back(order[i].shard);
+  state->status.resize(n);
+  state->found.resize(n);
+
+  // Claims shards until the cursor runs out. The caller runs this too, so
+  // when every worker is busy with other requests it visits all n shards
+  // itself; tasks that start later find nothing left to claim. `this`,
+  // `query`, `cancel` and `trace` are only touched for a claimed shard,
+  // and the caller returns only after every claimed shard has finished.
+  // An exception must not escape a claimed shard either: it would leave
+  // the caller waiting, or unwind it while workers still read the query.
+  auto drain = [this, state, &query, cancel, trace] {
+    const size_t count = state->shards.size();
+    for (size_t i = state->next.fetch_add(1, std::memory_order_relaxed);
+         i < count; i = state->next.fetch_add(1, std::memory_order_relaxed)) {
+      Status status = cancel != nullptr ? cancel->Check() : Status::Ok();
+      if (status.ok()) {
+        try {
+          StatusOr<std::vector<ScoredObject>> partial =
+              VisitShard(state->shards[i], query, cancel, trace);
+          if (partial.ok()) {
+            state->found[i] = std::move(partial).value();
+          } else {
+            status = partial.status();
+          }
+        } catch (const std::exception& e) {
+          status = Status::Internal(std::string("shard visit threw: ") +
+                                    e.what());
+        } catch (...) {
+          status = Status::Internal("shard visit threw a non-std exception");
+        }
+      }
+      state->status[i] = std::move(status);
+      std::lock_guard<std::mutex> lock(state->mu);
+      if (++state->finished == count) state->done_cv.notify_all();
+    }
+  };
+  const size_t helpers = std::min<size_t>(
+      fanout_pool_ != nullptr ? fanout_pool_->num_threads() : 0, n - 1);
+  for (size_t h = 0; h < helpers; ++h) fanout_pool_->Submit(drain);
+  drain();
+  {
+    std::unique_lock<std::mutex> lock(state->mu);
+    state->done_cv.wait(lock, [&] { return state->finished == n; });
+  }
+
+  for (const Status& status : state->status) {
+    if (!status.ok()) return status;
+  }
+  for (const std::vector<ScoredObject>& found : state->found) {
+    MergeInto(merged, found, query.k);
+  }
+  return Status::Ok();
+}
+
 StatusOr<std::vector<ScoredObject>> ShardCoordinator::TopK(
     const SpatialKeywordQuery& query, const CancelToken* cancel,
     TraceRecorder* trace) const {
@@ -169,39 +291,26 @@ StatusOr<std::vector<ScoredObject>> ShardCoordinator::TopK(
   queries_.fetch_add(1, std::memory_order_relaxed);
   const std::vector<RankedShard> order = RankShards(query);
 
+  // Best-bound shard on the calling thread, then the Theorem 1 cut against
+  // its kth score, then every unpruned shard concurrently.
   std::vector<ScoredObject> merged;
-  size_t next = 0;
-  for (; next < order.size(); ++next) {
-    const RankedShard& entry = order[next];
-    // Theorem 1 shard pruning: once k results are gathered, a shard whose
-    // upper bound is strictly below the global kth score cannot contribute
-    // (ties cannot displace either: an equal-score object loses only on
-    // id, and id-tie objects are unique). Bounds are sorted descending, so
-    // every remaining shard is pruned with it.
-    if (merged.size() >= query.k && entry.bound < merged.back().score) break;
+  size_t end = 0;
+  if (!order.empty() && !CutsShard(order[0].bound, merged, query.k)) {
     if (cancel != nullptr) WSK_RETURN_IF_ERROR(cancel->Check());
-    const Shard& shard = *shards_[entry.shard];
-    shard.visited.fetch_add(1, std::memory_order_relaxed);
-    if (trace != nullptr) {
-      trace->Add(TraceCounter::kShardsVisited);
-      trace->Annotate(TraceStage::kShardVisit,
-                      "shard." + std::to_string(entry.shard),
-                      static_cast<int64_t>(entry.shard));
+    StatusOr<std::vector<ScoredObject>> first =
+        VisitShard(order[0].shard, query, cancel, trace);
+    if (!first.ok()) return first.status();
+    MergeInto(&merged, first.value(), query.k);
+    // Bounds are sorted descending, so the cut prunes a suffix.
+    for (end = 1; end < order.size(); ++end) {
+      if (CutsShard(order[end].bound, merged, query.k)) break;
     }
-    TraceSpan visit_span(trace, TraceStage::kShardVisit);
-    const QueryBackend* backend =
-        shard.frozen != nullptr
-            ? static_cast<const QueryBackend*>(shard.frozen.get())
-            : shard.engine.get();
-    StatusOr<std::vector<ScoredObject>> partial =
-        backend->TopK(query, cancel, trace);
-    if (!partial.ok()) return partial.status();
-    std::vector<ScoredObject>& found = partial.value();
-    merged.insert(merged.end(), found.begin(), found.end());
-    std::sort(merged.begin(), merged.end(), ScoreGreater{});
-    if (merged.size() > query.k) merged.resize(query.k);
+    if (end > 1) {
+      WSK_RETURN_IF_ERROR(
+          FanOut(order, 1, end, query, cancel, trace, &merged));
+    }
   }
-  for (size_t i = next; i < order.size(); ++i) {
+  for (size_t i = end; i < order.size(); ++i) {
     shards_[order[i].shard]->pruned.fetch_add(1, std::memory_order_relaxed);
     if (trace != nullptr) trace->Add(TraceCounter::kShardsPruned);
   }
@@ -214,8 +323,8 @@ std::vector<BackendBatchResult> ShardCoordinator::TopKBatch(
   const ScatterBusyScope busy(&scatter_busy_us_);
   queries_.fetch_add(items.size(), std::memory_order_relaxed);
 
-  // Per-item replay of the solo scatter-gather: the same RankShards order,
-  // the same Theorem 1 prune decision before every visit, the same
+  // Per-item serial scatter-gather: the same RankShards order as TopK, the
+  // Theorem 1 cut re-applied before every visit, the same
   // order-insensitive merge — so each item's result is bit-identical to
   // TopK. The batching is per visited shard: items whose next unpruned
   // shard coincides are answered by one sub-batch against that shard's
@@ -247,7 +356,7 @@ std::vector<BackendBatchResult> ShardCoordinator::TopKBatch(
         continue;
       }
       const RankedShard& entry = s.order[s.next];
-      if (s.merged.size() >= query.k && entry.bound < s.merged.back().score) {
+      if (CutsShard(entry.bound, s.merged, query.k)) {
         for (size_t j = s.next; j < s.order.size(); ++j) {
           shards_[s.order[j].shard]->pruned.fetch_add(
               1, std::memory_order_relaxed);
@@ -306,11 +415,7 @@ std::vector<BackendBatchResult> ShardCoordinator::TopKBatch(
           s.done = true;
           continue;
         }
-        const SpatialKeywordQuery& query = *items[live[j]].query;
-        std::vector<ScoredObject>& found = partials[j].topk;
-        s.merged.insert(s.merged.end(), found.begin(), found.end());
-        std::sort(s.merged.begin(), s.merged.end(), ScoreGreater{});
-        if (s.merged.size() > query.k) s.merged.resize(query.k);
+        MergeInto(&s.merged, partials[j].topk, items[live[j]].query->k);
         ++s.next;
       }
     }
@@ -476,6 +581,7 @@ bool ShardCoordinator::TopKCacheValid(
   // missing owner means a result object was deleted), and the shard's
   // current bound is strictly below the cached kth score.
   if (results.size() < query.k) return false;
+  if (query.k == 0) return true;  // a top-0 answer never changes
   std::vector<int> result_owner;
   result_owner.reserve(results.size());
   {

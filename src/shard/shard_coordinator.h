@@ -8,14 +8,21 @@
 // and composes admission control, deadlines, the result cache, and
 // metrics on top.
 //
-// Top-k visits shards best-first by their Theorem 1 MaxScore upper bound
-// (shard_summary.h) and stops as soon as the next bound cannot beat the
-// running global kth score — the skipped shards are the shards_pruned
-// counter. Why-not never re-implements the algorithms: it concatenates the
-// shards' index sources into one cross-shard MergedTopKSource /
-// KcrMultiSource (exactly how SegmentedEngine merges its own segments), so
-// per-shard MaxDom/MinDom bounds aggregate inside the one keyword-adaption
-// search and answers are bit-identical to an unsharded engine.
+// Top-k ranks shards best-first by their Theorem 1 MaxScore upper bound
+// (shard_summary.h) and visits the best-bound shard on the calling thread.
+// It then cuts every shard whose bound is strictly below that shard's kth
+// score (the shards_pruned counter) and visits the rest concurrently: the
+// caller and a coordinator-owned pool of num_shards - 2 workers claim
+// shards from one per-call cursor, and all partials go through one
+// order-insensitive ScoreGreater merge. Answers are the same as with a
+// serial visit that re-applies the cut after every shard; the visited set
+// can only be larger.
+//
+// Why-not never re-implements the algorithms: it concatenates the shards'
+// index sources into one cross-shard MergedTopKSource / KcrMultiSource
+// (exactly how SegmentedEngine merges its own segments), so per-shard
+// MaxDom/MinDom bounds aggregate inside the one keyword-adaption search
+// and answers are bit-identical to an unsharded engine.
 //
 // Mutations route by ownership: inserts to the shard whose summary MBR is
 // nearest, updates/deletes to the owning shard. The coordinator allocates
@@ -33,6 +40,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/thread_pool.h"
 #include "core/backend.h"
 #include "core/engine.h"
 #include "segment/segmented_engine.h"
@@ -74,10 +82,11 @@ class ShardCoordinator : public QueryBackend {
   StatusOr<std::vector<ScoredObject>> TopK(
       const SpatialKeywordQuery& query, const CancelToken* cancel = nullptr,
       TraceRecorder* trace = nullptr) const override;
-  // Scatter-gather batching: each item replays its own solo shard order
-  // and prune decisions, but items whose next shard coincides are answered
-  // by one sub-batch per visited shard, amortizing the per-shard walk
-  // (docs/BATCHING.md). Per-item results are bit-identical to TopK.
+  // Scatter-gather batching: each item visits its own solo shard order
+  // serially, re-applying the bound cut before every visit, but items
+  // whose next shard coincides are answered by one sub-batch per visited
+  // shard, amortizing the per-shard walk (docs/BATCHING.md). Per-item
+  // results are bit-identical to TopK.
   std::vector<BackendBatchResult> TopKBatch(
       const std::vector<BackendBatchItem>& items,
       TraceRecorder* trace = nullptr) const override;
@@ -145,6 +154,19 @@ class ShardCoordinator : public QueryBackend {
   };
   std::vector<RankedShard> RankShards(const SpatialKeywordQuery& query) const;
 
+  // One shard's top-k: bumps its visited counter, records the kShardVisit
+  // annotation and span, and runs the shard's backend.
+  StatusOr<std::vector<ScoredObject>> VisitShard(
+      uint32_t shard, const SpatialKeywordQuery& query,
+      const CancelToken* cancel, TraceRecorder* trace) const;
+  // Visits order[begin, end) concurrently and merges every partial into
+  // `merged`. Returns the first failure in bound order, once every claimed
+  // shard has finished.
+  Status FanOut(const std::vector<RankedShard>& order, size_t begin,
+                size_t end, const SpatialKeywordQuery& query,
+                const CancelToken* cancel, TraceRecorder* trace,
+                std::vector<ScoredObject>* merged) const;
+
   // Insert routing: the shard whose summary MBR is nearest to `loc`.
   uint32_t RouteInsert(Point loc) const;
   void AbsorbMutation(Shard* shard, Point loc, const KeywordSet& doc) const;
@@ -166,6 +188,11 @@ class ShardCoordinator : public QueryBackend {
   // Wall time spent inside scatter-gather TopK/TopKBatch (all exits),
   // exported as wsk_bg_scatter_busy_seconds_total.
   mutable std::atomic<uint64_t> scatter_busy_us_{0};
+
+  // TopK's fan-out workers (null below 3 shards). Declared last so it is
+  // destroyed first: a queued task outliving its request touches only its
+  // own per-call state.
+  std::unique_ptr<ThreadPool> fanout_pool_;
 };
 
 }  // namespace wsk

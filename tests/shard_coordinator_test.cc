@@ -1,8 +1,9 @@
 // ShardCoordinator unit tests (docs/SHARDING.md): deterministic STR
 // tiling, sound per-shard Theorem 1 bounds, cross-shard pruning on
 // clustered data, routed mutations with coordinator-allocated ids, the
-// version vector / topology fingerprint the result cache keys off, and
-// the shard-scoped cache validation predicate. Bit-exactness against the
+// version vector / topology fingerprint the result cache keys off, the
+// shard-scoped cache validation predicate, k = 0 queries, and the
+// parallel fan-out's cancel and deadline paths. Bit-exactness against the
 // unsharded engine at scale lives in shard_differential_test.
 #include "shard/shard_coordinator.h"
 
@@ -14,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/cancel.h"
 #include "core/engine.h"
 #include "data/generator.h"
 #include "data/query.h"
@@ -310,6 +312,113 @@ TEST(ShardCoordinatorTest, DatasetVersionSumsShardsAndIoAggregates) {
   ASSERT_TRUE(coordinator->TopK(q).ok());
   const BackendIoSnapshot io = coordinator->io_snapshot();
   EXPECT_GT(io.setr_logical, 0u);  // per-shard reads aggregate coherently
+}
+
+Dataset UniformDataset(uint32_t num_objects) {
+  GeneratorConfig config;
+  config.num_objects = num_objects;
+  config.vocab_size = 80;
+  config.seed = 4242;
+  return GenerateDataset(config);
+}
+
+void ExpectSameTopK(const std::vector<ScoredObject>& got,
+                    const std::vector<ScoredObject>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].id, want[i].id) << "rank " << i;
+    EXPECT_EQ(got[i].score, want[i].score) << "rank " << i;
+  }
+}
+
+// k = 0 asks for nothing: TopK and TopKBatch answer OK and empty, exactly
+// as WhyNotEngine::TopK and BruteForceTopK do, and a cached empty answer
+// survives any mutation.
+TEST(ShardCoordinatorTest, ZeroKAnswersEmptyAcrossTheSurface) {
+  Dataset seed = UniformDataset(2000);
+  ShardCoordinator::Config config;
+  config.num_shards = 4;
+  config.live = true;
+  config.auto_merge = false;
+  auto coordinator = ShardCoordinator::Build(seed, config).value();
+  ASSERT_EQ(coordinator->num_shards(), 4u);
+
+  SpatialKeywordQuery zero = QueryAt(
+      seed, seed.objects()[5].loc,
+      {seed.vocabulary().TermString(*seed.objects()[5].doc.begin())}, 0);
+  ASSERT_TRUE(BruteForceTopK(seed, zero).empty());
+  const auto topk = coordinator->TopK(zero);
+  ASSERT_TRUE(topk.ok()) << topk.status().ToString();
+  EXPECT_TRUE(topk.value().empty());
+
+  SpatialKeywordQuery five = zero;
+  five.k = 5;
+  const std::vector<BackendBatchItem> items = {{&zero, nullptr},
+                                               {&five, nullptr}};
+  const std::vector<BackendBatchResult> batch = coordinator->TopKBatch(items);
+  ASSERT_EQ(batch.size(), 2u);
+  ASSERT_TRUE(batch[0].status.ok()) << batch[0].status.ToString();
+  EXPECT_TRUE(batch[0].topk.empty());
+  ASSERT_TRUE(batch[1].status.ok()) << batch[1].status.ToString();
+  ExpectSameTopK(batch[1].topk, BruteForceTopK(seed, five));
+
+  const std::vector<uint64_t> versions = coordinator->version_vector();
+  ASSERT_TRUE(coordinator->Insert(zero.loc, {"fresh"}).ok());
+  EXPECT_TRUE(coordinator->TopKCacheValid(versions, zero, {}));
+}
+
+// A text-dominant query visits every shard of a 5-shard live coordinator,
+// so four of them run in the parallel fan-out. A cancelled token and a
+// deadline that expires at any point of it both surface as that token's
+// status, and the coordinator answers the next query exactly.
+TEST(ShardCoordinatorTest, FanOutReturnsTheTokensStatus) {
+  Dataset seed = UniformDataset(2000);
+  ShardCoordinator::Config config;
+  config.num_shards = 5;
+  config.live = true;
+  config.auto_merge = false;
+  auto coordinator = ShardCoordinator::Build(seed, config).value();
+  ASSERT_EQ(coordinator->num_shards(), 5u);
+
+  SpatialKeywordQuery query = QueryAt(
+      seed, Point{0.5, 0.5},
+      {seed.vocabulary().TermString(1), seed.vocabulary().TermString(2)}, 10);
+  query.alpha = 0.1;
+  const std::vector<ScoredObject> reference = BruteForceTopK(seed, query);
+  const auto answer = coordinator->TopK(query);
+  ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+  ExpectSameTopK(answer.value(), reference);
+  const ShardCountersSnapshot first = coordinator->shard_counters();
+  ASSERT_EQ(first.shards_visited, 5u) << "the query must reach the fan-out";
+
+  CancelToken cancelled = CancelToken::Create();
+  cancelled.Cancel();
+  EXPECT_EQ(coordinator->TopK(query, &cancelled).status().code(),
+            StatusCode::kCancelled);
+  EXPECT_EQ(coordinator->shard_counters().shards_visited,
+            first.shards_visited);
+
+  int expired = 0;
+  int answered = 0;
+  for (int round = 0; round < 4; ++round) {
+    for (double timeout_ms : {0.0, 0.01, 0.03, 0.1, 0.3, 1.0, 3.0, 1000.0}) {
+      const CancelToken deadline = CancelToken::WithTimeout(timeout_ms);
+      const auto result = coordinator->TopK(query, &deadline);
+      if (result.ok()) {
+        ++answered;
+        ExpectSameTopK(result.value(), reference);
+      } else {
+        ++expired;
+        EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded)
+            << result.status().ToString();
+      }
+      const auto next = coordinator->TopK(query);
+      ASSERT_TRUE(next.ok()) << next.status().ToString();
+      ExpectSameTopK(next.value(), reference);
+    }
+  }
+  EXPECT_GT(expired, 0);
+  EXPECT_GT(answered, 0);
 }
 
 }  // namespace

@@ -1,9 +1,10 @@
 // QueryService over a ShardCoordinator backend (docs/SHARDING.md): the
 // service fronts the sharded backend unchanged, the shard counters surface
-// in both report formats, and — the regression the topology-aware version
-// vector exists for — a mutation routed to one shard orphans only that
-// shard's cached entries, while entries whose shards provably cannot be
-// affected keep hitting.
+// in both report formats, a cancelled or expired request leaves the
+// parallel fan-out ready for the next one, and — the regression the
+// topology-aware version vector exists for — a mutation routed to one
+// shard orphans only that shard's cached entries, while entries whose
+// shards provably cannot be affected keep hitting.
 #include "service/query_service.h"
 
 #include <memory>
@@ -94,6 +95,68 @@ TEST(ShardServiceTest, CoordinatorServesQueriesThroughService) {
   EXPECT_NE(prom.find("wsk_shards 3"), std::string::npos);
   EXPECT_NE(prom.find("wsk_shards_visited_total"), std::string::npos);
   EXPECT_NE(prom.find("wsk_shards_pruned_total"), std::string::npos);
+}
+
+// Requests that fail inside the 5-shard fan-out return their token's
+// status, and each next request executes and answers exactly.
+TEST(ShardServiceTest, FailedFanOutLeavesTheServiceReady) {
+  GeneratorConfig gen;
+  gen.num_objects = 2000;
+  gen.vocab_size = 80;
+  gen.seed = 4242;
+  Dataset dataset = GenerateDataset(gen);
+  ShardCoordinator::Config config;
+  config.num_shards = 5;
+  config.live = true;
+  config.auto_merge = false;
+  auto coordinator = ShardCoordinator::Build(dataset, config).value();
+  ASSERT_EQ(coordinator->num_shards(), 5u);
+  QueryServiceConfig service_config;
+  service_config.num_workers = 2;
+  service_config.cache_capacity = 0;  // every request reaches the shards
+  QueryService service(coordinator.get(), service_config);
+
+  // Text-dominant: every shard's bound survives the first cut.
+  SpatialKeywordQuery query = QueryAt(
+      dataset, Point{0.5, 0.5},
+      {dataset.vocabulary().TermString(1), dataset.vocabulary().TermString(2)},
+      10);
+  query.alpha = 0.1;
+  const std::vector<ScoredObject> reference = BruteForceTopK(dataset, query);
+  auto expect_exact = [&](const StatusOr<QueryService::TopKResponse>& r) {
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    ASSERT_EQ(r.value().results.size(), reference.size());
+    for (size_t i = 0; i < reference.size(); ++i) {
+      EXPECT_EQ(r.value().results[i].id, reference[i].id);
+      EXPECT_EQ(r.value().results[i].score, reference[i].score);
+    }
+  };
+  expect_exact(service.TopK(query));
+
+  RequestOptions cancelled;
+  cancelled.cancel = CancelToken::Create();
+  cancelled.cancel.Cancel();
+  EXPECT_EQ(service.TopK(query, cancelled).status().code(),
+            StatusCode::kCancelled);
+  expect_exact(service.TopK(query));
+
+  int expired = 0;
+  for (int round = 0; round < 4; ++round) {
+    for (double timeout_ms : {0.001, 0.01, 0.03, 0.1, 0.3, 1.0, 3.0}) {
+      RequestOptions opts;
+      opts.timeout_ms = timeout_ms;
+      const auto result = service.TopK(query, opts);
+      if (result.ok()) {
+        expect_exact(result);
+      } else {
+        ++expired;
+        EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded)
+            << result.status().ToString();
+      }
+      expect_exact(service.TopK(query));
+    }
+  }
+  EXPECT_GT(expired, 0);
 }
 
 TEST(ShardServiceTest, UnshardedBackendsReportNoShardSection) {

@@ -4,7 +4,9 @@
 // and deletes through the same QueryService. Exercises the scatter-gather
 // read path racing per-shard rotations and merges, the shared-vocabulary
 // intern path, summary updates, owner-map churn, and the validating result
-// cache under concurrent invalidation.
+// cache under concurrent invalidation. The 5-shard run keeps three pool
+// workers busy in the parallel top-k fan-out while the service's own
+// workers run other requests' first shards.
 #include <atomic>
 #include <memory>
 #include <string>
@@ -20,7 +22,7 @@
 namespace wsk {
 namespace {
 
-TEST(ShardStressTest, ConcurrentQueriesAndRoutedMutations) {
+void RunConcurrentQueriesAndRoutedMutations(uint32_t num_shards) {
   GeneratorConfig gen;
   gen.num_objects = 300;
   gen.vocab_size = 50;
@@ -31,7 +33,7 @@ TEST(ShardStressTest, ConcurrentQueriesAndRoutedMutations) {
   Dataset dataset = GenerateDataset(gen);
 
   ShardCoordinator::Config config;
-  config.num_shards = 3;
+  config.num_shards = num_shards;
   config.live = true;
   config.node_capacity = 16;
   config.delta_capacity = 48;  // force rotations + merges under load
@@ -136,7 +138,7 @@ TEST(ShardStressTest, ConcurrentQueriesAndRoutedMutations) {
   // and the owner map agrees with the shard object totals.
   const ShardCountersSnapshot counters = coordinator->shard_counters();
   ASSERT_TRUE(counters.valid);
-  EXPECT_EQ(counters.num_shards, 3u);
+  EXPECT_EQ(counters.num_shards, num_shards);
   EXPECT_GT(counters.queries, 0u);
   EXPECT_GT(counters.shards_visited, 0u);
   uint64_t mutations = 0;
@@ -150,6 +152,14 @@ TEST(ShardStressTest, ConcurrentQueriesAndRoutedMutations) {
   EXPECT_GT(objects, 0u);
   const auto final_topk = service.TopK(queries[0]);
   ASSERT_TRUE(final_topk.ok()) << final_topk.status().ToString();
+}
+
+TEST(ShardStressTest, ConcurrentQueriesAndRoutedMutations) {
+  RunConcurrentQueriesAndRoutedMutations(3);
+}
+
+TEST(ShardStressTest, ConcurrentQueriesAndRoutedMutationsFiveShards) {
+  RunConcurrentQueriesAndRoutedMutations(5);
 }
 
 }  // namespace
