@@ -1,6 +1,7 @@
 #include "core/whynot_common.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/macros.h"
 
@@ -103,8 +104,12 @@ double WhyNotScorer::ObjectScore(ObjectId id, CandidateMask cand) const {
 Status ValidateWhyNotInput(const SpatialKeywordQuery& original,
                            const std::vector<ObjectId>& missing,
                            const WhyNotOptions& options, size_t dataset_size) {
-  if (original.alpha <= 0.0 || original.alpha >= 1.0) {
+  // Range tests are written so that NaN fails them.
+  if (!(original.alpha > 0.0 && original.alpha < 1.0)) {
     return Status::InvalidArgument("alpha must lie strictly inside (0, 1)");
+  }
+  if (!std::isfinite(original.loc.x) || !std::isfinite(original.loc.y)) {
+    return Status::InvalidArgument("query location must be finite");
   }
   if (original.doc.empty()) {
     return Status::InvalidArgument("original query has no keywords");
@@ -118,7 +123,7 @@ Status ValidateWhyNotInput(const SpatialKeywordQuery& original,
   if (missing.size() >= dataset_size) {
     return Status::InvalidArgument("more missing objects than data objects");
   }
-  if (options.lambda < 0.0 || options.lambda > 1.0) {
+  if (!(options.lambda >= 0.0 && options.lambda <= 1.0)) {
     return Status::InvalidArgument("lambda must lie in [0, 1]");
   }
   if (options.num_threads < 0) {

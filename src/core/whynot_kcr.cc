@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <mutex>
-#include <queue>
 
 #include "common/thread_pool.h"
 #include "common/timer.h"
@@ -341,18 +340,33 @@ Status KcrBatchRunner::RunBatch(const Candidate* begin, const Candidate* end,
     if (Reassess(&cands[c], tracker)) ++num_alive;
   }
 
-  std::priority_queue<QueueNode, std::vector<QueueNode>, QueueNodeLess> queue;
+  // The frontier is a max-heap under QueueNodeLess kept in a plain vector
+  // (the push_heap/pop_heap sequence std::priority_queue performs), so the
+  // top entry can be moved out instead of copied.
+  std::vector<QueueNode> queue;
   for (QueueNode& root_entry : root_entries) {
     if (num_alive > 0 && root_entry.priority > 0.0) {
-      queue.push(std::move(root_entry));
+      queue.push_back(std::move(root_entry));
+      std::push_heap(queue.begin(), queue.end(), QueueNodeLess());
     }
   }
+
+  // Scratch reused across visits. `total_hi/lo` sum the expanded node's
+  // children's bounds per (candidate, missing); inner nodes also keep each
+  // child's bounds in `child_hi/lo`, one row of `width` per child.
+  const size_t width = num_cands * num_missing;
+  std::vector<int64_t> total_hi(width);
+  std::vector<int64_t> total_lo(width);
+  std::vector<int64_t> child_hi;
+  std::vector<int64_t> child_lo;
+  std::vector<double> batch_tsim;
 
   while (!queue.empty() && num_alive > 0) {
     // Node-visit granularity cancellation (Algorithm 3's unit of work).
     if (cancel_ != nullptr) WSK_RETURN_IF_ERROR(cancel_->Check());
-    const QueueNode entry = queue.top();
-    queue.pop();
+    std::pop_heap(queue.begin(), queue.end(), QueueNodeLess());
+    const QueueNode entry = std::move(queue.back());
+    queue.pop_back();
     const KcrSegmentSource& seg = src_.segments[entry.source];
     // Decoded read: entry payloads are already materialized (and, for
     // inner nodes, the per-child NodeDomStats precomputed) — either shared
@@ -365,34 +379,29 @@ Status KcrBatchRunner::RunBatch(const Candidate* begin, const Candidate* end,
     ++stats_->nodes_expanded;
     ++nodes_visited;
 
-    // Child bound matrices (flattened like QueueNode::hi/lo).
     const size_t num_children = node.size();
-    std::vector<std::vector<int64_t>> child_hi(num_children);
-    std::vector<std::vector<int64_t>> child_lo(num_children);
+    std::fill(total_hi.begin(), total_hi.end(), 0);
+    std::fill(total_lo.begin(), total_lo.end(), 0);
 
     if (node.is_leaf) {
-      // Children are objects: evaluate domination exactly. One footprint
-      // per object scores the whole candidate batch (ScoreAllCandidates)
-      // instead of one sorted merge per (object, candidate) pair.
-      // Tombstoned objects contribute nothing (their zero row is exact).
+      // Children are objects: evaluate domination exactly and add each
+      // object's 0/1 straight into the totals. One footprint per object
+      // scores the whole candidate batch (ScoreAllCandidates) instead of
+      // one sorted merge per (object, candidate) pair. Tombstoned objects
+      // contribute nothing.
       TraceSpan leaf_span(trace_, TraceStage::kLeafScoring);
-      std::vector<double> batch_tsim;
+      uint64_t scored = 0;
       for (size_t j = 0; j < num_children; ++j) {
         const KcrTree::LeafEntry& e = node.leaf_entries[j];
-        child_hi[j].assign(num_cands * num_missing, 0);
-        child_lo[j].assign(num_cands * num_missing, 0);
         if (seg.visibility != nullptr && !seg.visibility->IsVisible(e.object)) {
           continue;
         }
-        ++leaf_objects_scored;
+        ++scored;
         const KeywordSet& doc = decoded.leaf_docs[j];
         const double sdist = Distance(e.loc, original_.loc) / src_.diagonal;
         if (kernel) {
           const Footprint fp = scorer_.universe().FootprintOf(doc);
           ScoreAllCandidates(fp, batch_masks, original_.model, &batch_tsim);
-          if (trace_ != nullptr) {
-            trace_->Add(TraceCounter::kKernelInvocations);
-          }
         }
         for (size_t c = 0; c < num_cands; ++c) {
           if (!cands[c].alive) continue;
@@ -406,17 +415,23 @@ Status KcrBatchRunner::RunBatch(const Candidate* begin, const Candidate* end,
           for (size_t i = 0; i < num_missing; ++i) {
             const int64_t dominates =
                 score > cands[c].missing_score[i] ? 1 : 0;
-            child_hi[j][c * num_missing + i] = dominates;
-            child_lo[j][c * num_missing + i] = dominates;
+            total_hi[c * num_missing + i] += dominates;
+            total_lo[c * num_missing + i] += dominates;
           }
         }
+      }
+      leaf_objects_scored += scored;
+      if (trace_ != nullptr && kernel) {
+        trace_->Add(TraceCounter::kKernelInvocations, scored);
       }
     } else {
       TraceSpan bounds_span(trace_, TraceStage::kBoundTightening);
       nodes_seen += num_children;
+      child_hi.assign(num_children * width, 0);
+      child_lo.assign(num_children * width, 0);
       for (size_t j = 0; j < num_children; ++j) {
-        // The suffix-histogram stats are query-independent, so they ride
-        // along with the decoded node (precomputed once at materialization
+        // The capped-mass stats are query-independent, so they ride along
+        // with the decoded node (precomputed once at materialization
         // instead of once per visit). The universe counts are
         // query-dependent and stay per batch.
         const NodeDomStats& child_stats = decoded.child_stats[j];
@@ -425,16 +440,16 @@ Status KcrBatchRunner::RunBatch(const Candidate* begin, const Candidate* end,
           child_uc = NodeUniverseCounts::Build(child_stats,
                                                scorer_.universe());
         }
-        child_hi[j].assign(num_cands * num_missing, 0);
-        child_lo[j].assign(num_cands * num_missing, 0);
+        int64_t* row_hi = child_hi.data() + j * width;
+        int64_t* row_lo = child_lo.data() + j * width;
         for (size_t c = 0; c < num_cands; ++c) {
           if (!cands[c].alive) continue;
           for (size_t i = 0; i < num_missing; ++i) {
-            int64_t hi, lo;
+            const size_t at = c * num_missing + i;
             NodeBounds(child_stats, kernel ? &child_uc : nullptr, cands[c],
-                       i, seg.shadow_count, &hi, &lo);
-            child_hi[j][c * num_missing + i] = hi;
-            child_lo[j][c * num_missing + i] = lo;
+                       i, seg.shadow_count, &row_hi[at], &row_lo[at]);
+            total_hi[at] += row_hi[at];
+            total_lo[at] += row_lo[at];
           }
         }
       }
@@ -446,14 +461,9 @@ Status KcrBatchRunner::RunBatch(const Candidate* begin, const Candidate* end,
     for (size_t c = 0; c < num_cands; ++c) {
       if (!cands[c].alive) continue;
       for (size_t i = 0; i < num_missing; ++i) {
-        int64_t total_hi = 0;
-        int64_t total_lo = 0;
-        for (size_t j = 0; j < num_children; ++j) {
-          total_hi += child_hi[j][c * num_missing + i];
-          total_lo += child_lo[j][c * num_missing + i];
-        }
-        cands[c].sum_hi[i] += total_hi - entry.hi[c * num_missing + i];
-        cands[c].sum_lo[i] += total_lo - entry.lo[c * num_missing + i];
+        const size_t at = c * num_missing + i;
+        cands[c].sum_hi[i] += total_hi[at] - entry.hi[at];
+        cands[c].sum_lo[i] += total_lo[at] - entry.lo[at];
       }
       if (Reassess(&cands[c], tracker)) ++num_alive;
     }
@@ -462,12 +472,14 @@ Status KcrBatchRunner::RunBatch(const Candidate* begin, const Candidate* end,
     // (Alg. 3 lines 29-32); objects are final and never enqueued.
     if (!node.is_leaf) {
       for (size_t j = 0; j < num_children; ++j) {
+        const int64_t* row_hi = child_hi.data() + j * width;
+        const int64_t* row_lo = child_lo.data() + j * width;
         double gap = 0.0;
         for (size_t c = 0; c < num_cands; ++c) {
           if (!cands[c].alive) continue;
           for (size_t i = 0; i < num_missing; ++i) {
-            gap += static_cast<double>(child_hi[j][c * num_missing + i] -
-                                       child_lo[j][c * num_missing + i]);
+            gap += static_cast<double>(row_hi[c * num_missing + i] -
+                                       row_lo[c * num_missing + i]);
           }
         }
         if (gap > 0.0) {
@@ -475,9 +487,10 @@ Status KcrBatchRunner::RunBatch(const Candidate* begin, const Candidate* end,
           child_entry.page = node.inner_entries[j].child;
           child_entry.source = entry.source;
           child_entry.priority = gap;
-          child_entry.hi = std::move(child_hi[j]);
-          child_entry.lo = std::move(child_lo[j]);
-          queue.push(std::move(child_entry));
+          child_entry.hi.assign(row_hi, row_hi + width);
+          child_entry.lo.assign(row_lo, row_lo + width);
+          queue.push_back(std::move(child_entry));
+          std::push_heap(queue.begin(), queue.end(), QueueNodeLess());
         }
       }
     }

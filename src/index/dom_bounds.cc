@@ -1,7 +1,9 @@
 #include "index/dom_bounds.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
+#include <span>
 
 #include "common/macros.h"
 
@@ -22,23 +24,24 @@ std::vector<uint32_t> RelevantCounts(const NodeDomStats& stats,
   return rel;
 }
 
-// Same, but selecting precomputed universe counts by mask bit. Bits are
-// consumed in ascending position = ascending term id, so the vector is
-// identical to RelevantCounts over the equivalent KeywordSet.
-std::vector<uint32_t> RelevantCountsFromMask(const NodeUniverseCounts& uc,
-                                             CandidateMask mask) {
-  std::vector<uint32_t> rel;
-  rel.reserve(static_cast<size_t>(std::popcount(mask)));
+// Same, but selecting precomputed universe counts by mask bit into `out`
+// (room for kMaxUniverseTerms). Bits are consumed in ascending position =
+// ascending term id, so the counts are identical to RelevantCounts over
+// the equivalent KeywordSet.
+std::span<const uint32_t> RelevantCountsFromMask(
+    const NodeUniverseCounts& uc, CandidateMask mask,
+    std::array<uint32_t, kMaxUniverseTerms>* out) {
+  size_t n = 0;
   while (mask != 0) {
     const int i = std::countr_zero(mask);
     mask &= mask - 1;
     const uint32_t c = uc.counts[static_cast<size_t>(i)];
-    if (c > 0) rel.push_back(c);
+    if (c > 0) (*out)[n++] = c;
   }
-  return rel;
+  return {out->data(), n};
 }
 
-uint32_t CountGe(const std::vector<uint32_t>& values, uint32_t threshold) {
+uint32_t CountGe(std::span<const uint32_t> values, uint32_t threshold) {
   uint32_t n = 0;
   for (uint32_t v : values) {
     if (v >= threshold) ++n;
@@ -46,42 +49,88 @@ uint32_t CountGe(const std::vector<uint32_t>& values, uint32_t threshold) {
   return n;
 }
 
-uint32_t MaxDomCore(const NodeDomStats& stats,
-                    const std::vector<uint32_t>& rel, double query_size,
-                    double threshold) {
+// Σ_r min(r, p) over the relevant counts.
+uint64_t CappedSum(std::span<const uint32_t> values, uint32_t p) {
+  uint64_t sum = 0;
+  for (uint32_t v : values) sum += std::min(v, p);
+  return sum;
+}
+
+// Algorithm 2 walks ans = cnt … 1 and returns the first ans whose pseudo
+// similarity clears the threshold (Theorem 3 necessary condition), where
+//   c_rel(ans) = Σ_{t ∈ S∩N} min(count(t), ans)    (max relevant mass on
+//                                                    the remaining objects)
+//   c_irr(ans) = irr_total − Σ_{t ∈ N−S} min(count(t), cnt − ans)
+//              = irr_total − (G(cnt − ans) − Σ_{t ∈ S∩N} min(count(t),
+//                                                        cnt − ans))
+//                                                   (min irrelevant mass
+//                                                    left on them).
+// Those closed forms are the walk's running sums, so each test below sees
+// the same integers in the same double expression as the walk did.
+//
+// For ans >= max_r (the largest relevant count) c_rel is the constant
+// rel_total while the right-hand side threshold·(|S|·ans + c_irr) only
+// shrinks as ans drops: the test is monotone there, rounding included, so
+// the walk's first hit is found by galloping down from cnt and bisecting.
+// Below max_r both sides shrink; the test is still monotone in exact
+// arithmetic, but the rounding of threshold·denominator can break that
+// (tests/dom_bounds_test.cc has a case), so the walk is replayed step by
+// step. Cost: O(|S| log cnt) plus O(|S|) per step below max_r, against
+// O(|S| cnt).
+uint32_t MaxDomCore(const NodeDomStats& stats, std::span<const uint32_t> rel,
+                    double query_size, double threshold) {
   const uint32_t cnt = stats.cnt();
   uint64_t rel_total = 0;
-  for (uint32_t c : rel) rel_total += c;
-
-  // Walk ans from cnt downward, maintaining
-  //   c_rel  = Σ_{t ∈ S∩N} min(count(t), ans)        (max relevant mass on
-  //                                                    the remaining objects)
-  //   c_irr  = Σ_{t ∈ N−S} max(0, count(t) − pruned) (min irrelevant mass
-  //                                                    left on them)
-  // and return the first ans whose pseudo similarity clears the threshold
-  // (Theorem 3 necessary condition).
-  double c_rel = static_cast<double>(rel_total);
-  double c_irr = static_cast<double>(stats.total_count() - rel_total);
-  for (uint32_t ans = cnt; ans >= 1; --ans) {
+  uint32_t max_r = 0;
+  for (uint32_t c : rel) {
+    rel_total += c;
+    max_r = std::max(max_r, c);
+  }
+  const uint64_t irr_total = stats.total_count() - rel_total;
+  auto clears = [&](uint32_t ans) {
     const uint32_t pruned = cnt - ans;
-    if (pruned > 0) {
-      // Stepping from ans+1 to ans: relevant terms with count > ans lose
-      // one forced occurrence; every irrelevant term with a remaining
-      // occurrence parks one on the newly pruned object.
-      c_rel -= CountGe(rel, ans + 1);
-      const uint32_t all_ge = stats.NumTermsGe(pruned);
-      const uint32_t rel_ge = CountGe(rel, pruned);
-      c_irr -= (all_ge - rel_ge);
-    }
+    const double c_rel = static_cast<double>(CappedSum(rel, ans));
+    const double c_irr = static_cast<double>(
+        irr_total - (stats.CappedTotal(pruned) - CappedSum(rel, pruned)));
     const double pseudo_denom = query_size * ans + c_irr;
-    if (c_rel >= threshold * pseudo_denom) return ans;
+    return c_rel >= threshold * pseudo_denom;
+  };
+
+  // Monotone region [mono_lo, cnt]: clears() holds on a prefix of it.
+  const uint32_t mono_lo = std::min(std::max(max_r, 1u), cnt);
+  uint32_t fail = cnt + 1;  // smallest ans known to fail (cnt + 1: none)
+  uint32_t step = 1;
+  uint32_t pass = 0;        // largest ans known to clear (0: none yet)
+  while (pass == 0) {
+    const uint32_t probe = fail - mono_lo > step ? fail - step : mono_lo;
+    if (clears(probe)) {
+      pass = probe;
+    } else if (probe == mono_lo) {
+      break;
+    } else {
+      fail = probe;
+      step *= 2;
+    }
+  }
+  if (pass != 0) {
+    while (fail - pass > 1) {
+      const uint32_t mid = pass + (fail - pass) / 2;
+      if (clears(mid)) {
+        pass = mid;
+      } else {
+        fail = mid;
+      }
+    }
+    return pass;
+  }
+  for (uint32_t ans = mono_lo - 1; ans >= 1; --ans) {
+    if (clears(ans)) return ans;
   }
   return 0;
 }
 
-uint32_t MinDomCore(const NodeDomStats& stats,
-                    const std::vector<uint32_t>& rel, double query_size,
-                    double threshold) {
+uint32_t MinDomCore(const NodeDomStats& stats, std::span<const uint32_t> rel,
+                    double query_size, double threshold) {
   const uint32_t cnt = stats.cnt();
   uint64_t rel_total = 0;
   for (uint32_t c : rel) rel_total += c;
@@ -125,16 +174,18 @@ NodeDomStats::NodeDomStats(const KeywordCountMap* kcm, uint32_t cnt,
     total_ += count;
     max_count = std::max(max_count, count);
   }
-  // Histogram, then suffix-accumulate: ge_[c] = #terms with count >= c.
-  ge_.assign(max_count + 1, 0);
-  for (const auto& [term, count] : kcm->pairs()) ++ge_[count];
-  for (uint32_t c = max_count; c >= 1; --c) ge_[c - 1] += ge_[c];
+  // Histogram, suffix-accumulate to |{t : count(t) >= c}|, then
+  // prefix-accumulate: G(p) = Σ_{c=1..p} |{t : count(t) >= c}|.
+  capped_.assign(max_count + 1, 0);
+  for (const auto& [term, count] : kcm->pairs()) ++capped_[count];
+  for (uint32_t c = max_count; c >= 1; --c) capped_[c - 1] += capped_[c];
+  capped_[0] = 0;
+  for (uint32_t p = 1; p <= max_count; ++p) capped_[p] += capped_[p - 1];
 }
 
 NodeUniverseCounts NodeUniverseCounts::Build(
     const NodeDomStats& stats, const CandidateUniverse& universe) {
   NodeUniverseCounts uc;
-  uc.counts.resize(universe.size());
   for (size_t i = 0; i < universe.size(); ++i) {
     uc.counts[i] = stats.CountOf(universe.term(i));
   }
@@ -194,7 +245,8 @@ uint32_t MaxDom(const NodeDomStats& stats, const NodeUniverseCounts& uc,
   if (threshold < 0.0) return cnt;
   if (threshold >= 1.0) return 0;
   if (candidate == 0) return 0;
-  return MaxDomCore(stats, RelevantCountsFromMask(uc, candidate),
+  std::array<uint32_t, kMaxUniverseTerms> rel;
+  return MaxDomCore(stats, RelevantCountsFromMask(uc, candidate, &rel),
                     static_cast<double>(cand_size), threshold);
 }
 
@@ -208,7 +260,8 @@ uint32_t MinDom(const NodeDomStats& stats, const NodeUniverseCounts& uc,
   if (threshold < 0.0) return cnt;
   if (threshold >= 1.0) return 0;
   if (candidate == 0) return 0;
-  return MinDomCore(stats, RelevantCountsFromMask(uc, candidate),
+  std::array<uint32_t, kMaxUniverseTerms> rel;
+  return MinDomCore(stats, RelevantCountsFromMask(uc, candidate, &rel),
                     static_cast<double>(cand_size), threshold);
 }
 

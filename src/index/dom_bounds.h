@@ -19,6 +19,7 @@
 #ifndef WSK_INDEX_DOM_BOUNDS_H_
 #define WSK_INDEX_DOM_BOUNDS_H_
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -39,8 +40,11 @@ struct DomContext {
 };
 
 // Per-node statistics derived from a keyword-count map once and reused for
-// every candidate keyword set: suffix counts over the count histogram give
-// O(1) access to |{t : count(t) >= c}|.
+// every candidate keyword set. One query-independent table,
+//   capped_[p] = G(p) = Σ_t min(count(t), p)   for p = 0 .. max count,
+// gives O(1) access to both the capped mass G(p) (the closed forms of
+// MaxDom) and, by differencing, |{t : count(t) >= c}| (the MinDom walk).
+// Every count is at most cnt: an object holds a term at most once.
 class NodeDomStats {
  public:
   NodeDomStats(const KeywordCountMap* kcm, uint32_t cnt, const Rect& mbr);
@@ -53,14 +57,20 @@ class NodeDomStats {
   // Number of terms (over the whole map) with count >= c; 0 for c > max.
   uint32_t NumTermsGe(uint32_t c) const {
     if (c == 0) return static_cast<uint32_t>(kcm_->num_terms());
-    if (c >= ge_.size()) return 0;
-    return ge_[c];
+    if (c >= capped_.size()) return 0;
+    return static_cast<uint32_t>(capped_[c] - capped_[c - 1]);
+  }
+
+  // G(p) = Σ_t min(count(t), p) over the whole map; total_count() once p
+  // reaches the largest count.
+  uint64_t CappedTotal(uint32_t p) const {
+    return p < capped_.size() ? capped_[p] : total_;
   }
 
   // Approximate heap footprint, for node-cache byte budgeting (the
   // referenced KeywordCountMap is charged by its owner).
   size_t MemoryBytes() const {
-    return sizeof(*this) + ge_.capacity() * sizeof(uint32_t);
+    return sizeof(*this) + capped_.capacity() * sizeof(uint64_t);
   }
 
  private:
@@ -68,7 +78,7 @@ class NodeDomStats {
   uint32_t cnt_;
   Rect mbr_;
   uint64_t total_ = 0;
-  std::vector<uint32_t> ge_;  // ge_[c] = #terms with count >= c
+  std::vector<uint64_t> capped_;  // capped_[p] = G(p)
 };
 
 // The counts of one candidate universe's terms inside one node, gathered
@@ -76,7 +86,9 @@ class NodeDomStats {
 // MinDom below select a candidate's counts from here by mask bit instead of
 // probing the keyword-count map per term per candidate.
 struct NodeUniverseCounts {
-  std::vector<uint32_t> counts;  // counts[i] = node count of universe term i
+  // counts[i] = node count of universe term i (entries past the universe
+  // size are unused). Fixed-size, so gathering allocates nothing.
+  std::array<uint32_t, kMaxUniverseTerms> counts{};
 
   static NodeUniverseCounts Build(const NodeDomStats& stats,
                                   const CandidateUniverse& universe);
@@ -92,7 +104,8 @@ double DominatorThresholdHigh(const Rect& node_mbr, const DomContext& ctx,
 
 // Upper bound on the number of dominators of the missing object inside the
 // node, for candidate keyword set S with TSim(m, S) = tsim_missing.
-// Algorithm 2 with O(1) incremental updates per iteration.
+// Algorithm 2's answer, found by a search over closed forms of its walk
+// (see MaxDomCore in dom_bounds.cc).
 uint32_t MaxDom(const NodeDomStats& stats, const KeywordSet& candidate,
                 double tsim_missing, const DomContext& ctx);
 

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <vector>
 
 #include "common/rng.h"
+#include "text/score_kernel.h"
 #include "text/similarity.h"
 
 namespace wsk {
@@ -196,6 +199,175 @@ TEST_P(DomBoundsProperty, Soundness) {
 INSTANTIATE_TEST_SUITE_P(Alphas, DomBoundsProperty,
                          ::testing::Values(0.1, 0.3, 0.5, 0.7, 0.9));
 
+// Algorithm 2 as a step-by-step walk over ans = cnt … 1 with O(|S|)
+// incremental updates — the formulation MaxDom replaced with closed forms
+// and a search. Kept here as the reference the search must reproduce
+// exactly, including every pre-check of the public MaxDom.
+uint32_t WalkMaxDom(const KeywordCountMap& kcm, uint32_t cnt,
+                    const KeywordSet& candidate, double threshold) {
+  if (cnt == 0) return 0;
+  if (threshold < 0.0) return cnt;
+  if (threshold >= 1.0) return 0;
+  if (candidate.empty()) return 0;
+  std::vector<uint32_t> rel;
+  uint64_t rel_total = 0;
+  for (TermId t : candidate) {
+    const uint32_t c = kcm.CountOf(t);
+    if (c > 0) {
+      rel.push_back(c);
+      rel_total += c;
+    }
+  }
+  auto count_ge = [](const std::vector<uint32_t>& values, uint32_t c) {
+    uint32_t n = 0;
+    for (uint32_t v : values) n += v >= c ? 1 : 0;
+    return n;
+  };
+  std::vector<uint32_t> all;
+  for (const auto& [term, count] : kcm.pairs()) all.push_back(count);
+  const double query_size = static_cast<double>(candidate.size());
+  double c_rel = static_cast<double>(rel_total);
+  double c_irr = static_cast<double>(kcm.TotalCount() - rel_total);
+  for (uint32_t ans = cnt; ans >= 1; --ans) {
+    const uint32_t pruned = cnt - ans;
+    if (pruned > 0) {
+      c_rel -= count_ge(rel, ans + 1);
+      c_irr -= count_ge(all, pruned) - count_ge(rel, pruned);
+    }
+    const double pseudo_denom = query_size * ans + c_irr;
+    if (c_rel >= threshold * pseudo_denom) return ans;
+  }
+  return 0;
+}
+
+// MaxDom (both overloads) against the walk on random count maps: cnt from
+// 1 to several thousand, counts up to and including cnt, candidates with
+// and without terms in the node, thresholds 0, just below 1 and in
+// between. The tally checks that answers land both in the monotone region
+// (ans >= the largest relevant count) and in the scan below it.
+TEST(DomBoundsTest, MaxDomMatchesStepwiseWalk) {
+  Rng rng(20160516);
+  const double kJustBelowOne[] = {std::nextafter(1.0, 0.0), 1.0 - 1e-9,
+                                  0.999};
+  uint64_t large_nodes = 0, full_counts = 0, empty_rel = 0, zero_threshold = 0,
+           near_one = 0, in_search = 0, in_scan = 0;
+  for (int iter = 0; iter < 4000; ++iter) {
+    const uint32_t max_cnt = iter % 10 == 0 ? 5000 : iter % 3 == 0 ? 300 : 30;
+    const uint32_t cnt = 1 + static_cast<uint32_t>(rng.NextUint64(max_cnt));
+    large_nodes += cnt >= 1000 ? 1 : 0;
+    // Node terms 0..vocab-1; universe terms 0..vocab+3, so candidates may
+    // hold terms the node lacks (and can miss the node entirely).
+    const uint32_t vocab = 1 + static_cast<uint32_t>(rng.NextUint64(20));
+    std::vector<std::pair<TermId, uint32_t>> pairs;
+    for (TermId t = 0; t < vocab; ++t) {
+      if (rng.NextBool(0.2)) continue;  // term absent from the node
+      uint32_t count;
+      if (rng.NextBool(0.15)) {
+        count = cnt;
+        ++full_counts;
+      } else if (rng.NextBool(0.5)) {
+        count = 1 + static_cast<uint32_t>(rng.NextUint64((cnt + 9) / 10));
+      } else {
+        count = 1 + static_cast<uint32_t>(rng.NextUint64(cnt));
+      }
+      pairs.emplace_back(t, count);
+    }
+    const KeywordCountMap kcm = KeywordCountMap::FromSortedPairs(pairs);
+    // Query inside the MBR with alpha 0.5 and a missing object at the
+    // query: the threshold is exactly tsim_missing.
+    const NodeDomStats stats(&kcm, cnt, Rect{0.0, 0.0, 1.0, 1.0});
+    DomContext ctx;
+    ctx.query_loc = Point{0.5, 0.5};
+    ctx.alpha = 0.5;
+    ctx.diagonal = 1.0;
+    ctx.missing_sdist = 0.0;
+
+    std::vector<TermId> universe_terms;
+    for (TermId t = 0; t < vocab + 4; ++t) universe_terms.push_back(t);
+    const KeywordSet universe_set(std::move(universe_terms));
+    const CandidateUniverse universe = CandidateUniverse::Build(universe_set);
+    const NodeUniverseCounts uc = NodeUniverseCounts::Build(stats, universe);
+
+    for (int c = 0; c < 6; ++c) {
+      std::vector<TermId> cand_terms;
+      const bool outside_only = rng.NextBool(0.1);
+      for (TermId t = outside_only ? vocab : 0; t < vocab + 4; ++t) {
+        if (rng.NextBool(0.35)) cand_terms.push_back(t);
+      }
+      if (cand_terms.empty()) cand_terms.push_back(vocab + 1);
+      const KeywordSet cand(std::move(cand_terms));
+      uint32_t max_r = 0;
+      for (TermId t : cand) max_r = std::max(max_r, kcm.CountOf(t));
+      empty_rel += max_r == 0 ? 1 : 0;
+
+      const int pick = static_cast<int>(rng.NextUint64(8));
+      double threshold;
+      if (pick == 0) {
+        threshold = 0.0;
+        ++zero_threshold;
+      } else if (pick == 1) {
+        threshold = kJustBelowOne[rng.NextUint64(3)];
+        ++near_one;
+      } else if (pick < 5) {
+        threshold = rng.NextDouble(0.0, 0.3);
+      } else {
+        threshold = rng.NextDouble();
+      }
+
+      const uint32_t expected = WalkMaxDom(kcm, cnt, cand, threshold);
+      const uint32_t by_set = MaxDom(stats, cand, threshold, ctx);
+      const uint32_t by_mask =
+          MaxDom(stats, uc, universe.MaskOf(cand),
+                 static_cast<uint32_t>(cand.size()), threshold, ctx);
+      ASSERT_EQ(by_set, expected)
+          << "iter " << iter << " cnt=" << cnt << " S=" << cand.ToString()
+          << " threshold=" << threshold;
+      ASSERT_EQ(by_mask, expected)
+          << "iter " << iter << " cnt=" << cnt << " S=" << cand.ToString()
+          << " threshold=" << threshold;
+      if (expected > 0 && expected < cnt) {
+        if (expected >= max_r) {
+          ++in_search;
+        } else {
+          ++in_scan;
+        }
+      }
+    }
+  }
+  EXPECT_GT(large_nodes, 100u);
+  EXPECT_GT(full_counts, 100u);
+  EXPECT_GT(empty_rel, 100u);
+  EXPECT_GT(zero_threshold, 100u);
+  EXPECT_GT(near_one, 100u);
+  EXPECT_GT(in_search, 100u);
+  EXPECT_GT(in_scan, 100u);
+}
+
+// Below the largest relevant count the Theorem 3 test is monotone only in
+// exact arithmetic. Here both relevant terms sit in all 17 objects and the
+// candidate adds a third term the node lacks, so the test reads
+// 2·ans >= L·(3·ans). With L one ulp above 2/3 the rounded test passes
+// only at ans = 1, 2, 4, 8 and 16: the walk (and MaxDom) returns 16, while
+// galloping and bisecting over this region would land on 2.
+TEST(DomBoundsTest, MaxDomScansWhereRoundingBreaksMonotonicity) {
+  const uint32_t cnt = 17;
+  const KeywordCountMap kcm =
+      KeywordCountMap::FromSortedPairs({{0, cnt}, {1, cnt}});
+  const NodeDomStats stats(&kcm, cnt, Rect{0.0, 0.0, 1.0, 1.0});
+  DomContext ctx;
+  ctx.query_loc = Point{0.5, 0.5};
+  ctx.alpha = 0.5;
+  ctx.diagonal = 1.0;
+  ctx.missing_sdist = 0.0;
+  const KeywordSet cand{0, 1, 7};
+  const double threshold = std::nextafter(2.0 / 3.0, 1.0);
+  ASSERT_EQ(WalkMaxDom(kcm, cnt, cand, threshold), 16u);
+  EXPECT_EQ(MaxDom(stats, cand, threshold, ctx), 16u);
+  const CandidateUniverse universe = CandidateUniverse::Build(cand);
+  const NodeUniverseCounts uc = NodeUniverseCounts::Build(stats, universe);
+  EXPECT_EQ(MaxDom(stats, uc, universe.MaskOf(cand), 3, threshold, ctx), 16u);
+}
+
 TEST(DomBoundsTest, NodeDomStatsSuffixCounts) {
   KeywordCountMap kcm;
   kcm.AddDoc(KeywordSet{1, 2, 3});
@@ -209,6 +381,12 @@ TEST(DomBoundsTest, NodeDomStatsSuffixCounts) {
   EXPECT_EQ(stats.NumTermsGe(3), 1u);
   EXPECT_EQ(stats.NumTermsGe(4), 0u);
   EXPECT_EQ(stats.CountOf(2), 2u);
+  // G(p) = Σ_t min(count(t), p) with counts {3, 2, 1}.
+  EXPECT_EQ(stats.CappedTotal(0), 0u);
+  EXPECT_EQ(stats.CappedTotal(1), 3u);
+  EXPECT_EQ(stats.CappedTotal(2), 5u);
+  EXPECT_EQ(stats.CappedTotal(3), 6u);
+  EXPECT_EQ(stats.CappedTotal(7), 6u);
 }
 
 }  // namespace

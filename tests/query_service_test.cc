@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 
 #include "common/timer.h"
 #include "data/generator.h"
@@ -108,6 +109,29 @@ TEST_F(QueryServiceTest, WhyNotMatchesEngineUnderEveryAlgorithm) {
     EXPECT_DOUBLE_EQ(second.value().result.refined.penalty,
                      expected.refined.penalty);
   }
+}
+
+TEST_F(QueryServiceTest, NanAlphaKcrRequestIsRejectedAndServiceKeepsServing) {
+  QueryService service(engine_.get(), {});
+  const SpatialKeywordQuery good = Query();
+  const ObjectId missing = engine_->ObjectAtPosition(good, 3 * good.k).value();
+  SpatialKeywordQuery bad = good;
+  bad.alpha = std::numeric_limits<double>::quiet_NaN();
+
+  const auto rejected =
+      service.WhyNot(WhyNotAlgorithm::kKcrBased, bad, {missing}, {});
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument)
+      << rejected.status().ToString();
+
+  const WhyNotResult expected =
+      engine_->Answer(WhyNotAlgorithm::kKcrBased, good, {missing}, {}).value();
+  const auto served =
+      service.WhyNot(WhyNotAlgorithm::kKcrBased, good, {missing}, {});
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  EXPECT_TRUE(served.value().result.refined.doc == expected.refined.doc);
+  EXPECT_EQ(served.value().result.refined.k, expected.refined.k);
+  EXPECT_EQ(served.value().result.refined.penalty, expected.refined.penalty);
 }
 
 TEST_F(QueryServiceTest, BypassCacheSkipsLookupAndInsertion) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "data/generator.h"
 #include "index/setr_tree.h"
 #include "test_util.h"
@@ -86,6 +88,26 @@ TEST(ValidateTest, RejectsOutOfDomain) {
   bad_options = options;
   bad_options.num_threads = -1;
   EXPECT_FALSE(ValidateWhyNotInput(good, {1}, bad_options, 100).ok());
+
+  // Non-finite inputs fail every range test instead of slipping past it.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  q = good;
+  q.alpha = nan;
+  EXPECT_EQ(ValidateWhyNotInput(q, {1}, options, 100).code(),
+            StatusCode::kInvalidArgument);
+  bad_options = options;
+  bad_options.lambda = nan;
+  EXPECT_EQ(ValidateWhyNotInput(good, {1}, bad_options, 100).code(),
+            StatusCode::kInvalidArgument);
+  for (const Point loc : {Point{nan, 0.5}, Point{0.5, nan}, Point{inf, 0.5},
+                          Point{0.5, -inf}}) {
+    q = good;
+    q.loc = loc;
+    EXPECT_EQ(ValidateWhyNotInput(q, {1}, options, 100).code(),
+              StatusCode::kInvalidArgument);
+  }
+  EXPECT_TRUE(ValidateWhyNotInput(good, {1}, options, 100).ok());
 }
 
 class RankFromIndexTest : public ::testing::Test {
