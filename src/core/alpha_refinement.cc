@@ -29,19 +29,23 @@ StatusOr<AlphaRefineResult> RefineAlpha(const Dataset& dataset,
                                         const std::vector<ObjectId>& missing,
                                         double lambda, double alpha_min,
                                         double alpha_max) {
-  if (original.alpha <= 0.0 || original.alpha >= 1.0) {
+  // Range tests are written so that NaN fails them.
+  if (!(0.0 < original.alpha && original.alpha < 1.0)) {
     return Status::InvalidArgument("alpha must lie strictly inside (0, 1)");
+  }
+  if (!std::isfinite(original.loc.x) || !std::isfinite(original.loc.y)) {
+    return Status::InvalidArgument("query location must be finite");
   }
   if (missing.empty()) {
     return Status::InvalidArgument("no missing objects given");
   }
-  if (lambda < 0.0 || lambda > 1.0) {
+  if (!(0.0 <= lambda && lambda <= 1.0)) {
     return Status::InvalidArgument("lambda must lie in [0, 1]");
   }
   if (!(alpha_min > 0.0 && alpha_min < alpha_max && alpha_max < 1.0)) {
     return Status::InvalidArgument("need 0 < alpha_min < alpha_max < 1");
   }
-  if (original.alpha < alpha_min || original.alpha > alpha_max) {
+  if (!(alpha_min <= original.alpha && original.alpha <= alpha_max)) {
     return Status::InvalidArgument("original alpha outside the search range");
   }
   for (ObjectId id : missing) {

@@ -29,13 +29,17 @@ uint32_t RankAt(const Dataset& dataset, const SpatialKeywordQuery& original,
 StatusOr<LocationRefineResult> RefineLocationApproximate(
     const Dataset& dataset, const SpatialKeywordQuery& original,
     const std::vector<ObjectId>& missing, double lambda, uint32_t samples) {
-  if (original.alpha <= 0.0 || original.alpha >= 1.0) {
+  // Range tests are written so that NaN fails them.
+  if (!(0.0 < original.alpha && original.alpha < 1.0)) {
     return Status::InvalidArgument("alpha must lie strictly inside (0, 1)");
+  }
+  if (!std::isfinite(original.loc.x) || !std::isfinite(original.loc.y)) {
+    return Status::InvalidArgument("query location must be finite");
   }
   if (missing.empty()) {
     return Status::InvalidArgument("no missing objects given");
   }
-  if (lambda < 0.0 || lambda > 1.0) {
+  if (!(0.0 <= lambda && lambda <= 1.0)) {
     return Status::InvalidArgument("lambda must lie in [0, 1]");
   }
   if (samples < 2) {

@@ -142,7 +142,11 @@ StatusOr<uint32_t> RankFromIndex(const TopKSource& tree,
                                  uint64_t* nodes_expanded) {
   *exceeded = false;
   TraceSpan span(trace, TraceStage::kRankQuery);
-  TopKIterator it(&tree, query, cancel, use_cache, trace);
+  // min_score doubles as the traversal floor: only objects scoring above it
+  // count, so entries at or below it never enter the iterator's heap. The
+  // check below still stops a -inf floor (which drops nothing) at the first
+  // object that is not strictly better.
+  TopKIterator it(&tree, query, cancel, use_cache, trace, min_score);
   uint32_t strictly_better = 0;
   std::optional<ScoredObject> next;
   for (;;) {

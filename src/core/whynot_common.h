@@ -96,12 +96,14 @@ Status ValidateWhyNotInput(const SpatialKeywordQuery& original,
                            const WhyNotOptions& options, size_t dataset_size);
 
 // R(M, query) = 1 + #objects scoring strictly above `min_score`, streamed
-// from the index. With `limit` > 0, gives up once the count proves the rank
-// exceeds `limit` (sets *exceeded). Dominator ids are appended to
-// *dominators when it is non-null. `cancel` aborts the underlying
-// traversal at node-visit granularity. `trace` receives a rank_query span
-// plus the traversal's node counters; *nodes_expanded (when non-null) is
-// incremented by the nodes this traversal materialized.
+// from the index with `min_score` as the iterator's floor, so entries that
+// cannot beat it never enter the frontier. With `limit` > 0, gives up once
+// the count proves the rank exceeds `limit` (sets *exceeded). Dominator ids
+// are appended to *dominators, in the unfloored stream's order, when it is
+// non-null. `cancel` aborts the underlying traversal at node-visit
+// granularity. `trace` receives a rank_query span plus the traversal's node
+// counters; *nodes_expanded (when non-null) is incremented by the nodes
+// this traversal materialized.
 StatusOr<uint32_t> RankFromIndex(const TopKSource& tree,
                                  const SpatialKeywordQuery& query,
                                  double min_score, int64_t limit,

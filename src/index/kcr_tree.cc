@@ -4,9 +4,9 @@
 #include <limits>
 #include <string>
 
+#include "index/leaf_scorer.h"
 #include "index/node_codec.h"
 #include "index/str_pack.h"
-#include "text/score_kernel.h"
 
 namespace wsk {
 
@@ -696,30 +696,6 @@ PageId KcrTree::SearchRoot() const {
 
 namespace {
 
-// Same kernel shortcut as SetRTree: one universe per node visit, one
-// footprint + popcount per object (bit-identical scores).
-void AppendKcrLeafEntries(const KcrTree::DecodedNode& decoded, double diagonal,
-                          const SpatialKeywordQuery& query,
-                          std::vector<SearchEntry>* out) {
-  const KcrTree::Node& node = decoded.node;
-  const double alpha = query.alpha;
-  const CandidateUniverse qu = CandidateUniverse::Build(query.doc);
-  const CandidateMask qmask = qu.valid() ? qu.FullMask() : 0;
-  for (size_t i = 0; i < node.leaf_entries.size(); ++i) {
-    const KcrTree::LeafEntry& e = node.leaf_entries[i];
-    const KeywordSet& doc = decoded.leaf_docs[i];
-    const double sdist = Distance(e.loc, query.loc) / diagonal;
-    const double tsim =
-        qu.valid() ? ScoreCandidate(qu.FootprintOf(doc), qmask, query.model)
-                   : TextualSimilarity(doc, query.doc, query.model);
-    SearchEntry entry;
-    entry.bound = alpha * (1.0 - sdist) + (1.0 - alpha) * tsim;
-    entry.is_object = true;
-    entry.object = e.object;
-    out->push_back(entry);
-  }
-}
-
 void AppendKcrInnerEntries(const KcrTree::DecodedNode& decoded,
                            double diagonal,
                            const SpatialKeywordQuery& query,
@@ -767,14 +743,16 @@ void AppendKcrInnerEntries(const KcrTree::DecodedNode& decoded,
 }  // namespace
 
 Status KcrTree::ExpandNode(PageId page, const SpatialKeywordQuery& query,
-                           bool use_cache, std::vector<SearchEntry>* out)
-    const {
+                           double floor, bool use_cache,
+                           std::vector<SearchEntry>* out,
+                           uint64_t* objects_scored) const {
   StatusOr<std::shared_ptr<const DecodedNode>> read =
       ReadDecodedNode(page, use_cache);
   if (!read.ok()) return read.status();
   const DecodedNode& decoded = *read.value();
   if (decoded.node.is_leaf) {
-    AppendKcrLeafEntries(decoded, diagonal_, query, out);
+    *objects_scored += ScoreLeaf(decoded.node.leaf_entries, decoded.leaf_docs,
+                                 diagonal_, query, floor, out);
   } else {
     AppendKcrInnerEntries(decoded, diagonal_, query, out);
   }
@@ -797,48 +775,8 @@ Status KcrTree::ExpandNodeBatch(PageId page,
     }
     return Status::Ok();
   }
-  // Leaf: one union universe + one footprint per object for the whole
-  // batch, bit-identical per query (see SetRTree::ExpandNodeBatch).
-  KeywordSet union_doc = queries[0]->doc;
-  bool mixed_models = false;
-  for (size_t qi = 1; qi < count; ++qi) {
-    union_doc = union_doc.Union(queries[qi]->doc);
-    if (queries[qi]->model != queries[0]->model) mixed_models = true;
-  }
-  const CandidateUniverse qu = CandidateUniverse::Build(union_doc);
-  if (!qu.valid()) {
-    for (size_t qi = 0; qi < count; ++qi) {
-      AppendKcrLeafEntries(decoded, diagonal_, *queries[qi], outs[qi]);
-    }
-    return Status::Ok();
-  }
-  std::vector<CandidateMask> qmasks(count);
-  for (size_t qi = 0; qi < count; ++qi) {
-    qmasks[qi] = qu.MaskOf(queries[qi]->doc);
-  }
-  std::vector<double> tsims(count);
-  for (size_t i = 0; i < node.leaf_entries.size(); ++i) {
-    const LeafEntry& e = node.leaf_entries[i];
-    const Footprint fp = qu.FootprintOf(decoded.leaf_docs[i]);
-    if (mixed_models) {
-      for (size_t qi = 0; qi < count; ++qi) {
-        tsims[qi] = ScoreCandidate(fp, qmasks[qi], queries[qi]->model);
-      }
-    } else {
-      ScoreAllCandidates(fp, qmasks.data(), count, queries[0]->model,
-                         tsims.data());
-    }
-    for (size_t qi = 0; qi < count; ++qi) {
-      const SpatialKeywordQuery& query = *queries[qi];
-      const double sdist = Distance(e.loc, query.loc) / diagonal_;
-      SearchEntry entry;
-      entry.bound = query.alpha * (1.0 - sdist) +
-                    (1.0 - query.alpha) * tsims[qi];
-      entry.is_object = true;
-      entry.object = e.object;
-      outs[qi]->push_back(entry);
-    }
-  }
+  ScoreLeafBatch(node.leaf_entries, decoded.leaf_docs, diagonal_, queries,
+                 outs, count);
   return Status::Ok();
 }
 

@@ -90,9 +90,11 @@ class KcrTree : public TopKSource {
 
   // TopKSource (used to determine R(m, q), Algorithm 4 line 1):
   PageId SearchRoot() const override;
+  // Leaves go through the shared floor-aware ScoreLeaf (leaf_scorer.h).
   Status ExpandNode(PageId node, const SpatialKeywordQuery& query,
-                    bool use_cache, std::vector<SearchEntry>* out)
-      const override;
+                    double floor, bool use_cache,
+                    std::vector<SearchEntry>* out,
+                    uint64_t* objects_scored) const override;
   // One decode + one footprint per object for the whole batch; bit-exact
   // per-query entries (docs/BATCHING.md).
   Status ExpandNodeBatch(PageId node,

@@ -1,5 +1,7 @@
 #include "index/topk.h"
 
+#include <limits>
+
 namespace wsk {
 
 Status TopKSource::ExpandNodeBatch(PageId node,
@@ -7,19 +9,24 @@ Status TopKSource::ExpandNodeBatch(PageId node,
                                    std::vector<SearchEntry>* const* outs,
                                    size_t count, bool use_cache) const {
   for (size_t i = 0; i < count; ++i) {
-    WSK_RETURN_IF_ERROR(ExpandNode(node, *queries[i], use_cache, outs[i]));
+    uint64_t objects_scored = 0;
+    WSK_RETURN_IF_ERROR(
+        ExpandNode(node, *queries[i], -std::numeric_limits<double>::infinity(),
+                   use_cache, outs[i], &objects_scored));
   }
   return Status::Ok();
 }
 
 TopKIterator::TopKIterator(const TopKSource* source, SpatialKeywordQuery query,
                            const CancelToken* cancel, bool use_cache,
-                           TraceRecorder* trace)
+                           TraceRecorder* trace, double floor)
     : source_(source),
       query_(std::move(query)),
       cancel_(cancel),
       use_cache_(use_cache),
-      trace_(trace) {
+      trace_(trace),
+      floor_(floor),
+      floored_(floor > -std::numeric_limits<double>::infinity()) {
   const PageId root = source_->SearchRoot();
   if (root != kInvalidPageId) {
     // The root has no parent entry to bound it; expand it unconditionally.
@@ -33,8 +40,8 @@ TopKIterator::TopKIterator(const TopKSource* source, SpatialKeywordQuery query,
 
 TopKIterator::~TopKIterator() {
   if (trace_ == nullptr) return;
-  // nodes_pruned is derived (seen - visited): heap leftovers at early
-  // termination plus nothing else, since every enqueued node was seen.
+  // nodes_pruned is derived (seen - visited): nodes dropped at the floor
+  // plus heap leftovers at early termination.
   trace_->Add(TraceCounter::kNodesSeen, nodes_seen_);
   trace_->Add(TraceCounter::kNodesVisited, nodes_visited_);
   trace_->Add(TraceCounter::kNodesPruned, nodes_seen_ - nodes_visited_);
@@ -53,15 +60,13 @@ Status TopKIterator::Next(std::optional<ScoredObject>* out) {
     }
     if (cancel_ != nullptr) WSK_RETURN_IF_ERROR(cancel_->Check());
     scratch_.clear();
-    WSK_RETURN_IF_ERROR(
-        source_->ExpandNode(top.node, query_, use_cache_, &scratch_));
+    WSK_RETURN_IF_ERROR(source_->ExpandNode(top.node, query_, floor_,
+                                            use_cache_, &scratch_,
+                                            &objects_scored_));
     ++nodes_visited_;
     for (const SearchEntry& child : scratch_) {
-      if (child.is_object) {
-        ++objects_scored_;
-      } else {
-        ++nodes_seen_;
-      }
+      if (!child.is_object) ++nodes_seen_;
+      if (floored_ && child.bound <= floor_) continue;
       heap_.push(child);
     }
   }
@@ -82,31 +87,6 @@ StatusOr<std::vector<ScoredObject>> IndexTopK(
     result.push_back(*next);
   }
   return result;
-}
-
-StatusOr<uint32_t> IndexRankOfScore(const TopKSource& source,
-                                    const SpatialKeywordQuery& query,
-                                    double target_score,
-                                    int64_t give_up_after_rank,
-                                    bool* exceeded,
-                                    const CancelToken* cancel,
-                                    bool use_cache, TraceRecorder* trace) {
-  *exceeded = false;
-  TraceSpan span(trace, TraceStage::kRankQuery);
-  TopKIterator it(&source, query, cancel, use_cache, trace);
-  uint32_t strictly_better = 0;
-  std::optional<ScoredObject> next;
-  for (;;) {
-    WSK_RETURN_IF_ERROR(it.Next(&next));
-    if (!next || next->score <= target_score) break;
-    ++strictly_better;
-    if (give_up_after_rank > 0 &&
-        static_cast<int64_t>(strictly_better) + 1 > give_up_after_rank) {
-      *exceeded = true;
-      break;
-    }
-  }
-  return strictly_better + 1;
 }
 
 }  // namespace wsk

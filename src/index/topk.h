@@ -10,6 +10,7 @@
 #ifndef WSK_INDEX_TOPK_H_
 #define WSK_INDEX_TOPK_H_
 
+#include <limits>
 #include <optional>
 #include <queue>
 #include <vector>
@@ -48,18 +49,22 @@ class TopKSource {
   // Root node slot, or kInvalidPageId for an empty index.
   virtual PageId SearchRoot() const = 0;
 
-  // Appends one SearchEntry per child of `node` to `out`. `use_cache`
+  // Appends one SearchEntry per child of `node` to `out`, except that
+  // object entries whose exact score is <= `floor` may be left out (a
+  // floor of -inf keeps every child). Adds the number of leaf objects
+  // examined — appended or left out — to *objects_scored. `use_cache`
   // selects whether an attached decoded-node cache may serve the node;
   // with false the expansion behaves exactly like the uncached read path.
   virtual Status ExpandNode(PageId node, const SpatialKeywordQuery& query,
-                            bool use_cache,
-                            std::vector<SearchEntry>* out) const = 0;
+                            double floor, bool use_cache,
+                            std::vector<SearchEntry>* out,
+                            uint64_t* objects_scored) const = 0;
 
   // Expands `node` once for `count` queries at a time: outs[i] receives
-  // exactly the entries ExpandNode(node, *queries[i], ...) would append —
-  // bit-identical bounds, same order — so a batched traversal can substitute
-  // one shared expansion for N solo ones (docs/BATCHING.md). The base
-  // implementation loops over ExpandNode; tree sources override it to
+  // exactly the entries ExpandNode(node, *queries[i], -inf, ...) would
+  // append — bit-identical bounds, same order — so a batched traversal can
+  // substitute one shared expansion for N solo ones (docs/BATCHING.md). The
+  // base implementation loops over ExpandNode; tree sources override it to
   // decode/pin the node once and score the whole batch against it.
   virtual Status ExpandNodeBatch(PageId node,
                                  const SpatialKeywordQuery* const* queries,
@@ -79,9 +84,15 @@ class TopKIterator {
   // cancelled or timed-out search unwinds within one page visit. `trace`
   // (optional, borrowed) receives the traversal's node/object counters
   // when the iterator is destroyed.
+  //
+  // `floor` bounds the stream from below: entries whose bound is <= floor
+  // are never enqueued (a dropped node counts as seen and pruned), so the
+  // iterator emits exactly the objects of the unfloored stream that score
+  // above the floor, in the same order. The default -inf drops nothing.
   TopKIterator(const TopKSource* source, SpatialKeywordQuery query,
                const CancelToken* cancel = nullptr, bool use_cache = true,
-               TraceRecorder* trace = nullptr);
+               TraceRecorder* trace = nullptr,
+               double floor = -std::numeric_limits<double>::infinity());
   ~TopKIterator();
 
   TopKIterator(const TopKIterator&) = delete;
@@ -104,6 +115,8 @@ class TopKIterator {
   const CancelToken* cancel_ = nullptr;
   bool use_cache_ = true;
   TraceRecorder* trace_ = nullptr;
+  double floor_;
+  bool floored_;  // floor_ > -inf
   std::priority_queue<SearchEntry, std::vector<SearchEntry>, SearchEntryLess>
       heap_;
   std::vector<SearchEntry> scratch_;
@@ -122,20 +135,6 @@ StatusOr<std::vector<ScoredObject>> IndexTopK(
     const TopKSource& source, const SpatialKeywordQuery& query,
     const CancelToken* cancel = nullptr, bool use_cache = true,
     TraceRecorder* trace = nullptr);
-
-// Rank (Eqn 3) of an object whose exact score is `target_score`: emits
-// objects until the stream drops to or below `target_score` and counts the
-// strictly-better ones. If `give_up_after_rank` > 0 and more than that many
-// strictly-better objects are seen, stops early and reports the count so
-// far + 1 with `*exceeded = true` (the Section IV-C1 early stop).
-StatusOr<uint32_t> IndexRankOfScore(const TopKSource& source,
-                                    const SpatialKeywordQuery& query,
-                                    double target_score,
-                                    int64_t give_up_after_rank,
-                                    bool* exceeded,
-                                    const CancelToken* cancel = nullptr,
-                                    bool use_cache = true,
-                                    TraceRecorder* trace = nullptr);
 
 }  // namespace wsk
 

@@ -27,8 +27,9 @@ PageId MergedTopKSource::SearchRoot() const {
 
 Status MergedTopKSource::ExpandNode(PageId node,
                                     const SpatialKeywordQuery& query,
-                                    bool use_cache,
-                                    std::vector<SearchEntry>* out) const {
+                                    double floor, bool use_cache,
+                                    std::vector<SearchEntry>* out,
+                                    uint64_t* objects_scored) const {
   if (node == kVirtualRoot) {
     // Segment roots at +inf: they are expanded before any object emits, so
     // each segment's own bounds gate the traversal from the first level.
@@ -41,7 +42,9 @@ Status MergedTopKSource::ExpandNode(PageId node,
       entry.node = static_cast<PageId>((i + 1) << kSegmentShift) | root;
       out->push_back(entry);
     }
-    // Delta objects: exact scores, emitted straight into the frontier.
+    // Delta objects: exact scores, emitted straight into the frontier (the
+    // iterator drops those at or below its floor).
+    *objects_scored += extras_.size();
     {
       TraceSpan span(trace_, TraceStage::kDeltaScan);
       for (const SpatialObject* object : extras_) {
@@ -63,9 +66,12 @@ Status MergedTopKSource::ExpandNode(PageId node,
   const size_t seg_index = (node >> kSegmentShift) - 1;
   WSK_CHECK_MSG(seg_index < segments_.size(), "page outside any segment");
   const MergedSegment& seg = segments_[seg_index];
+  // Objects the segment's leaf scorer examined count as scored even when
+  // tombstoned here.
   std::vector<SearchEntry> scratch;
-  WSK_RETURN_IF_ERROR(
-      seg.source->ExpandNode(node & kLocalMask, query, use_cache, &scratch));
+  WSK_RETURN_IF_ERROR(seg.source->ExpandNode(node & kLocalMask, query, floor,
+                                             use_cache, &scratch,
+                                             objects_scored));
   for (SearchEntry& entry : scratch) {
     if (entry.is_object) {
       if (seg.visibility != nullptr &&
@@ -89,8 +95,12 @@ Status MergedTopKSource::ExpandNodeBatch(
   if (node == kVirtualRoot) {
     // Per-query fan-out: the root emits exactly-scored delta objects, which
     // depend on each query individually — nothing physical to amortize.
+    uint64_t objects_scored = 0;
     for (size_t qi = 0; qi < count; ++qi) {
-      WSK_RETURN_IF_ERROR(ExpandNode(node, *queries[qi], use_cache, outs[qi]));
+      WSK_RETURN_IF_ERROR(
+          ExpandNode(node, *queries[qi],
+                     -std::numeric_limits<double>::infinity(), use_cache,
+                     outs[qi], &objects_scored));
     }
     return Status::Ok();
   }

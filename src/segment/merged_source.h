@@ -59,9 +59,11 @@ class MergedTopKSource : public TopKSource {
                    TraceRecorder* trace = nullptr);
 
   PageId SearchRoot() const override;
+  // Forwards the floor to the owning segment's source.
   Status ExpandNode(PageId node, const SpatialKeywordQuery& query,
-                    bool use_cache, std::vector<SearchEntry>* out)
-      const override;
+                    double floor, bool use_cache,
+                    std::vector<SearchEntry>* out,
+                    uint64_t* objects_scored) const override;
   // Delegates the shared expansion to the owning segment's source (one
   // decode for the whole batch), then re-applies the per-segment namespace
   // and visibility transform per query. The virtual root stays per-query:

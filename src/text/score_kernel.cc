@@ -11,6 +11,12 @@ CandidateUniverse CandidateUniverse::Build(const KeywordSet& universe) {
   CandidateUniverse u;
   if (universe.size() > kMaxUniverseTerms) return u;  // invalid: fallback
   u.terms_ = universe.terms();
+  bool taken[kSlotMask + 1] = {};
+  for (size_t i = 0; i < u.terms_.size(); ++i) {
+    const TermId key = u.terms_[i] & kSlotMask;
+    u.slot_[key] = taken[key] ? kSharedSlot : static_cast<uint8_t>(i);
+    taken[key] = true;
+  }
   u.valid_ = true;
   return u;
 }
@@ -33,32 +39,20 @@ Footprint CandidateUniverse::FootprintOf(const KeywordSet& doc) const {
   WSK_CHECK(valid_);
   Footprint fp;
   fp.doc_size = static_cast<uint32_t>(doc.size());
-  const std::vector<TermId>& d = doc.terms();
-  // The universe is tiny; documents can be long. Gallop through the
-  // document when it dwarfs the universe, otherwise merge linearly.
-  if (d.size() > 8 * terms_.size()) {
-    auto it = d.begin();
-    for (size_t i = 0; i < terms_.size(); ++i) {
-      it = std::lower_bound(it, d.end(), terms_[i]);
-      if (it == d.end()) break;
-      if (*it == terms_[i]) {
-        fp.mask |= uint64_t{1} << i;
-        ++it;
-      }
+  if (terms_.empty()) return fp;
+  // One table load and one compare per document term, without a branch on
+  // the outcome. A term whose low bits no universe term has reads slot 0
+  // and cannot equal terms_[0], which would own that slot. Only a slot that
+  // several universe terms share costs a binary search.
+  for (TermId t : doc) {
+    const uint8_t slot = slot_[t & kSlotMask];
+    if (slot != kSharedSlot) {
+      fp.mask |= uint64_t{terms_[slot] == t} << slot;
+      continue;
     }
-    return fp;
-  }
-  size_t i = 0;
-  size_t j = 0;
-  while (i < terms_.size() && j < d.size()) {
-    if (terms_[i] < d[j]) {
-      ++i;
-    } else if (d[j] < terms_[i]) {
-      ++j;
-    } else {
-      fp.mask |= uint64_t{1} << i;
-      ++i;
-      ++j;
+    const auto it = std::lower_bound(terms_.begin(), terms_.end(), t);
+    if (it != terms_.end() && *it == t) {
+      fp.mask |= uint64_t{1} << (it - terms_.begin());
     }
   }
   return fp;

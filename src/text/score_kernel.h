@@ -71,7 +71,14 @@ class CandidateUniverse {
   Footprint FootprintOf(const KeywordSet& doc) const;
 
  private:
+  // FootprintOf's term lookup, keyed by a term's low bits: slot_[t &
+  // kSlotMask] is the index of the one universe term with those bits,
+  // kSharedSlot when several universe terms have them, or 0 when none does.
+  static constexpr TermId kSlotMask = 255;
+  static constexpr uint8_t kSharedSlot = 0xff;
+
   std::vector<TermId> terms_;  // sorted, unique
+  uint8_t slot_[kSlotMask + 1] = {};
   bool valid_ = false;
 };
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/rng.h"
 #include "data/generator.h"
 #include "test_util.h"
@@ -157,6 +159,43 @@ TEST(AlphaRefinementTest, InvalidInputsRejected) {
   bad.alpha = 0.0;
   EXPECT_FALSE(RefineAlpha(dataset, bad, {1}, 0.5).ok());
   EXPECT_FALSE(RefineAlpha(dataset, q, {1}, 0.5, 0.9, 0.2).ok());
+}
+
+// NaN must fail every range test rather than slip through it, and the
+// query location must be finite.
+TEST(AlphaRefinementTest, NonFiniteInputsRejected) {
+  const Dataset dataset = SmallDataset(50, 5);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  SpatialKeywordQuery q;
+  q.loc = Point{0.5, 0.5};
+  q.doc = dataset.object(0).doc;
+  q.k = 5;
+  q.alpha = 0.5;
+  for (const double alpha : {nan, inf, -inf}) {
+    SpatialKeywordQuery bad = q;
+    bad.alpha = alpha;
+    EXPECT_EQ(RefineAlpha(dataset, bad, {1}, 0.5).status().code(),
+              StatusCode::kInvalidArgument)
+        << "alpha " << alpha;
+  }
+  for (const double lambda : {nan, inf, -inf}) {
+    EXPECT_EQ(RefineAlpha(dataset, q, {1}, lambda).status().code(),
+              StatusCode::kInvalidArgument)
+        << "lambda " << lambda;
+  }
+  for (const Point loc : {Point{nan, 0.5}, Point{0.5, nan}, Point{inf, 0.5},
+                          Point{0.5, -inf}}) {
+    SpatialKeywordQuery bad = q;
+    bad.loc = loc;
+    EXPECT_EQ(RefineAlpha(dataset, bad, {1}, 0.5).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+  EXPECT_EQ(RefineAlpha(dataset, q, {1}, 0.5, nan, 0.9).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(RefineAlpha(dataset, q, {1}, 0.5, 0.1, nan).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_TRUE(RefineAlpha(dataset, q, {1}, 0.5).ok());
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -234,9 +235,12 @@ TEST_F(BatchTopKTest, ExpandNodeBatchMatchesSoloExpansion) {
     for (size_t i = 0; i < queries.size(); ++i) {
       SCOPED_TRACE("query " + std::to_string(i));
       std::vector<SearchEntry> solo;
-      ASSERT_TRUE(
-          source->ExpandNode(root, queries[i], /*use_cache=*/true, &solo)
-              .ok());
+      uint64_t objects_scored = 0;
+      ASSERT_TRUE(source
+                      ->ExpandNode(root, queries[i],
+                                   -std::numeric_limits<double>::infinity(),
+                                   /*use_cache=*/true, &solo, &objects_scored)
+                      .ok());
       ASSERT_EQ(batch_out[i].size(), solo.size());
       for (size_t e = 0; e < solo.size(); ++e) {
         EXPECT_EQ(batch_out[i][e].bound, solo[e].bound) << "entry " << e;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/rng.h"
 #include "data/generator.h"
 #include "test_util.h"
@@ -125,6 +127,42 @@ TEST(LocationRefinementTest, InvalidInputsRejected) {
   SpatialKeywordQuery bad = q;
   bad.alpha = 1.0;
   EXPECT_FALSE(RefineLocationApproximate(dataset, bad, {1}, 0.5).ok());
+}
+
+// NaN must fail every range test rather than slip through it, and the
+// query location must be finite.
+TEST(LocationRefinementTest, NonFiniteInputsRejected) {
+  const Dataset dataset = SmallDataset(50, 7);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  SpatialKeywordQuery q;
+  q.loc = Point{0.5, 0.5};
+  q.doc = dataset.object(0).doc;
+  q.k = 5;
+  q.alpha = 0.5;
+  for (const double alpha : {nan, inf, -inf}) {
+    SpatialKeywordQuery bad = q;
+    bad.alpha = alpha;
+    EXPECT_EQ(
+        RefineLocationApproximate(dataset, bad, {1}, 0.5).status().code(),
+        StatusCode::kInvalidArgument)
+        << "alpha " << alpha;
+  }
+  for (const double lambda : {nan, inf, -inf}) {
+    EXPECT_EQ(
+        RefineLocationApproximate(dataset, q, {1}, lambda).status().code(),
+        StatusCode::kInvalidArgument)
+        << "lambda " << lambda;
+  }
+  for (const Point loc : {Point{nan, 0.5}, Point{0.5, nan}, Point{inf, 0.5},
+                          Point{0.5, -inf}}) {
+    SpatialKeywordQuery bad = q;
+    bad.loc = loc;
+    EXPECT_EQ(
+        RefineLocationApproximate(dataset, bad, {1}, 0.5).status().code(),
+        StatusCode::kInvalidArgument);
+  }
+  EXPECT_TRUE(RefineLocationApproximate(dataset, q, {1}, 0.5).ok());
 }
 
 }  // namespace

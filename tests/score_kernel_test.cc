@@ -3,7 +3,7 @@
 // TextualSimilarity(doc, candidate, model) it replaces — exact double
 // equality, not approximate — across all three similarity models, universe
 // sizes from 1 to the 64-term cap, and documents that extend beyond the
-// universe. Plus the same contract for the mask-based MaxDom/MinDom
+// universe; footprint masks must equal a sorted-merge reference. Plus the same contract for the mask-based MaxDom/MinDom
 // overloads against their KeywordSet originals.
 #include "text/score_kernel.h"
 
@@ -135,25 +135,90 @@ TEST(ScoreKernelTest, EmptyUniverse) {
   }
 }
 
-TEST(ScoreKernelTest, FootprintGallopingPathMatchesLinear) {
-  // A long document versus a tiny universe exercises the galloping branch
-  // of FootprintOf (doc > 8x universe); cross-check the mask bit by bit.
-  Rng rng(99);
-  const KeywordSet universe_set{10, 200, 3000, 40000};
-  const CandidateUniverse universe = CandidateUniverse::Build(universe_set);
-  std::vector<TermId> terms;
-  for (int i = 0; i < 500; ++i) {
-    terms.push_back(static_cast<TermId>(rng.NextUint64(50000)));
+// Test-local reference: the sorted merge of universe and document.
+Footprint MergeFootprint(const KeywordSet& universe, const KeywordSet& doc) {
+  Footprint fp;
+  fp.doc_size = static_cast<uint32_t>(doc.size());
+  const std::vector<TermId>& u = universe.terms();
+  const std::vector<TermId>& d = doc.terms();
+  size_t i = 0;
+  size_t j = 0;
+  while (i < u.size() && j < d.size()) {
+    if (u[i] < d[j]) {
+      ++i;
+    } else if (d[j] < u[i]) {
+      ++j;
+    } else {
+      fp.mask |= uint64_t{1} << i;
+      ++i;
+      ++j;
+    }
   }
-  terms.push_back(200);    // guarantee one hit
-  terms.push_back(40000);  // and the last universe term
-  const KeywordSet doc(std::move(terms));
-  ASSERT_GT(doc.size(), 8 * universe_set.size());
-  const Footprint fp = universe.FootprintOf(doc);
-  EXPECT_EQ(fp.doc_size, doc.size());
-  for (size_t i = 0; i < universe.size(); ++i) {
-    EXPECT_EQ((fp.mask >> i) & 1, doc.Contains(universe.term(i)) ? 1u : 0u);
+  return fp;
+}
+
+// FootprintOf looks terms up in a table keyed by their low bits and
+// binary-searches only keys several universe terms share; its masks must
+// equal the merge reference. Half the universes put every term on three
+// residues mod 1024, so their terms collide on every low-bit key up to that
+// width (t & 63 and t & 255 included) and outsiders with a universe
+// term's key are the common case. Documents mix universe terms, such
+// colliding outsiders and random terms, from empty up to well past 8x the
+// universe size.
+TEST(ScoreKernelTest, SlotFootprintMatchesMergeReference) {
+  Rng rng(1515);
+  uint64_t docs_checked = 0;
+  for (const size_t universe_size : {0u, 1u, 2u, 4u, 14u, 33u, 63u, 64u}) {
+    for (int rep = 0; rep < 30; ++rep) {
+      const bool colliding = rep % 2 == 0;
+      std::vector<TermId> uterms;
+      while (KeywordSet(uterms).size() < universe_size) {
+        uterms.push_back(
+            colliding ? static_cast<TermId>(1024 * rng.NextUint64(250) +
+                                            rng.NextUint64(3))
+                      : static_cast<TermId>(rng.NextUint64(256000)));
+      }
+      const KeywordSet universe_set(std::move(uterms));
+      const CandidateUniverse universe = CandidateUniverse::Build(universe_set);
+      ASSERT_TRUE(universe.valid());
+
+      std::vector<KeywordSet> docs;
+      docs.push_back(KeywordSet());
+      for (int d = 0; d < 12; ++d) {
+        // Every third document is longer than 8x the universe.
+        const size_t length =
+            d % 3 == 0 ? 8 * universe_size + 1 + rng.NextUint64(40)
+                       : rng.NextUint64(12);
+        std::vector<TermId> terms;
+        for (size_t t = 0; t < length; ++t) {
+          const uint64_t kind = rng.NextUint64(3);
+          if (kind == 0 && universe_size > 0) {
+            terms.push_back(
+                universe_set.terms()[rng.NextUint64(universe_size)]);
+          } else if (kind == 1 && universe_size > 0) {
+            // Same low 10 bits as a universe term, usually not in the
+            // universe.
+            const TermId base =
+                universe_set.terms()[rng.NextUint64(universe_size)];
+            terms.push_back(base + 1024 * static_cast<TermId>(
+                                              1 + rng.NextUint64(100)));
+          } else {
+            terms.push_back(static_cast<TermId>(rng.NextUint64(256000)));
+          }
+        }
+        docs.push_back(KeywordSet(std::move(terms)));
+      }
+      for (const KeywordSet& doc : docs) {
+        const Footprint fp = universe.FootprintOf(doc);
+        const Footprint ref = MergeFootprint(universe_set, doc);
+        ASSERT_EQ(fp.mask, ref.mask) << "universe " << universe_set.ToString()
+                                     << " doc " << doc.ToString();
+        ASSERT_EQ(fp.doc_size, ref.doc_size);
+        ++docs_checked;
+      }
+    }
   }
+  EXPECT_EQ(docs_checked, 8u * 30u * 13u);
 }
 
 // The mask-based MaxDom/MinDom must agree exactly with the KeywordSet

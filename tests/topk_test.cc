@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/whynot_common.h"
 #include "data/generator.h"
 #include "index/setr_tree.h"
 #include "test_util.h"
@@ -9,6 +10,7 @@
 namespace wsk {
 namespace {
 
+using internal::RankFromIndex;
 using testing::TempFile;
 
 class TopKTest : public ::testing::Test {
@@ -107,24 +109,24 @@ TEST_F(TopKTest, TieBreakById) {
   for (size_t i = 0; i < 5; ++i) EXPECT_EQ(top[i].id, i);
 }
 
-TEST_F(TopKTest, IndexRankOfScoreMatchesBruteForce) {
+TEST_F(TopKTest, RankFromIndexMatchesBruteForce) {
   const SpatialKeywordQuery q = Query();
   for (ObjectId id : std::vector<ObjectId>{0, 17, 101, 249}) {
     const double score = Score(dataset_.object(id), q, dataset_.diagonal());
     bool exceeded = false;
     const uint32_t rank =
-        IndexRankOfScore(*tree_, q, score, 0, &exceeded).value();
+        RankFromIndex(*tree_, q, score, 0, &exceeded, nullptr).value();
     EXPECT_FALSE(exceeded);
     EXPECT_EQ(rank, BruteForceRank(dataset_, q, id));
   }
 }
 
-TEST_F(TopKTest, IndexRankOfScoreGivesUpAtLimit) {
+TEST_F(TopKTest, RankFromIndexGivesUpAtLimit) {
   const SpatialKeywordQuery q = Query();
   // Worst-ranked object: use a score below everything.
   bool exceeded = false;
   const uint32_t rank =
-      IndexRankOfScore(*tree_, q, -1.0, 10, &exceeded).value();
+      RankFromIndex(*tree_, q, -1.0, 10, &exceeded, nullptr).value();
   EXPECT_TRUE(exceeded);
   EXPECT_EQ(rank, 11u);
 }
