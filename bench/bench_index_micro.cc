@@ -4,12 +4,9 @@
 // the why-not figures.
 #include "bench_common.h"
 
-#include <unistd.h>
-
 #include <chrono>
 
 #include "common/rng.h"
-#include "index/inverted_grid_index.h"
 #include "index/topk.h"
 #include "storage/node_codec_v2.h"
 
@@ -217,53 +214,6 @@ void RunNodeDecode(benchmark::State& state) {
       static_cast<double>(mapped_io.setr_physical + mapped_io.kcr_physical);
 }
 
-// The inverted-file + grid baseline (related-work architecture) against
-// the same workload.
-struct InvertedBundle {
-  std::string path;
-  std::unique_ptr<wsk::Pager> pager;
-  std::unique_ptr<wsk::BufferPool> pool;
-  std::unique_ptr<wsk::InvertedGridIndex> index;
-};
-
-InvertedBundle& SharedInverted() {
-  using namespace wsk;
-  static auto* bundle = [] {
-    auto* b = new InvertedBundle();
-    b->path = "/tmp/wsk_bench_invgrid_" + std::to_string(getpid()) + ".idx";
-    b->pager = Pager::Create(b->path).value();
-    b->pool = std::make_unique<BufferPool>(b->pager.get(), 512 * 1024);
-    InvertedGridIndex::Options options;
-    b->index = InvertedGridIndex::Build(wsk::bench::SharedEngine().dataset(),
-                                        b->pool.get(), options)
-                   .value();
-    b->pager->io_stats().Reset();
-    return b;
-  }();
-  return *bundle;
-}
-
-void RunInvertedTopK(benchmark::State& state, uint32_t k) {
-  using namespace wsk;
-  InvertedBundle& bundle = SharedInverted();
-  // Identical workload to the tree benchmarks.
-  const std::vector<SpatialKeywordQuery> queries =
-      MakeQueries(wsk::bench::SharedEngine().dataset(), k);
-  double total_io = 0;
-  uint64_t runs = 0;
-  for (auto _ : state) {
-    for (const SpatialKeywordQuery& q : queries) {
-      const uint64_t before = bundle.pager->io_stats().physical_reads();
-      benchmark::DoNotOptimize(bundle.index->TopK(q).value());
-      total_io += static_cast<double>(
-          bundle.pager->io_stats().physical_reads() - before);
-      ++runs;
-    }
-  }
-  state.counters["avg_io"] = runs == 0 ? 0.0 : total_io / runs;
-  state.counters["queries"] = static_cast<double>(runs);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -283,11 +233,6 @@ int main(int argc, char** argv) {
           auto& engine = SharedEngine();
           RunTopK(state, engine.kcr_tree(), engine.kcr_io(), k);
         })
-        ->Iterations(1)
-        ->Unit(benchmark::kMillisecond);
-    benchmark::RegisterBenchmark(
-        ("topk/InvertedGrid/k=" + std::to_string(k)).c_str(),
-        [k](benchmark::State& state) { RunInvertedTopK(state, k); })
         ->Iterations(1)
         ->Unit(benchmark::kMillisecond);
   }
@@ -314,7 +259,5 @@ int main(int argc, char** argv) {
       [](benchmark::State& state) { RunNodeDecode(state); })
       ->Iterations(1)
       ->Unit(benchmark::kMillisecond);
-  const int rc = RunRegisteredBenchmarks(argc, argv);
-  std::remove(SharedInverted().path.c_str());
-  return rc;
+  return RunRegisteredBenchmarks(argc, argv);
 }

@@ -1,7 +1,6 @@
 #include "core/whynot_common.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/macros.h"
 
@@ -104,13 +103,7 @@ double WhyNotScorer::ObjectScore(ObjectId id, CandidateMask cand) const {
 Status ValidateWhyNotInput(const SpatialKeywordQuery& original,
                            const std::vector<ObjectId>& missing,
                            const WhyNotOptions& options, size_t dataset_size) {
-  // Range tests are written so that NaN fails them.
-  if (!(original.alpha > 0.0 && original.alpha < 1.0)) {
-    return Status::InvalidArgument("alpha must lie strictly inside (0, 1)");
-  }
-  if (!std::isfinite(original.loc.x) || !std::isfinite(original.loc.y)) {
-    return Status::InvalidArgument("query location must be finite");
-  }
+  WSK_RETURN_IF_ERROR(ValidateTopKQuery(original));
   if (original.doc.empty()) {
     return Status::InvalidArgument("original query has no keywords");
   }
@@ -123,6 +116,7 @@ Status ValidateWhyNotInput(const SpatialKeywordQuery& original,
   if (missing.size() >= dataset_size) {
     return Status::InvalidArgument("more missing objects than data objects");
   }
+  // Written so that NaN fails it.
   if (!(options.lambda >= 0.0 && options.lambda <= 1.0)) {
     return Status::InvalidArgument("lambda must lie in [0, 1]");
   }

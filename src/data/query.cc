@@ -1,10 +1,21 @@
 #include "data/query.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/macros.h"
 
 namespace wsk {
+
+Status ValidateTopKQuery(const SpatialKeywordQuery& query) {
+  if (!(query.alpha > 0.0 && query.alpha < 1.0)) {
+    return Status::InvalidArgument("alpha must lie strictly inside (0, 1)");
+  }
+  if (!std::isfinite(query.loc.x) || !std::isfinite(query.loc.y)) {
+    return Status::InvalidArgument("query location must be finite");
+  }
+  return Status::Ok();
+}
 
 double Score(const SpatialObject& object, const SpatialKeywordQuery& query,
              double diagonal) {

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/geometry.h"
+#include "common/status.h"
 #include "data/dataset.h"
 #include "text/similarity.h"
 
@@ -41,6 +42,11 @@ struct ScoreGreater {
 // ST(o, q) of Eqn 1; `diagonal` is the SDist normalizer (Dataset::diagonal).
 double Score(const SpatialObject& object, const SpatialKeywordQuery& query,
              double diagonal);
+
+// Checks the parts of a query that outside input controls: alpha strictly
+// inside (0, 1) and a finite location, each tested so that NaN fails. Any
+// k is valid (k = 0 answers empty). Returns InvalidArgument on violation.
+Status ValidateTopKQuery(const SpatialKeywordQuery& query);
 
 // Brute-force evaluation helpers (reference semantics for tests and tiny
 // datasets; the indexes provide the scalable path).

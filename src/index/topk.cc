@@ -78,8 +78,8 @@ StatusOr<std::vector<ScoredObject>> IndexTopK(
     const CancelToken* cancel, bool use_cache, TraceRecorder* trace) {
   TraceSpan span(trace, TraceStage::kTopK);
   TopKIterator it(&source, query, cancel, use_cache, trace);
+  // No reserve(k): k comes from outside and may far exceed the index.
   std::vector<ScoredObject> result;
-  result.reserve(query.k);
   std::optional<ScoredObject> next;
   while (result.size() < query.k) {
     WSK_RETURN_IF_ERROR(it.Next(&next));

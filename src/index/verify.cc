@@ -10,24 +10,53 @@ Status CorruptionAt(PageId page, const std::string& what) {
   return Status::Corruption("node " + std::to_string(page) + ": " + what);
 }
 
-struct SetRFacts {
+// What a subtree recomputes to: its MBR, its payload summary and its
+// object count.
+template <typename Payload>
+struct Facts {
   Rect mbr;
-  KeywordSet uni;
-  KeywordSet inter;
+  typename Payload::Summary summary;
   uint64_t objects = 0;
 };
+
+// Payload checks of one inner entry against its recomputed subtree; each
+// returns what differs, or nullptr.
+const char* CheckEntry(const SetRTree::DecodedNode& decoded, size_t i,
+                       const SetRTree::InnerEntry&,
+                       const Facts<SetRPayload>& child, VerifyStats* stats) {
+  stats->blobs_read += 2;
+  if (!(decoded.child_union[i] == child.summary.uni)) {
+    return "entry union set differs from subtree";
+  }
+  if (!(decoded.child_inter[i] == child.summary.inter)) {
+    return "entry intersection set differs from subtree";
+  }
+  return nullptr;
+}
+
+const char* CheckEntry(const KcrTree::DecodedNode& decoded, size_t i,
+                       const KcrTree::InnerEntry& entry,
+                       const Facts<KcrPayload>& child, VerifyStats* stats) {
+  if (entry.cnt != child.objects) return "entry cnt differs from subtree";
+  ++stats->blobs_read;
+  if (!(decoded.child_kcms[i] == child.summary.kcm)) {
+    return "entry keyword-count map differs";
+  }
+  return nullptr;
+}
 
 // Walks over fully materialized nodes (ReadDecodedNode, uncached), which
 // makes the checks format-agnostic: v1 payloads come from the blob store,
 // v2 payloads decode inline, and the invariants are identical. blobs_read
 // counts verified payloads either way, so expectations carry across
 // formats.
-Status WalkSetR(const SetRTree& tree, PageId page, uint32_t level,
-                VerifyStats* stats, SetRFacts* out) {
+template <typename Payload>
+Status Walk(const StaticRTree<Payload>& tree, PageId page, uint32_t level,
+            VerifyStats* stats, Facts<Payload>* out) {
   // Structural checks run on the bare node before any payload is
   // materialized: a node whose header lies about its kind carries garbage
   // payload references, and dereferencing them must not happen.
-  StatusOr<SetRTree::Node> head = tree.ReadNode(page);
+  auto head = tree.ReadNode(page);
   if (!head.ok()) return head.status();
   ++stats->nodes_visited;
 
@@ -39,159 +68,74 @@ Status WalkSetR(const SetRTree& tree, PageId page, uint32_t level,
     return CorruptionAt(page, "leaf flag inconsistent with depth");
   }
 
-  StatusOr<std::shared_ptr<const SetRTree::DecodedNode>> read =
-      tree.ReadDecodedNode(page, /*use_cache=*/false);
+  auto read = tree.ReadDecodedNode(page, /*use_cache=*/false);
   if (!read.ok()) return read.status();
-  const SetRTree::DecodedNode& decoded = *read.value();
-  const SetRTree::Node& node = decoded.node;
+  const auto& decoded = *read.value();
+  const auto& node = decoded.node;
 
-  SetRFacts facts;
-  bool first = true;
-  if (node.is_leaf) {
-    for (size_t i = 0; i < node.leaf_entries.size(); ++i) {
-      const SetRTree::LeafEntry& e = node.leaf_entries[i];
-      const KeywordSet& doc = decoded.leaf_docs[i];
-      ++stats->blobs_read;
-      ++stats->objects_seen;
-      facts.mbr.Extend(e.loc);
-      facts.uni = facts.uni.Union(doc);
-      facts.inter = first ? doc : facts.inter.Intersect(doc);
-      facts.objects += 1;
-      first = false;
+  Facts<Payload> facts;
+  for (size_t i = 0; i < node.leaf_entries.size(); ++i) {
+    ++stats->blobs_read;
+    ++stats->objects_seen;
+    facts.mbr.Extend(node.leaf_entries[i].loc);
+    facts.summary.AddDoc(decoded.leaf_docs[i]);
+    facts.objects += 1;
+  }
+  for (size_t i = 0; i < node.inner_entries.size(); ++i) {
+    const auto& e = node.inner_entries[i];
+    Facts<Payload> child;
+    WSK_RETURN_IF_ERROR(Walk(tree, e.child, level - 1, stats, &child));
+    if (!e.mbr.ContainsRect(child.mbr)) {
+      return CorruptionAt(page, "entry MBR does not contain its subtree");
     }
-  } else {
-    for (size_t i = 0; i < node.inner_entries.size(); ++i) {
-      const SetRTree::InnerEntry& e = node.inner_entries[i];
-      SetRFacts child;
-      WSK_RETURN_IF_ERROR(WalkSetR(tree, e.child, level - 1, stats, &child));
-      if (!e.mbr.ContainsRect(child.mbr)) {
-        return CorruptionAt(page, "entry MBR does not contain its subtree");
-      }
-      const KeywordSet& uni = decoded.child_union[i];
-      const KeywordSet& inter = decoded.child_inter[i];
-      stats->blobs_read += 2;
-      if (!(uni == child.uni)) {
-        return CorruptionAt(page, "entry union set differs from subtree");
-      }
-      if (!(inter == child.inter)) {
-        return CorruptionAt(page,
-                            "entry intersection set differs from subtree");
-      }
-      facts.mbr.Extend(child.mbr);
-      facts.uni = facts.uni.Union(child.uni);
-      facts.inter = first ? child.inter : facts.inter.Intersect(child.inter);
-      facts.objects += child.objects;
-      first = false;
+    if (const char* differs = CheckEntry(decoded, i, e, child, stats)) {
+      return CorruptionAt(page, differs);
     }
+    facts.mbr.Extend(child.mbr);
+    facts.summary.AddChild(child.summary);
+    facts.objects += child.objects;
   }
   *out = std::move(facts);
   return Status::Ok();
 }
 
-struct KcrFacts {
-  Rect mbr;
-  KeywordCountMap kcm;
-  uint64_t objects = 0;
-};
-
-Status WalkKcr(const KcrTree& tree, PageId page, uint32_t level,
-               VerifyStats* stats, KcrFacts* out) {
-  // Same ordering as WalkSetR: structural checks before payloads.
-  StatusOr<KcrTree::Node> head = tree.ReadNode(page);
-  if (!head.ok()) return head.status();
-  ++stats->nodes_visited;
-
-  if (head.value().size() == 0) return CorruptionAt(page, "empty node");
-  if (head.value().size() > tree.options().capacity) {
-    return CorruptionAt(page, "fan-out exceeds capacity");
-  }
-  if (head.value().is_leaf != (level == 1)) {
-    return CorruptionAt(page, "leaf flag inconsistent with depth");
-  }
-
-  StatusOr<std::shared_ptr<const KcrTree::DecodedNode>> read =
-      tree.ReadDecodedNode(page, /*use_cache=*/false);
-  if (!read.ok()) return read.status();
-  const KcrTree::DecodedNode& decoded = *read.value();
-  const KcrTree::Node& node = decoded.node;
-
-  KcrFacts facts;
-  if (node.is_leaf) {
-    for (size_t i = 0; i < node.leaf_entries.size(); ++i) {
-      const KcrTree::LeafEntry& e = node.leaf_entries[i];
-      ++stats->blobs_read;
-      ++stats->objects_seen;
-      facts.mbr.Extend(e.loc);
-      facts.kcm.AddDoc(decoded.leaf_docs[i]);
-      facts.objects += 1;
+template <typename Payload>
+Status VerifyTree(const StaticRTree<Payload>& tree, VerifyStats* stats,
+                  Facts<Payload>* facts) {
+  VerifyStats local;
+  if (stats == nullptr) stats = &local;
+  *stats = VerifyStats{};
+  if (tree.height() == 0) {
+    if (tree.num_objects() != 0) {
+      return Status::Corruption("empty tree claims objects");
     }
-  } else {
-    for (size_t i = 0; i < node.inner_entries.size(); ++i) {
-      const KcrTree::InnerEntry& e = node.inner_entries[i];
-      KcrFacts child;
-      WSK_RETURN_IF_ERROR(WalkKcr(tree, e.child, level - 1, stats, &child));
-      if (!e.mbr.ContainsRect(child.mbr)) {
-        return CorruptionAt(page, "entry MBR does not contain its subtree");
-      }
-      if (e.cnt != child.objects) {
-        return CorruptionAt(page, "entry cnt differs from subtree");
-      }
-      ++stats->blobs_read;
-      if (!(decoded.child_kcms[i] == child.kcm)) {
-        return CorruptionAt(page, "entry keyword-count map differs");
-      }
-      facts.mbr.Extend(child.mbr);
-      facts.kcm.Merge(child.kcm);
-      facts.objects += child.objects;
-    }
+    return Status::Ok();
   }
-  *out = std::move(facts);
+  WSK_RETURN_IF_ERROR(
+      Walk(tree, tree.SearchRoot(), tree.height(), stats, facts));
+  if (facts->objects != tree.num_objects()) {
+    return Status::Corruption("reachable objects differ from num_objects");
+  }
   return Status::Ok();
 }
 
 }  // namespace
 
 Status VerifySetRTree(const SetRTree& tree, VerifyStats* stats) {
-  VerifyStats local;
-  if (stats == nullptr) stats = &local;
-  *stats = VerifyStats{};
-  if (tree.height() == 0) {
-    if (tree.num_objects() != 0) {
-      return Status::Corruption("empty tree claims objects");
-    }
-    return Status::Ok();
-  }
-  SetRFacts facts;
-  WSK_RETURN_IF_ERROR(
-      WalkSetR(tree, tree.SearchRoot(), tree.height(), stats, &facts));
-  if (facts.objects != tree.num_objects()) {
-    return Status::Corruption("reachable objects differ from num_objects");
-  }
-  return Status::Ok();
+  Facts<SetRPayload> facts;
+  return VerifyTree(tree, stats, &facts);
 }
 
 Status VerifyKcrTree(const KcrTree& tree, VerifyStats* stats) {
-  VerifyStats local;
-  if (stats == nullptr) stats = &local;
-  *stats = VerifyStats{};
-  if (tree.height() == 0) {
-    if (tree.num_objects() != 0) {
-      return Status::Corruption("empty tree claims objects");
-    }
-    return Status::Ok();
-  }
-  KcrFacts facts;
-  WSK_RETURN_IF_ERROR(
-      WalkKcr(tree, tree.SearchRoot(), tree.height(), stats, &facts));
-  if (facts.objects != tree.num_objects()) {
-    return Status::Corruption("reachable objects differ from num_objects");
-  }
+  Facts<KcrPayload> facts;
+  WSK_RETURN_IF_ERROR(VerifyTree(tree, stats, &facts));
+  if (tree.height() == 0) return Status::Ok();
   if (facts.objects != tree.root_cnt()) {
     return Status::Corruption("root cnt differs from reachable objects");
   }
   StatusOr<KeywordCountMap> root_kcm = tree.ReadRootKcm();
   if (!root_kcm.ok()) return root_kcm.status();
-  if (!(root_kcm.value() == facts.kcm)) {
+  if (!(root_kcm.value() == facts.summary.kcm)) {
     return Status::Corruption("root keyword-count map differs from subtree");
   }
   return Status::Ok();

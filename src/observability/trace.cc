@@ -30,8 +30,6 @@ constexpr const char* kCounterNames[kNumTraceCounters] = {
     "kernel_invocations",
     "batches",
     "batch_candidates",
-    "postings_scanned",
-    "cells_visited",
     "delta_objects_scanned",
     "segments_visited",
     "shards_visited",

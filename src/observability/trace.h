@@ -72,8 +72,6 @@ enum class TraceCounter : uint8_t {
   kKernelInvocations,     // bitmask-kernel scoring calls (docs/PERF.md)
   kBatches,               // KcR Algorithm 3 traversals run
   kBatchCandidates,       // candidates entering those traversals
-  kPostingsScanned,       // inverted-grid posting lists decoded
-  kCellsVisited,          // inverted-grid cells swept spatially
   kDeltaObjectsScanned,   // delta-segment objects scored by a live query
   kSegmentsVisited,       // segments consulted by a live query
   kShardsVisited,         // shards whose top-k actually ran (scatter-gather)
@@ -83,7 +81,7 @@ enum class TraceCounter : uint8_t {
   kBatchNodesShared,      // per-query node openings served by those
                           // expansions beyond the first (amortized accesses)
 };
-inline constexpr size_t kNumTraceCounters = 21;
+inline constexpr size_t kNumTraceCounters = 19;
 const char* TraceCounterName(TraceCounter counter);
 
 struct TraceEvent {

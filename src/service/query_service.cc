@@ -195,6 +195,14 @@ std::future<StatusOr<QueryService::TopKResponse>> QueryService::SubmitTopK(
         "query service overloaded: max_inflight reached"));
     return future;
   }
+  // Checked before the cache and the batch collector: a NaN alpha would
+  // make every heap bound NaN and break the traversal's ordering.
+  if (Status invalid = ValidateTopKQuery(query); !invalid.ok()) {
+    AccountStatus(invalid);
+    inflight_.fetch_sub(1, std::memory_order_relaxed);
+    promise->set_value(std::move(invalid));
+    return future;
+  }
 
   CancelToken token = EffectiveToken(opts);
   const std::string key =

@@ -6,9 +6,9 @@
 // re-materialized per visit. NodeCache is a sharded, byte-budgeted LRU
 // keyed by (tree-id, PageId); values are type-erased `shared_ptr<const
 // void>` so each index caches its own decoded representation (KcrTree /
-// SetRTree decoded nodes, inverted-grid posting lists) without the storage
-// layer knowing their shapes. A hit hands out a shared_ptr copy, so an
-// entry evicted mid-query stays alive until the last reader drops it.
+// SetRTree decoded nodes) without the storage layer knowing their shapes.
+// A hit hands out a shared_ptr copy, so an entry evicted mid-query stays
+// alive until the last reader drops it.
 //
 // Thread safety: all methods are safe for concurrent callers; each shard
 // serializes on its own mutex, and eviction never runs payload destructors

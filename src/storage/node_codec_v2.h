@@ -3,9 +3,8 @@
 // v1 nodes are fixed-slot records: every node occupies `pages_per_node`
 // consecutive pages sized for a full-capacity node, entries are loose
 // fixed-width structs, and per-entry keyword payloads live out-of-line in
-// the blob store. That layout is simple to update in place, which the
-// dynamic (insert/remove) path needs — but frozen trees never update, so
-// they pay for slack they cannot use.
+// the blob store. The trees are never updated after bulk load, so that
+// slack buys nothing.
 //
 // v2 is a write-once record format for frozen trees:
 //
@@ -136,7 +135,7 @@ StatusOr<PageId> AppendNodeRecordV2(BufferPool* pool, bool is_leaf,
                                     const std::vector<uint8_t>& body);
 
 // Remembers which record pages already passed their body-checksum check.
-// v2 records are write-once (the trees reject Insert/Remove), so a record
+// v2 records are write-once (trees are only ever bulk-loaded), so a record
 // that verified cleanly once cannot go bad underneath a live tree, and the
 // byte-serial FNV-1a re-hash — the single largest warm-decode cost — can
 // be skipped on every later read. First read of each record still hashes,

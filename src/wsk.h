@@ -27,7 +27,6 @@
 #include "data/query.h"           // spatial keyword query semantics
 #include "data/stats.h"           // Table II-style statistics
 #include "index/batch_topk.h"     // multi-query shared traversal
-#include "index/inverted_grid_index.h"  // related-work baseline index
 #include "index/kcr_tree.h"       // Section V index
 #include "index/setr_tree.h"      // Section IV index
 #include "index/topk.h"           // incremental top-k

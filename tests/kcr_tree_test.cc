@@ -55,7 +55,7 @@ SubtreeFacts CheckSubtree(const KcrTree& tree, const Dataset& dataset,
   EXPECT_LE(node.size(), tree.options().capacity);
   if (node.is_leaf) {
     for (const KcrTree::LeafEntry& e : node.leaf_entries) {
-      const KeywordSet doc = tree.ReadKeywordSet(e.keywords).value();
+      const KeywordSet doc = tree.ReadBlob<KeywordSet>(e.keywords).value();
       EXPECT_EQ(doc, dataset.object(e.object).doc);
       facts.mbr.Extend(e.loc);
       facts.kcm.AddDoc(doc);
@@ -66,7 +66,7 @@ SubtreeFacts CheckSubtree(const KcrTree& tree, const Dataset& dataset,
       const SubtreeFacts child = CheckSubtree(tree, dataset, e.child);
       EXPECT_TRUE(e.mbr.ContainsRect(child.mbr));
       EXPECT_EQ(e.cnt, child.objects);
-      EXPECT_TRUE(tree.ReadKcm(e.kcm).value() == child.kcm);
+      EXPECT_TRUE(tree.ReadBlob<KeywordCountMap>(e.kcm).value() == child.kcm);
       facts.mbr.Extend(child.mbr);
       facts.kcm.Merge(child.kcm);
       facts.objects += child.objects;
@@ -128,39 +128,6 @@ INSTANTIATE_TEST_SUITE_P(Sweep, KcrTopKSweep,
                                                               100u),
                                             ::testing::Values(0.1, 0.5,
                                                               0.9)));
-
-TEST(KcrTreeTest, InsertBuiltTreeInvariants) {
-  const Dataset dataset = SmallDataset(150, 37);
-  TreeBundle bundle;
-  bundle.file = std::make_unique<TempFile>("kcr_ins");
-  bundle.pager = Pager::Create(bundle.file->path()).value();
-  bundle.pool = std::make_unique<BufferPool>(bundle.pager.get(), 4u << 20);
-  KcrTree::Options options;
-  options.capacity = 8;
-  bundle.tree = KcrTree::CreateEmpty(bundle.pool.get(), dataset.diagonal(),
-                                     options)
-                    .value();
-  for (const SpatialObject& o : dataset.objects()) {
-    ASSERT_TRUE(bundle.tree->Insert(o).ok());
-  }
-  ASSERT_TRUE(bundle.tree->Finalize().ok());
-  const SubtreeFacts facts =
-      CheckSubtree(*bundle.tree, dataset, bundle.tree->SearchRoot());
-  EXPECT_EQ(facts.objects, dataset.size());
-  EXPECT_TRUE(bundle.tree->ReadRootKcm().value() == facts.kcm);
-
-  SpatialKeywordQuery q;
-  q.loc = Point{0.4, 0.6};
-  q.doc = dataset.object(5).doc;
-  q.k = 30;
-  q.alpha = 0.5;
-  const auto expected = BruteForceTopK(dataset, q);
-  const auto actual = IndexTopK(*bundle.tree, q).value();
-  ASSERT_EQ(actual.size(), expected.size());
-  for (size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_EQ(actual[i].id, expected[i].id);
-  }
-}
 
 TEST(KcrTreeTest, ReopenFinalizedIndex) {
   const Dataset dataset = SmallDataset(120, 43);
@@ -246,19 +213,6 @@ TEST(KcrTreeTest, V2BulkLoadMatchesV1AndShrinksFile) {
     EXPECT_EQ(top_v1[i].id, top_v2[i].id);
     EXPECT_EQ(top_v1[i].score, top_v2[i].score);  // bit-exact
   }
-}
-
-TEST(KcrTreeTest, V2IsImmutable) {
-  const Dataset dataset = SmallDataset(60, 43);
-  TreeBundle v2 = BulkLoadV2(dataset);
-  SpatialObject extra;
-  extra.id = 1000;
-  extra.loc = Point{0.5, 0.5};
-  extra.doc = dataset.object(0).doc;
-  EXPECT_EQ(v2.tree->Insert(extra).code(), StatusCode::kFailedPrecondition);
-  EXPECT_EQ(
-      v2.tree->Remove(dataset.object(0).id, dataset.object(0).loc).code(),
-      StatusCode::kFailedPrecondition);
 }
 
 TEST(KcrTreeTest, V2ReopenAndMappedReadsPreserveSummaries) {

@@ -134,6 +134,62 @@ TEST_F(QueryServiceTest, NanAlphaKcrRequestIsRejectedAndServiceKeepsServing) {
   EXPECT_EQ(served.value().result.refined.penalty, expected.refined.penalty);
 }
 
+// NaN or out-of-range alpha and a non-finite location are rejected at
+// admission, solo and batched, and the service keeps serving.
+TEST_F(QueryServiceTest, MalformedTopKIsRejectedAndServiceKeepsServing) {
+  const std::vector<ScoredObject> expected = engine_->TopK(Query()).value();
+  for (const size_t batch_max_size : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE("batch_max_size " + std::to_string(batch_max_size));
+    QueryServiceConfig config;
+    config.batch_max_size = batch_max_size;
+    QueryService service(engine_.get(), config);
+    std::vector<SpatialKeywordQuery> bad(5, Query());
+    bad[0].alpha = std::numeric_limits<double>::quiet_NaN();
+    bad[1].alpha = 1.0;
+    bad[2].alpha = -0.25;
+    bad[3].loc.x = std::numeric_limits<double>::infinity();
+    bad[4].loc.y = std::numeric_limits<double>::quiet_NaN();
+    for (const SpatialKeywordQuery& q : bad) {
+      const auto rejected = service.TopK(q);
+      ASSERT_FALSE(rejected.ok());
+      EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument)
+          << rejected.status().ToString();
+    }
+    EXPECT_EQ(service.inflight(), 0u);
+    const auto served = service.TopK(Query());
+    ASSERT_TRUE(served.ok()) << served.status().ToString();
+    ASSERT_EQ(served.value().results.size(), expected.size());
+    for (size_t i = 0; i < expected.size(); ++i) {
+      EXPECT_EQ(served.value().results[i].id, expected[i].id);
+    }
+  }
+}
+
+// k comes from outside: a k far beyond the index answers with every
+// object instead of reserving k result slots up front.
+TEST(QueryServiceInputTest, HugeKReturnsEveryObject) {
+  GeneratorConfig config;
+  config.num_objects = 200;
+  config.vocab_size = 30;
+  config.seed = 77;
+  const Dataset dataset = GenerateDataset(config);
+  auto engine = WhyNotEngine::Build(&dataset, {}).value();
+  QueryService service(engine.get(), {});
+  SpatialKeywordQuery q;
+  q.loc = Point{0.5, 0.5};
+  q.doc = dataset.object(0).doc;
+  q.k = std::numeric_limits<uint32_t>::max();
+  q.alpha = 0.5;
+  const auto served = service.TopK(q);
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  const std::vector<ScoredObject> expected = BruteForceTopK(dataset, q);
+  ASSERT_EQ(expected.size(), dataset.size());
+  ASSERT_EQ(served.value().results.size(), expected.size());
+  for (size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(served.value().results[i].id, expected[i].id);
+  }
+}
+
 TEST_F(QueryServiceTest, BypassCacheSkipsLookupAndInsertion) {
   QueryService service(engine_.get(), {});
   RequestOptions opts;

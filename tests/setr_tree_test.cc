@@ -60,7 +60,7 @@ SubtreeFacts CheckSubtree(const SetRTree& tree, const Dataset& dataset,
   bool first = true;
   if (node.is_leaf) {
     for (const SetRTree::LeafEntry& e : node.leaf_entries) {
-      const KeywordSet doc = tree.ReadKeywordSet(e.keywords).value();
+      const KeywordSet doc = tree.ReadBlob<KeywordSet>(e.keywords).value();
       EXPECT_EQ(doc, dataset.object(e.object).doc);
       EXPECT_EQ(e.loc, dataset.object(e.object).loc);
       facts.mbr.Extend(e.loc);
@@ -73,8 +73,8 @@ SubtreeFacts CheckSubtree(const SetRTree& tree, const Dataset& dataset,
     for (const SetRTree::InnerEntry& e : node.inner_entries) {
       const SubtreeFacts child = CheckSubtree(tree, dataset, e.child);
       EXPECT_TRUE(e.mbr.ContainsRect(child.mbr));
-      EXPECT_EQ(tree.ReadKeywordSet(e.union_set).value(), child.uni);
-      EXPECT_EQ(tree.ReadKeywordSet(e.inter_set).value(), child.inter);
+      EXPECT_EQ(tree.ReadBlob<KeywordSet>(e.union_set).value(), child.uni);
+      EXPECT_EQ(tree.ReadBlob<KeywordSet>(e.inter_set).value(), child.inter);
       facts.mbr.Extend(child.mbr);
       facts.uni = facts.uni.Union(child.uni);
       facts.inter = first ? child.inter : facts.inter.Intersect(child.inter);
@@ -158,39 +158,6 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(SimilarityModel::kJaccard,
                                          SimilarityModel::kDice)));
 
-TEST(SetRTreeTest, InsertBuiltTreeMatchesBruteForce) {
-  const Dataset dataset = SmallDataset(150, 31);
-  TreeBundle bundle;
-  bundle.file = std::make_unique<TempFile>("setr_ins");
-  bundle.pager = Pager::Create(bundle.file->path()).value();
-  bundle.pool = std::make_unique<BufferPool>(bundle.pager.get(), 4u << 20);
-  SetRTree::Options options;
-  options.capacity = 8;
-  bundle.tree = SetRTree::CreateEmpty(bundle.pool.get(), dataset.diagonal(),
-                                      options)
-                    .value();
-  for (const SpatialObject& o : dataset.objects()) {
-    ASSERT_TRUE(bundle.tree->Insert(o).ok());
-  }
-  ASSERT_TRUE(bundle.tree->Finalize().ok());
-  EXPECT_EQ(bundle.tree->num_objects(), dataset.size());
-  const SubtreeFacts facts =
-      CheckSubtree(*bundle.tree, dataset, bundle.tree->SearchRoot());
-  EXPECT_EQ(facts.objects, dataset.size());
-
-  SpatialKeywordQuery q;
-  q.loc = Point{0.4, 0.6};
-  q.doc = dataset.object(7).doc;
-  q.k = 25;
-  q.alpha = 0.5;
-  const auto expected = BruteForceTopK(dataset, q);
-  const auto actual = IndexTopK(*bundle.tree, q).value();
-  ASSERT_EQ(actual.size(), expected.size());
-  for (size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_EQ(actual[i].id, expected[i].id);
-  }
-}
-
 TEST(SetRTreeTest, ReopenFinalizedIndex) {
   const Dataset dataset = SmallDataset(120, 41);
   TempFile file("setr_reopen");
@@ -236,12 +203,14 @@ TEST(SetRTreeTest, OpenRejectsWrongMagic) {
 }
 
 TEST(SetRTreeTest, CreateRequiresFreshFile) {
+  const Dataset dataset = SmallDataset(20, 43);
   TempFile file("setr_fresh");
   auto pager = Pager::Create(file.path()).value();
   pager->AllocatePages(1);
   BufferPool pool(pager.get(), 1u << 20);
   SetRTree::Options options;
-  auto tree = SetRTree::CreateEmpty(&pool, 1.0, options);
+  auto tree = SetRTree::BulkLoadObjects(dataset.objects(), dataset.diagonal(),
+                                        &pool, options);
   EXPECT_FALSE(tree.ok());
   EXPECT_EQ(tree.status().code(), StatusCode::kFailedPrecondition);
 }
@@ -297,19 +266,6 @@ TEST(SetRTreeTest, V2StatNodeReportsCompactRecords) {
   EXPECT_LE(s2.record_pages, s1.record_pages);
   EXPECT_LE(s2.record_bytes,
             s2.record_pages * v2.pager->page_size());
-}
-
-TEST(SetRTreeTest, V2IsImmutable) {
-  const Dataset dataset = SmallDataset(60, 29);
-  TreeBundle v2 = BulkLoadV2(dataset);
-  SpatialObject extra;
-  extra.id = 1000;
-  extra.loc = Point{0.5, 0.5};
-  extra.doc = dataset.object(0).doc;
-  EXPECT_EQ(v2.tree->Insert(extra).code(), StatusCode::kFailedPrecondition);
-  EXPECT_EQ(v2.tree->Remove(dataset.object(0).id, dataset.object(0).loc)
-                .code(),
-            StatusCode::kFailedPrecondition);
 }
 
 TEST(SetRTreeTest, V2ReopenAndMappedReadsServeQueries) {

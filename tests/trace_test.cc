@@ -202,8 +202,6 @@ TEST(TraceRecorderTest, StageAndCounterNamesAreStable) {
                "bound_tightening");
   EXPECT_STREQ(TraceCounterName(TraceCounter::kCandidatesEnumerated),
                "candidates_enumerated");
-  EXPECT_STREQ(TraceCounterName(TraceCounter::kCellsVisited),
-               "cells_visited");
 }
 
 TEST(TraceRecorderTest, ConcurrentWritersAreLossless) {

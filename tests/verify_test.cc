@@ -32,22 +32,6 @@ TEST(VerifyTest, BulkLoadedSetRTreePasses) {
   EXPECT_GT(stats.nodes_visited, 1u);
 }
 
-TEST(VerifyTest, InsertBuiltSetRTreePasses) {
-  const Dataset dataset = SmallDataset(120, 2);
-  TempFile file("verify_setr_ins");
-  auto pager = Pager::Create(file.path()).value();
-  BufferPool pool(pager.get(), 4u << 20);
-  SetRTree::Options options;
-  options.capacity = 6;
-  auto tree =
-      SetRTree::CreateEmpty(&pool, dataset.diagonal(), options).value();
-  for (const SpatialObject& o : dataset.objects()) {
-    ASSERT_TRUE(tree->Insert(o).ok());
-  }
-  ASSERT_TRUE(tree->Finalize().ok());
-  EXPECT_TRUE(VerifySetRTree(*tree).ok());
-}
-
 TEST(VerifyTest, BulkLoadedKcrTreePasses) {
   const Dataset dataset = SmallDataset(300, 3);
   TempFile file("verify_kcr");
@@ -59,22 +43,6 @@ TEST(VerifyTest, BulkLoadedKcrTreePasses) {
   VerifyStats stats;
   EXPECT_TRUE(VerifyKcrTree(*tree, &stats).ok());
   EXPECT_EQ(stats.objects_seen, dataset.size());
-}
-
-TEST(VerifyTest, InsertBuiltKcrTreePasses) {
-  const Dataset dataset = SmallDataset(120, 4);
-  TempFile file("verify_kcr_ins");
-  auto pager = Pager::Create(file.path()).value();
-  BufferPool pool(pager.get(), 4u << 20);
-  KcrTree::Options options;
-  options.capacity = 6;
-  auto tree =
-      KcrTree::CreateEmpty(&pool, dataset.diagonal(), options).value();
-  for (const SpatialObject& o : dataset.objects()) {
-    ASSERT_TRUE(tree->Insert(o).ok());
-  }
-  ASSERT_TRUE(tree->Finalize().ok());
-  EXPECT_TRUE(VerifyKcrTree(*tree).ok());
 }
 
 TEST(VerifyTest, EmptyTreesPass) {

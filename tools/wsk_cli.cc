@@ -89,6 +89,7 @@
 //       --keywords "term1 term7" --missing 1234 --algorithm kcr
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -222,8 +223,17 @@ std::unique_ptr<Dataset> LoadData(const Args& args) {
 bool ParseQuery(const Args& args, const Dataset& dataset,
                 SpatialKeywordQuery* query) {
   query->loc = Point{args.GetDouble("x", 0.5), args.GetDouble("y", 0.5)};
-  query->k = static_cast<uint32_t>(args.GetLong("k", 10));
+  const long k = args.GetLong("k", 10);
+  if (k < 0 || k > static_cast<long>(UINT32_MAX)) {
+    std::fprintf(stderr, "--k must lie in [0, %u]\n", UINT32_MAX);
+    return false;
+  }
+  query->k = static_cast<uint32_t>(k);
   query->alpha = args.GetDouble("alpha", 0.5);
+  if (const Status valid = ValidateTopKQuery(*query); !valid.ok()) {
+    Fail(valid);
+    return false;
+  }
   const char* keywords = args.Get("keywords");
   if (keywords == nullptr) {
     std::fprintf(stderr, "missing --keywords \"a b c\"\n");
