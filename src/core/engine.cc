@@ -152,6 +152,7 @@ StatusOr<WhyNotResult> WhyNotEngine::Answer(
 StatusOr<std::vector<ScoredObject>> WhyNotEngine::TopK(
     const SpatialKeywordQuery& query, const CancelToken* cancel,
     TraceRecorder* trace) const {
+  WSK_RETURN_IF_ERROR(ValidateTopKQuery(query));
   QueryScope scope(this);
   TraceSpan root_span(trace, TraceStage::kQuery);
   return IndexTopK(*setr_tree_, query, cancel, /*use_cache=*/true, trace);

@@ -55,8 +55,11 @@ std::vector<BatchTopKResult> BatchedIndexTopK(
     QueryState& q = states[i];
     q.query = requests[i].query;
     q.cancel = requests[i].cancel;
-    if (root == kInvalidPageId) {
-      q.done = true;  // empty index: every query finishes with no results
+    // An invalid query fails alone; the rest of the batch still answers.
+    // On an empty index every query finishes with no results.
+    q.status = ValidateTopKQuery(*q.query);
+    if (!q.status.ok() || root == kInvalidPageId) {
+      q.done = true;
       continue;
     }
     SearchEntry entry;

@@ -104,6 +104,9 @@ SegmentedEngine::QueryPlan SegmentedEngine::MakePlan(bool want_kcr) const {
 StatusOr<std::vector<ScoredObject>> SegmentedEngine::TopK(
     const SpatialKeywordQuery& query, const CancelToken* cancel,
     TraceRecorder* trace) const {
+  // Before any scoring: delta objects go through Score(), which aborts on
+  // an alpha outside (0, 1).
+  WSK_RETURN_IF_ERROR(ValidateTopKQuery(query));
   TraceSpan root_span(trace, TraceStage::kQuery);
   const QueryPlan plan = MakePlan(/*want_kcr=*/false);
   MergedTopKSource source(plan.setr_segments, plan.extras,

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <functional>
 #include <string_view>
+#include <type_traits>
 #include <unordered_map>
 #include <utility>
 
@@ -59,17 +60,15 @@ QueryService::QueryService(const QueryBackend* backend,
                 "QueryService requires at least one worker (got %d)",
                 config_.num_workers);
   WSK_CHECK(config_.cache_location_quantum > 0.0);
-  if (config_.collect_stage_metrics) {
-    for (size_t i = 0; i < kNumTraceStages; ++i) {
-      stage_hist_[i] = &metrics_.histogram(
-          std::string("stage.") +
-          TraceStageName(static_cast<TraceStage>(i)) + ".ms");
-    }
-    for (size_t i = 0; i < kNumTraceCounters; ++i) {
-      prune_counter_[i] = &metrics_.counter(
-          std::string("prune.") +
-          TraceCounterName(static_cast<TraceCounter>(i)));
-    }
+  for (size_t i = 0; i < kNumTraceStages; ++i) {
+    stage_hist_[i] = &metrics_.histogram(
+        std::string("stage.") + TraceStageName(static_cast<TraceStage>(i)) +
+        ".ms");
+  }
+  for (size_t i = 0; i < kNumTraceCounters; ++i) {
+    prune_counter_[i] = &metrics_.counter(
+        std::string("prune.") +
+        TraceCounterName(static_cast<TraceCounter>(i)));
   }
   if (config_.telemetry.enabled) {
     telemetry_ = std::make_unique<TelemetryHub>(config_.telemetry);
@@ -96,30 +95,6 @@ QueryService::~QueryService() {
   pool_.reset();
 }
 
-bool QueryService::Admit() {
-  requests_total_.Increment();
-  const int64_t admitted = inflight_.fetch_add(1, std::memory_order_relaxed);
-  if (config_.max_inflight > 0 &&
-      admitted >= static_cast<int64_t>(config_.max_inflight)) {
-    inflight_.fetch_sub(1, std::memory_order_relaxed);
-    responses_rejected_.Increment();
-    if (telemetry_ != nullptr) telemetry_->ReportShed();
-    return false;
-  }
-  return true;
-}
-
-CancelToken QueryService::EffectiveToken(const RequestOptions& opts) const {
-  const double timeout_ms =
-      opts.timeout_ms < 0.0 ? config_.default_timeout_ms : opts.timeout_ms;
-  if (timeout_ms > 0.0) {
-    // Observes the client's token (if any) AND the deadline. A null client
-    // token derives into a plain deadline token.
-    return opts.cancel.DeriveWithTimeout(timeout_ms);
-  }
-  return opts.cancel;
-}
-
 void QueryService::AccountStatus(const Status& status) {
   switch (status.code()) {
     case StatusCode::kOk:
@@ -137,12 +112,9 @@ void QueryService::AccountStatus(const Status& status) {
   }
 }
 
-QueryService::IoSnapshot QueryService::TakeIoSnapshot() const {
-  return backend_->io_snapshot();
-}
-
-QueryService::IoDelta QueryService::AccountIo(const IoSnapshot& before) {
-  const IoSnapshot after = TakeIoSnapshot();
+void QueryService::AccountIo(const BackendIoSnapshot& before,
+                             QueryProfile* profile) {
+  const BackendIoSnapshot after = backend_->io_snapshot();
   io_setr_physical_.Increment(after.setr_physical - before.setr_physical);
   io_kcr_physical_.Increment(after.kcr_physical - before.kcr_physical);
   io_setr_logical_.Increment(after.setr_logical - before.setr_logical);
@@ -157,21 +129,16 @@ QueryService::IoDelta QueryService::AccountIo(const IoSnapshot& before) {
                                        before.setr_cache_misses);
   io_kcr_node_cache_misses_.Increment(after.kcr_cache_misses -
                                       before.kcr_cache_misses);
-  IoDelta delta;
-  delta.physical = (after.setr_physical - before.setr_physical) +
-                   (after.kcr_physical - before.kcr_physical);
-  delta.mapped = (after.setr_mapped - before.setr_mapped) +
-                 (after.kcr_mapped - before.kcr_mapped);
-  delta.cache_hits = (after.setr_cache_hits - before.setr_cache_hits) +
-                     (after.kcr_cache_hits - before.kcr_cache_hits);
-  return delta;
+  profile->io_physical = (after.setr_physical - before.setr_physical) +
+                         (after.kcr_physical - before.kcr_physical);
+  profile->io_mapped = (after.setr_mapped - before.setr_mapped) +
+                       (after.kcr_mapped - before.kcr_mapped);
+  profile->io_cache_hits = (after.setr_cache_hits - before.setr_cache_hits) +
+                           (after.kcr_cache_hits - before.kcr_cache_hits);
 }
 
 void QueryService::AbsorbTrace(const TraceRecorder& trace) {
   trace_dropped_.Increment(trace.dropped_events());
-  // Stage/prune interning only happens under collect_stage_metrics; a
-  // telemetry-only recorder still accounts its drops above.
-  if (stage_hist_[0] == nullptr) return;
   for (size_t i = 0; i < kNumTraceStages; ++i) {
     if (trace.StageCount(static_cast<TraceStage>(i)) == 0) continue;
     stage_hist_[i]->Record(
@@ -184,175 +151,188 @@ void QueryService::AbsorbTrace(const TraceRecorder& trace) {
   }
 }
 
+template <typename Call>
+void QueryService::Finish(Request<Call>& request,
+                          StatusOr<typename Call::Response> outcome,
+                          Execution* exec) {
+  const double latency_ms = request.timer.ElapsedMillis();
+  if (outcome.ok()) outcome.value().latency_ms = latency_ms;
+  AccountStatus(outcome.status());
+  (Call::kKind == ProfileKind::kTopK ? latency_topk_ : latency_whynot_)
+      .Record(latency_ms);
+  if (telemetry_ != nullptr) {
+    // A request that executed nothing itself reports its end-to-end
+    // latency without a recorder; a batch member's stage breakdown lives
+    // in the shared batch profile.
+    QueryProfile profile;
+    if (exec != nullptr) profile = std::move(exec->profile);
+    profile.kind = Call::kKind;
+    profile.algorithm = request.call.Algorithm();
+    profile.fingerprint =
+        request.key.empty() ? 0 : std::hash<std::string>{}(request.key);
+    profile.status = StatusCodeName(outcome.status().code());
+    profile.ok = outcome.ok();
+    profile.cache_hit = outcome.ok() && outcome.value().cache_hit;
+    if (exec != nullptr) {
+      profile.queue_ms = std::max(0.0, latency_ms - profile.wall_ms);
+    } else {
+      profile.wall_ms = latency_ms;
+    }
+    telemetry_->Report(std::move(profile),
+                       exec != nullptr ? exec->trace : nullptr);
+  }
+  inflight_.fetch_sub(1, std::memory_order_relaxed);
+  request.promise.set_value(std::move(outcome));
+}
+
+template <typename Call>
+void QueryService::Shed(Request<Call>& request, const char* reason) {
+  inflight_.fetch_sub(1, std::memory_order_relaxed);
+  responses_rejected_.Increment();
+  if (telemetry_ != nullptr) telemetry_->ReportShed();
+  request.promise.set_value(Status::ResourceExhausted(
+      std::string("query service overloaded: ") + reason));
+}
+
+template <typename Call, typename Value>
+void QueryService::Remember(const std::string& key, const Value& value,
+                            std::vector<uint64_t> versions) {
+  if (key.empty()) return;
+  auto entry = std::make_shared<ResultCache::Entry>();
+  entry->is_whynot = Call::kKind == ProfileKind::kWhyNot;
+  (*entry).*Call::kCached = value;
+  entry->versions = std::move(versions);
+  cache_.Insert(key, std::move(entry));
+}
+
+template <typename Fn>
+auto QueryService::Execute(TraceRecorder& trace, Execution* exec, Fn&& run)
+    -> decltype(run()) {
+  const BackendIoSnapshot before = backend_->io_snapshot();
+  const Timer timer;
+  auto result = [&]() -> decltype(run()) {
+    try {
+      return run();
+    } catch (const std::exception& e) {
+      return Status::Internal(std::string("query execution threw: ") +
+                              e.what());
+    } catch (...) {
+      return Status::Internal("query execution threw a non-std exception");
+    }
+  }();
+  exec->profile.wall_ms = timer.ElapsedMillis();
+  exec->trace = &trace;
+  AbsorbTrace(trace);
+  AccountIo(before, &exec->profile);
+  return result;
+}
+
+template <typename Call>
+void QueryService::ExecuteSolo(Request<Call>& request) {
+  // Fail fast: a request cancelled, or past its deadline, while it waited
+  // finishes before any work.
+  if (Status status = request.token.Check(); !status.ok()) {
+    Finish(request, std::move(status), nullptr);
+    return;
+  }
+  // Captured before the query runs: a mutation racing the computation
+  // makes the entry look staler than it is, never fresher.
+  std::vector<uint64_t> versions;
+  if (!request.key.empty()) versions = backend_->version_vector();
+  // The sampling decision is drawn only here, by a request about to
+  // execute: every sample_every'th gets an event-capacity recorder, the
+  // rest the capacity-0 aggregation recorder.
+  TraceRecorder trace(request.call.ServiceTraced() && telemetry_ != nullptr
+                          ? telemetry_->NextEventCapacity()
+                          : 0);
+  Execution exec;
+  auto result = Execute(trace, &exec, [&] {
+    return request.call.Run(*backend_, &request.token, &trace);
+  });
+  if (!result.ok()) {
+    Finish(request, result.status(), &exec);
+    return;
+  }
+  Remember<Call>(request.key, result.value(), std::move(versions));
+  typename Call::Response response;
+  response.*Call::kResult = std::move(result).value();
+  Finish(request, std::move(response), &exec);
+}
+
+template <typename Call>
+std::future<StatusOr<typename Call::Response>> QueryService::Submit(
+    Call call, const RequestOptions& opts) {
+  auto request = std::make_shared<Request<Call>>();
+  request->call = std::move(call);
+  std::future<StatusOr<typename Call::Response>> future =
+      request->promise.get_future();
+  requests_total_.Increment();
+  const int64_t admitted = inflight_.fetch_add(1, std::memory_order_relaxed);
+  if (config_.max_inflight > 0 &&
+      admitted >= static_cast<int64_t>(config_.max_inflight)) {
+    Shed(*request, "max_inflight reached");
+    return future;
+  }
+  // The token observes the client's token (if any) AND the deadline; a
+  // null client token derives into a plain deadline token.
+  const double timeout_ms =
+      opts.timeout_ms < 0.0 ? config_.default_timeout_ms : opts.timeout_ms;
+  request->token = timeout_ms > 0.0 ? opts.cancel.DeriveWithTimeout(timeout_ms)
+                                    : opts.cancel;
+  // Rejected before any work, the cache included: a NaN alpha would make
+  // every heap bound NaN, and the client of a cancelled request is no
+  // longer waiting for an answer.
+  Status early = request->call.Validate();
+  if (early.ok()) early = request->token.Check();
+  if (!early.ok()) {
+    Finish(*request, std::move(early), nullptr);
+    return future;
+  }
+  // The one cache lookup, on the caller's thread: a hit takes no pool
+  // slot and never waits in the queue or a batch window.
+  if (!opts.bypass_cache) {
+    request->key = request->call.Fingerprint(
+        config_.cache_location_quantum, backend_->topology_fingerprint());
+    const Call& c = request->call;
+    if (std::shared_ptr<const ResultCache::Entry> hit = cache_.Lookup(
+            request->key, [this, &c](const ResultCache::Entry& e) {
+              return c.CacheValid(*backend_, e);
+            })) {
+      typename Call::Response response;
+      response.*Call::kResult = (*hit).*Call::kCached;
+      response.cache_hit = true;
+      Finish(*request, std::move(response), nullptr);
+      return future;
+    }
+  }
+  if constexpr (std::is_same_v<Call, TopKCall>) {
+    if (config_.batch_max_size > 1) {
+      {
+        std::lock_guard<std::mutex> lock(batch_mu_);
+        batch_queue_.push_back(std::move(request));
+      }
+      batch_cv_.notify_one();
+      return future;
+    }
+  }
+  if (!pool_->TrySubmit([this, request] { ExecuteSolo(*request); })) {
+    Shed(*request, "worker queue full");
+  }
+  return future;
+}
+
 std::future<StatusOr<QueryService::TopKResponse>> QueryService::SubmitTopK(
     const SpatialKeywordQuery& query, const RequestOptions& opts) {
   requests_topk_.Increment();
-  auto promise = std::make_shared<std::promise<StatusOr<TopKResponse>>>();
-  std::future<StatusOr<TopKResponse>> future = promise->get_future();
+  return Submit(TopKCall{query}, opts);
+}
 
-  if (!Admit()) {
-    promise->set_value(Status::ResourceExhausted(
-        "query service overloaded: max_inflight reached"));
-    return future;
-  }
-  // Checked before the cache and the batch collector: a NaN alpha would
-  // make every heap bound NaN and break the traversal's ordering.
-  if (Status invalid = ValidateTopKQuery(query); !invalid.ok()) {
-    AccountStatus(invalid);
-    inflight_.fetch_sub(1, std::memory_order_relaxed);
-    promise->set_value(std::move(invalid));
-    return future;
-  }
-
-  CancelToken token = EffectiveToken(opts);
-  const std::string key =
-      opts.bypass_cache
-          ? std::string()
-          : FingerprintTopK(query, config_.cache_location_quantum,
-                            backend_->topology_fingerprint());
-
-  if (config_.batch_max_size > 1) {
-    const Timer timer;
-    // Cache lookup happens BEFORE the request enqueues into the
-    // collector: a hit is answered immediately and never waits out the
-    // collection window, and a pending request always needs computing.
-    if (!key.empty()) {
-      if (std::shared_ptr<const ResultCache::Entry> hit = cache_.Lookup(
-              key, [this, &query](const ResultCache::Entry& e) {
-                return backend_->TopKCacheValid(e.versions, query, e.topk);
-              })) {
-        TopKResponse response;
-        response.results = hit->topk;
-        response.cache_hit = true;
-        response.latency_ms = timer.ElapsedMillis();
-        AccountStatus(Status());
-        latency_topk_.Record(response.latency_ms);
-        if (telemetry_ != nullptr) {
-          QueryProfile profile;
-          profile.kind = ProfileKind::kTopK;
-          profile.algorithm = "topk";
-          profile.fingerprint = std::hash<std::string>{}(key);
-          profile.status = StatusCodeName(StatusCode::kOk);
-          profile.ok = true;
-          profile.cache_hit = true;
-          profile.wall_ms = response.latency_ms;
-          telemetry_->Report(std::move(profile), nullptr);
-        }
-        inflight_.fetch_sub(1, std::memory_order_relaxed);
-        promise->set_value(std::move(response));
-        return future;
-      }
-    }
-    PendingTopK item;
-    item.promise = promise;
-    item.query = query;
-    item.token = std::move(token);
-    item.key = key;
-    item.timer = timer;
-    {
-      std::lock_guard<std::mutex> lock(batch_mu_);
-      batch_queue_.push_back(std::move(item));
-    }
-    batch_cv_.notify_one();
-    return future;
-  }
-
-  auto task = [this, promise, query, token = std::move(token), key,
-               bypass_cache = opts.bypass_cache, timer = Timer()]() {
-    StatusOr<TopKResponse> outcome =
-        Status::Internal("query task did not produce a result");
-    // Sampling decision up front: every sample_every'th request gets an
-    // event-capacity recorder; the rest get the capacity-0 aggregation
-    // recorder (stage totals and pruning counters, no event buffer).
-    const size_t event_capacity =
-        telemetry_ != nullptr ? telemetry_->NextEventCapacity() : 0;
-    TraceRecorder stage_trace(event_capacity);
-    TraceRecorder* const trace =
-        (config_.collect_stage_metrics || telemetry_ != nullptr)
-            ? &stage_trace
-            : nullptr;
-    bool executed = false;
-    bool cache_hit = false;
-    double exec_ms = 0.0;
-    IoDelta io;
-    try {
-      outcome = [&]() -> StatusOr<TopKResponse> {
-        // Fail fast: a request that was cancelled, or sat in the queue past
-        // its deadline, is rejected before any work — including the cache
-        // lookup, since its client is no longer waiting for an answer.
-        WSK_RETURN_IF_ERROR(token.Check());
-        TopKResponse response;
-        std::vector<uint64_t> versions;
-        if (!bypass_cache) {
-          if (std::shared_ptr<const ResultCache::Entry> hit = cache_.Lookup(
-                  key, [this, &query](const ResultCache::Entry& e) {
-                    return backend_->TopKCacheValid(e.versions, query, e.topk);
-                  })) {
-            response.results = hit->topk;
-            response.cache_hit = true;
-            cache_hit = true;
-            return response;
-          }
-          // Captured before the query runs: a mutation racing the
-          // computation makes the entry look staler than it is, never
-          // fresher.
-          versions = backend_->version_vector();
-        }
-        const IoSnapshot io_before = TakeIoSnapshot();
-        const Timer exec_timer;
-        executed = true;
-        StatusOr<std::vector<ScoredObject>> results =
-            backend_->TopK(query, &token, trace);
-        exec_ms = exec_timer.ElapsedMillis();
-        if (trace != nullptr) AbsorbTrace(stage_trace);
-        if (!results.ok()) return results.status();
-        response.results = std::move(results).value();
-        io = AccountIo(io_before);
-        if (!bypass_cache) {
-          auto entry = std::make_shared<ResultCache::Entry>();
-          entry->is_whynot = false;
-          entry->topk = response.results;
-          entry->versions = std::move(versions);
-          cache_.Insert(key, std::move(entry));
-        }
-        return response;
-      }();
-    } catch (const std::exception& e) {
-      outcome = Status::Internal(std::string("top-k task threw: ") + e.what());
-    } catch (...) {
-      outcome = Status::Internal("top-k task threw a non-std exception");
-    }
-    const double latency_ms = timer.ElapsedMillis();
-    if (outcome.ok()) outcome.value().latency_ms = latency_ms;
-    AccountStatus(outcome.status());
-    latency_topk_.Record(latency_ms);
-    if (telemetry_ != nullptr) {
-      QueryProfile profile;
-      profile.kind = ProfileKind::kTopK;
-      profile.algorithm = "topk";
-      profile.fingerprint = key.empty() ? 0 : std::hash<std::string>{}(key);
-      profile.status = StatusCodeName(outcome.status().code());
-      profile.ok = outcome.ok();
-      profile.cache_hit = cache_hit;
-      profile.wall_ms = executed ? exec_ms : latency_ms;
-      profile.queue_ms = executed ? std::max(0.0, latency_ms - exec_ms) : 0.0;
-      profile.io_physical = io.physical;
-      profile.io_mapped = io.mapped;
-      profile.io_cache_hits = io.cache_hits;
-      telemetry_->Report(std::move(profile), executed ? trace : nullptr);
-    }
-    inflight_.fetch_sub(1, std::memory_order_relaxed);
-    promise->set_value(std::move(outcome));
-  };
-
-  if (!pool_->TrySubmit(std::move(task))) {
-    inflight_.fetch_sub(1, std::memory_order_relaxed);
-    responses_rejected_.Increment();
-    if (telemetry_ != nullptr) telemetry_->ReportShed();
-    promise->set_value(Status::ResourceExhausted(
-        "query service overloaded: worker queue full"));
-  }
-  return future;
+std::future<StatusOr<QueryService::WhyNotResponse>> QueryService::SubmitWhyNot(
+    WhyNotAlgorithm algorithm, const SpatialKeywordQuery& query,
+    const std::vector<ObjectId>& missing, const WhyNotOptions& options,
+    const RequestOptions& opts) {
+  requests_whynot_.Increment();
+  return Submit(WhyNotCall{algorithm, query, missing, options}, opts);
 }
 
 void QueryService::BatchCollectorLoop() {
@@ -376,7 +356,7 @@ void QueryService::BatchCollectorLoop() {
       });
     }
     const size_t take = std::min(batch_queue_.size(), config_.batch_max_size);
-    auto batch = std::make_shared<std::vector<PendingTopK>>();
+    auto batch = std::make_shared<std::vector<std::shared_ptr<TopKRequest>>>();
     batch->reserve(take);
     for (size_t i = 0; i < take; ++i) {
       batch->push_back(std::move(batch_queue_.front()));
@@ -394,15 +374,14 @@ void QueryService::BatchCollectorLoop() {
   }
 }
 
-void QueryService::ExecuteTopKBatch(std::vector<PendingTopK> batch) {
-  // Fail fast per request, exactly as the solo task does: one that was
-  // cancelled, or waited out its deadline in the collector, finishes
-  // before any work.
-  std::vector<PendingTopK> live;
+void QueryService::ExecuteTopKBatch(
+    std::vector<std::shared_ptr<TopKRequest>> batch) {
+  // Fail fast per request, exactly as the solo execute step does.
+  std::vector<std::shared_ptr<TopKRequest>> live;
   live.reserve(batch.size());
-  for (PendingTopK& item : batch) {
-    if (Status status = item.token.Check(); !status.ok()) {
-      FinishBatchedTopK(std::move(item), std::move(status));
+  for (std::shared_ptr<TopKRequest>& item : batch) {
+    if (Status status = item->token.Check(); !status.ok()) {
+      Finish(*item, std::move(status), nullptr);
     } else {
       live.push_back(std::move(item));
     }
@@ -417,8 +396,8 @@ void QueryService::ExecuteTopKBatch(std::vector<PendingTopK> batch) {
   {
     std::unordered_map<std::string_view, size_t> by_key;
     for (size_t i = 0; i < live.size(); ++i) {
-      if (!live[i].key.empty()) {
-        auto [it, inserted] = by_key.emplace(live[i].key, members.size());
+      if (!live[i]->key.empty()) {
+        auto [it, inserted] = by_key.emplace(live[i]->key, members.size());
         if (!inserted) {
           members[it->second].push_back(i);
           batch_dedup_.Increment();
@@ -430,284 +409,78 @@ void QueryService::ExecuteTopKBatch(std::vector<PendingTopK> batch) {
     }
   }
 
-  bool want_versions = false;
-  for (size_t rep : reps) want_versions |= !live[rep].key.empty();
-
-  // The dispatch itself is background work: one sampled batch profile can
-  // cover the shared traversal, while each member request reports its own
-  // completion through FinishBatchedTopK.
-  const size_t event_capacity =
-      telemetry_ != nullptr ? telemetry_->NextEventCapacity() : 0;
-  TraceRecorder stage_trace(event_capacity);
-  TraceRecorder* const trace =
-      (config_.collect_stage_metrics || telemetry_ != nullptr) ? &stage_trace
-                                                               : nullptr;
-  const Timer exec_timer;
-  IoDelta io;
+  // Captured before the batch runs, as in the solo step.
   std::vector<uint64_t> versions;
+  if (std::any_of(reps.begin(), reps.end(),
+                  [&](size_t rep) { return !live[rep]->key.empty(); })) {
+    versions = backend_->version_vector();
+  }
+  std::vector<BackendBatchItem> items(reps.size());
+  for (size_t g = 0; g < reps.size(); ++g) {
+    items[g].query = &live[reps[g]]->call.query;
+    items[g].cancel = &live[reps[g]]->token;
+  }
+  // The dispatch itself is background work: one sampled batch profile
+  // covers the shared traversal, while each member request reports its
+  // own completion through Finish.
+  TraceRecorder trace(telemetry_ != nullptr ? telemetry_->NextEventCapacity()
+                                            : 0);
+  Execution exec;
+  StatusOr<std::vector<BackendBatchResult>> ran = Execute(trace, &exec, [&] {
+    return StatusOr<std::vector<BackendBatchResult>>(
+        backend_->TopKBatch(items, &trace));
+  });
   std::vector<BackendBatchResult> results;
-  try {
-    // Captured before the batch runs, as in the solo path: a racing
-    // mutation makes cached entries look staler than they are, never
-    // fresher.
-    if (want_versions) versions = backend_->version_vector();
-    std::vector<BackendBatchItem> items(reps.size());
-    for (size_t g = 0; g < reps.size(); ++g) {
-      items[g].query = &live[reps[g]].query;
-      items[g].cancel = &live[reps[g]].token;
-    }
-    const IoSnapshot io_before = TakeIoSnapshot();
-    results = backend_->TopKBatch(items, trace);
-    if (trace != nullptr) AbsorbTrace(stage_trace);
-    io = AccountIo(io_before);
-  } catch (const std::exception& e) {
-    results.assign(reps.size(),
-                   BackendBatchResult{Status::Internal(
-                       std::string("batched top-k threw: ") + e.what()), {}});
-  } catch (...) {
-    results.assign(
-        reps.size(),
-        BackendBatchResult{
-            Status::Internal("batched top-k threw a non-std exception"), {}});
-  }
-  while (results.size() < reps.size()) {
-    results.push_back(BackendBatchResult{
-        Status::Internal("backend returned a short batch result"), {}});
-  }
-  const double exec_ms = exec_timer.ElapsedMillis();
-  bg_collector_exec_.Record(exec_ms);
+  if (ran.ok()) results = std::move(ran).value();
+  results.resize(
+      reps.size(),
+      BackendBatchResult{
+          ran.ok() ? Status::Internal("backend returned a short batch result")
+                   : ran.status(),
+          {}});
+  bg_collector_exec_.Record(exec.profile.wall_ms);
   batch_batches_.Increment();
   batch_queries_.Increment(live.size());
   if (telemetry_ != nullptr) {
-    QueryProfile profile;
-    profile.kind = ProfileKind::kBatch;
-    profile.algorithm = "batch";
-    profile.status = StatusCodeName(StatusCode::kOk);
-    profile.ok = true;
-    profile.wall_ms = exec_ms;
-    profile.io_physical = io.physical;
-    profile.io_mapped = io.mapped;
-    profile.io_cache_hits = io.cache_hits;
-    telemetry_->Report(std::move(profile), trace);
+    exec.profile.kind = ProfileKind::kBatch;
+    exec.profile.algorithm = "batch";
+    exec.profile.status = StatusCodeName(StatusCode::kOk);
+    exec.profile.ok = true;
+    telemetry_->Report(std::move(exec.profile), &trace);
   }
 
   for (size_t g = 0; g < reps.size(); ++g) {
-    BackendBatchResult& r = results[g];
-    const std::string& key = live[reps[g]].key;
-    if (r.status.ok() && !key.empty()) {
-      // One insertion per unique fingerprint per batch, no matter how
-      // many requests the group fanned out to.
-      auto entry = std::make_shared<ResultCache::Entry>();
-      entry->is_whynot = false;
-      entry->topk = r.topk;
-      entry->versions = versions;
-      cache_.Insert(key, std::move(entry));
-    }
+    const BackendBatchResult& r = results[g];
+    // One insertion per unique fingerprint per batch, no matter how many
+    // requests the group fanned out to.
+    if (r.status.ok()) Remember<TopKCall>(live[reps[g]]->key, r.topk, versions);
     for (size_t m : members[g]) {
-      PendingTopK& item = live[m];
+      TopKRequest& item = *live[m];
       if (r.status.ok()) {
         TopKResponse response;
         response.results = r.topk;
-        FinishBatchedTopK(std::move(item), std::move(response));
+        Finish(item, std::move(response), nullptr);
       } else if (m != reps[g] &&
                  (r.status.code() == StatusCode::kCancelled ||
                   r.status.code() == StatusCode::kDeadlineExceeded) &&
                  item.token.Check().ok()) {
         // The representative's token fired mid-walk but this duplicate is
-        // still live: re-run it solo so one client's cancellation never
-        // cancels another client's request.
+        // still live: it runs through the solo execute step, so one
+        // client's cancellation never cancels another client's request.
+        // The failed representative inserted nothing, so the step's insert
+        // is the only one for this key.
         batch_fallback_solo_.Increment();
-        ExecuteSoloTopKFallback(std::move(item), versions);
+        ExecuteSolo(item);
       } else {
-        FinishBatchedTopK(std::move(item), r.status);
+        Finish(item, r.status, nullptr);
       }
     }
   }
-}
-
-void QueryService::ExecuteSoloTopKFallback(
-    PendingTopK item, const std::vector<uint64_t>& versions) {
-  StatusOr<TopKResponse> outcome =
-      Status::Internal("solo fallback did not produce a result");
-  try {
-    outcome = [&]() -> StatusOr<TopKResponse> {
-      const IoSnapshot io_before = TakeIoSnapshot();
-      TraceRecorder stage_trace(0);
-      TraceRecorder* const trace =
-          config_.collect_stage_metrics ? &stage_trace : nullptr;
-      StatusOr<std::vector<ScoredObject>> results =
-          backend_->TopK(item.query, &item.token, trace);
-      if (trace != nullptr) AbsorbTrace(stage_trace);
-      if (!results.ok()) return results.status();
-      AccountIo(io_before);
-      TopKResponse response;
-      response.results = std::move(results).value();
-      if (!item.key.empty()) {
-        // The representative failed, so this group made no insertion yet.
-        auto entry = std::make_shared<ResultCache::Entry>();
-        entry->is_whynot = false;
-        entry->topk = response.results;
-        entry->versions = versions;
-        cache_.Insert(item.key, std::move(entry));
-      }
-      return response;
-    }();
-  } catch (const std::exception& e) {
-    outcome =
-        Status::Internal(std::string("solo fallback threw: ") + e.what());
-  } catch (...) {
-    outcome = Status::Internal("solo fallback threw a non-std exception");
-  }
-  FinishBatchedTopK(std::move(item), std::move(outcome));
-}
-
-void QueryService::FinishBatchedTopK(PendingTopK item,
-                                     StatusOr<TopKResponse> outcome) {
-  const double latency_ms = item.timer.ElapsedMillis();
-  if (outcome.ok()) outcome.value().latency_ms = latency_ms;
-  AccountStatus(outcome.status());
-  latency_topk_.Record(latency_ms);
-  if (telemetry_ != nullptr) {
-    // Windows-only completion: the stage breakdown lives in the shared
-    // batch profile, so a batched request reports its end-to-end latency
-    // without a recorder of its own.
-    QueryProfile profile;
-    profile.kind = ProfileKind::kTopK;
-    profile.algorithm = "topk";
-    profile.fingerprint =
-        item.key.empty() ? 0 : std::hash<std::string>{}(item.key);
-    profile.status = StatusCodeName(outcome.status().code());
-    profile.ok = outcome.ok();
-    profile.wall_ms = latency_ms;
-    telemetry_->Report(std::move(profile), nullptr);
-  }
-  inflight_.fetch_sub(1, std::memory_order_relaxed);
-  item.promise->set_value(std::move(outcome));
 }
 
 size_t QueryService::BatchQueueDepth() const {
   std::lock_guard<std::mutex> lock(batch_mu_);
   return batch_queue_.size();
-}
-
-std::future<StatusOr<QueryService::WhyNotResponse>> QueryService::SubmitWhyNot(
-    WhyNotAlgorithm algorithm, const SpatialKeywordQuery& query,
-    const std::vector<ObjectId>& missing, const WhyNotOptions& options,
-    const RequestOptions& opts) {
-  requests_whynot_.Increment();
-  auto promise = std::make_shared<std::promise<StatusOr<WhyNotResponse>>>();
-  std::future<StatusOr<WhyNotResponse>> future = promise->get_future();
-
-  if (!Admit()) {
-    promise->set_value(Status::ResourceExhausted(
-        "query service overloaded: max_inflight reached"));
-    return future;
-  }
-
-  CancelToken token = EffectiveToken(opts);
-  const std::string key =
-      opts.bypass_cache
-          ? std::string()
-          : FingerprintWhyNot(algorithm, query, missing, options,
-                              config_.cache_location_quantum,
-                              backend_->topology_fingerprint());
-
-  auto task = [this, promise, algorithm, query, missing, options,
-               token = std::move(token), key,
-               bypass_cache = opts.bypass_cache, timer = Timer()]() {
-    StatusOr<WhyNotResponse> outcome =
-        Status::Internal("query task did not produce a result");
-    // Install our own recorder unless the client brought one (a client
-    // recorder may span several requests, so it is never folded into the
-    // per-request stage metrics or sampled into a profile).
-    const bool own_trace =
-        (config_.collect_stage_metrics || telemetry_ != nullptr) &&
-        options.trace == nullptr;
-    const size_t event_capacity = own_trace && telemetry_ != nullptr
-                                      ? telemetry_->NextEventCapacity()
-                                      : 0;
-    TraceRecorder stage_trace(event_capacity);
-    bool executed = false;
-    bool cache_hit = false;
-    double exec_ms = 0.0;
-    IoDelta io;
-    try {
-      outcome = [&]() -> StatusOr<WhyNotResponse> {
-        WSK_RETURN_IF_ERROR(token.Check());  // fail fast, as in SubmitTopK
-        WhyNotResponse response;
-        std::vector<uint64_t> versions;
-        if (!bypass_cache) {
-          if (std::shared_ptr<const ResultCache::Entry> hit = cache_.Lookup(
-                  key, [this](const ResultCache::Entry& e) {
-                    return backend_->WhyNotCacheValid(e.versions);
-                  })) {
-            response.result = hit->whynot;
-            response.cache_hit = true;
-            cache_hit = true;
-            return response;
-          }
-          versions = backend_->version_vector();  // before the query runs
-        }
-        WhyNotOptions effective = options;
-        effective.cancel = &token;
-        if (own_trace) effective.trace = &stage_trace;
-        const IoSnapshot io_before = TakeIoSnapshot();
-        const Timer exec_timer;
-        executed = true;
-        StatusOr<WhyNotResult> result =
-            backend_->Answer(algorithm, query, missing, effective);
-        exec_ms = exec_timer.ElapsedMillis();
-        if (own_trace) AbsorbTrace(stage_trace);
-        if (!result.ok()) return result.status();
-        response.result = std::move(result).value();
-        io = AccountIo(io_before);
-        if (!bypass_cache) {
-          auto entry = std::make_shared<ResultCache::Entry>();
-          entry->is_whynot = true;
-          entry->whynot = response.result;
-          entry->versions = std::move(versions);
-          cache_.Insert(key, std::move(entry));
-        }
-        return response;
-      }();
-    } catch (const std::exception& e) {
-      outcome =
-          Status::Internal(std::string("why-not task threw: ") + e.what());
-    } catch (...) {
-      outcome = Status::Internal("why-not task threw a non-std exception");
-    }
-    const double latency_ms = timer.ElapsedMillis();
-    if (outcome.ok()) outcome.value().latency_ms = latency_ms;
-    AccountStatus(outcome.status());
-    latency_whynot_.Record(latency_ms);
-    if (telemetry_ != nullptr) {
-      QueryProfile profile;
-      profile.kind = ProfileKind::kWhyNot;
-      profile.algorithm = WhyNotAlgorithmName(algorithm);
-      profile.fingerprint = key.empty() ? 0 : std::hash<std::string>{}(key);
-      profile.status = StatusCodeName(outcome.status().code());
-      profile.ok = outcome.ok();
-      profile.cache_hit = cache_hit;
-      profile.wall_ms = executed ? exec_ms : latency_ms;
-      profile.queue_ms = executed ? std::max(0.0, latency_ms - exec_ms) : 0.0;
-      profile.io_physical = io.physical;
-      profile.io_mapped = io.mapped;
-      profile.io_cache_hits = io.cache_hits;
-      telemetry_->Report(std::move(profile),
-                         executed && own_trace ? &stage_trace : nullptr);
-    }
-    inflight_.fetch_sub(1, std::memory_order_relaxed);
-    promise->set_value(std::move(outcome));
-  };
-
-  if (!pool_->TrySubmit(std::move(task))) {
-    inflight_.fetch_sub(1, std::memory_order_relaxed);
-    responses_rejected_.Increment();
-    if (telemetry_ != nullptr) telemetry_->ReportShed();
-    promise->set_value(Status::ResourceExhausted(
-        "query service overloaded: worker queue full"));
-  }
-  return future;
 }
 
 StatusOr<QueryService::MutationResponse> QueryService::FinishMutation(
@@ -768,7 +541,7 @@ std::string QueryService::MetricsReport() const {
                 static_cast<unsigned long long>(cs.evictions), cache_.size(),
                 cache_.capacity());
   out += line;
-  const IoSnapshot io = TakeIoSnapshot();
+  const BackendIoSnapshot io = backend_->io_snapshot();
   std::snprintf(line, sizeof(line),
                 "engine_io setr physical %llu logical %llu mapped %llu | "
                 "kcr physical %llu logical %llu mapped %llu\n",
@@ -906,7 +679,7 @@ std::string QueryService::PrometheusReport() const {
                "Entries evicted from the result cache.", cs.evictions);
   gauge_line("wsk_result_cache_size", "Entries currently cached.",
              cache_.size());
-  const IoSnapshot io = TakeIoSnapshot();
+  const BackendIoSnapshot io = backend_->io_snapshot();
   counter_line("wsk_engine_setr_physical_reads_total",
                "SETR tree pages read from disk.", io.setr_physical);
   counter_line("wsk_engine_setr_logical_reads_total",

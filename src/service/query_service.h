@@ -1,9 +1,12 @@
 // QueryService: the concurrent, servable front end over a QueryBackend
 // (the static WhyNotEngine or the live SegmentedEngine).
 //
-// Request lifecycle (see docs/SERVICE.md):
+// Every top-k and why-not request, solo or batched, runs one pipeline
+// (see docs/SERVICE.md "Life of a request"):
 //
-//   admission -> result cache -> execute (with deadline/cancel) -> metrics
+//   admission -> fail fast -> result cache (caller's thread) -> pool task
+//   or batch -> fail fast -> execute (with deadline/cancel) -> cache
+//   insert -> metrics
 //
 // Mutations (Insert/Update/Delete) run synchronously on the caller's
 // thread — the backend serializes writers internally, and a mutation's
@@ -28,7 +31,8 @@
 // kDeadlineExceeded within one unit of work. Successful answers land in a
 // shared LRU ResultCache keyed on a canonical query fingerprint, and every
 // request is accounted in the MetricsRegistry (status counters, latency
-// histograms, and I/O counter deltas from storage/io_stats.h).
+// histograms, and, for every executed request, I/O counter deltas from
+// storage/io_stats.h).
 //
 // Thread safety: all public methods may be called concurrently. The
 // service relies on the backend's documented contract that const query
@@ -68,11 +72,6 @@ struct QueryServiceConfig {
   double default_timeout_ms = 0.0;  // per-request deadline; 0 = none
   size_t cache_capacity = 1024;     // result cache entries; 0 disables
   double cache_location_quantum = 1e-6;  // fingerprint grid cell size
-  // Attach a capacity-0 TraceRecorder (counters and stage totals only, no
-  // event buffer) to each executed request and fold the aggregates into
-  // the registry: per-stage wall time into `stage.<name>.ms` histograms,
-  // pruning counters into `prune.<name>` counters (docs/OBSERVABILITY.md).
-  bool collect_stage_metrics = true;
   // Batched top-k execution (docs/BATCHING.md). With batch_max_size > 1 a
   // collector thread groups admitted top-k requests behind a short
   // collection window and drives them through QueryBackend::TopKBatch —
@@ -192,29 +191,95 @@ class QueryService {
   std::string PrometheusReport() const;
 
  private:
-  using IoSnapshot = BackendIoSnapshot;
+  // The per-kind part of the request pipeline: the arguments, the
+  // fingerprint and cache validator, the backend call, and the response /
+  // cache-entry field the answer fills. Everything else (Submit,
+  // ExecuteSolo, Finish) is shared by both kinds.
+  struct TopKCall {
+    using Response = TopKResponse;
+    static constexpr ProfileKind kKind = ProfileKind::kTopK;
+    static constexpr auto kResult = &TopKResponse::results;
+    static constexpr auto kCached = &ResultCache::Entry::topk;
+    SpatialKeywordQuery query;
 
-  // Combines admission bookkeeping shared by both Submit paths. Returns
-  // false (after accounting) when the request must be rejected.
-  bool Admit();
-  // Builds the effective token for one request.
-  CancelToken EffectiveToken(const RequestOptions& opts) const;
+    Status Validate() const { return ValidateTopKQuery(query); }
+    const char* Algorithm() const { return "topk"; }
+    bool ServiceTraced() const { return true; }
+    std::string Fingerprint(double quantum, uint64_t topology) const {
+      return FingerprintTopK(query, quantum, topology);
+    }
+    bool CacheValid(const QueryBackend& backend,
+                    const ResultCache::Entry& e) const {
+      return backend.TopKCacheValid(e.versions, query, e.topk);
+    }
+    StatusOr<std::vector<ScoredObject>> Run(const QueryBackend& backend,
+                                            const CancelToken* token,
+                                            TraceRecorder* trace) const {
+      return backend.TopK(query, token, trace);
+    }
+  };
+  struct WhyNotCall {
+    using Response = WhyNotResponse;
+    static constexpr ProfileKind kKind = ProfileKind::kWhyNot;
+    static constexpr auto kResult = &WhyNotResponse::result;
+    static constexpr auto kCached = &ResultCache::Entry::whynot;
+    WhyNotAlgorithm algorithm = WhyNotAlgorithm::kBasic;
+    SpatialKeywordQuery query;
+    std::vector<ObjectId> missing;
+    WhyNotOptions options;
+
+    Status Validate() const { return Status::Ok(); }
+    const char* Algorithm() const { return WhyNotAlgorithmName(algorithm); }
+    // A client-supplied recorder may span several requests: it replaces
+    // the service's own, so it is never absorbed into the stage metrics
+    // or sampled into a profile.
+    bool ServiceTraced() const { return options.trace == nullptr; }
+    std::string Fingerprint(double quantum, uint64_t topology) const {
+      return FingerprintWhyNot(algorithm, query, missing, options, quantum,
+                               topology);
+    }
+    bool CacheValid(const QueryBackend& backend,
+                    const ResultCache::Entry& e) const {
+      return backend.WhyNotCacheValid(e.versions);
+    }
+    StatusOr<WhyNotResult> Run(const QueryBackend& backend,
+                               const CancelToken* token,
+                               TraceRecorder* trace) const {
+      WhyNotOptions effective = options;
+      effective.cancel = token;
+      if (ServiceTraced()) effective.trace = trace;
+      return backend.Answer(algorithm, query, missing, effective);
+    }
+  };
+
+  // One admitted request from submission to Finish, shared by the
+  // submitting thread and whichever task (solo or batch) executes it.
+  template <typename Call>
+  struct Request {
+    Call call;
+    std::promise<StatusOr<typename Call::Response>> promise;
+    CancelToken token;
+    std::string key;  // cache fingerprint; empty = bypass_cache
+    Timer timer;      // started at submission; end-to-end latency
+  };
+  using TopKRequest = Request<TopKCall>;
+
+  // What one execute step (a solo request or a whole batch) measured:
+  // the wall time around the backend call and the io_* reads, in the
+  // profile the request will report, plus the recorder it ran under.
+  struct Execution {
+    QueryProfile profile;
+    const TraceRecorder* trace = nullptr;
+  };
+
   // Classifies a terminal status into the response counters.
   void AccountStatus(const Status& status);
-  IoSnapshot TakeIoSnapshot() const;
-  // Per-request read attribution, summed across the SETR and KcR trees.
-  // Returned by AccountIo so query profiles can carry the same numbers the
-  // io.* counters absorb.
-  struct IoDelta {
-    uint64_t physical = 0;
-    uint64_t mapped = 0;
-    uint64_t cache_hits = 0;
-  };
-  // Adds the request's I/O delta to the io.* counters and returns it.
-  // Attribution is approximate under concurrency (the counters are shared;
-  // overlapping queries see each other's reads) — the aggregate engine
-  // snapshot in MetricsReport() is the exact total.
-  IoDelta AccountIo(const IoSnapshot& before);
+  // Adds the I/O since `before` to the io.* counters and to `profile`
+  // (summed across the SETR and KcR trees). Attribution is approximate
+  // under concurrency (the counters are shared; overlapping queries see
+  // each other's reads) — the aggregate engine snapshot in
+  // MetricsReport() is the exact total.
+  void AccountIo(const BackendIoSnapshot& before, QueryProfile* profile);
   // Folds a finished request's stage totals and pruning counters into the
   // interned stage.* histograms / prune.* counters.
   void AbsorbTrace(const TraceRecorder& trace);
@@ -223,16 +288,39 @@ class QueryService {
                                             Counter& kind_counter,
                                             double latency_ms);
 
-  // One admitted top-k request waiting in the batch collector. The cache
-  // lookup already happened (and missed) before the request enqueued, so a
-  // pending request always represents real work.
-  struct PendingTopK {
-    std::shared_ptr<std::promise<StatusOr<TopKResponse>>> promise;
-    SpatialKeywordQuery query;
-    CancelToken token;
-    std::string key;  // cache fingerprint; empty = bypass_cache
-    Timer timer;      // started at admission; end-to-end latency
-  };
+  // The request pipeline (docs/SERVICE.md "Life of a request"). Submit
+  // admits (max_inflight), validates, fails fast, looks the answer up in
+  // the cache, and hands a miss to its execution strategy: a pool task
+  // running ExecuteSolo, or the batch collector.
+  template <typename Call>
+  std::future<StatusOr<typename Call::Response>> Submit(
+      Call call, const RequestOptions& opts);
+  // Pickup of one request: fail fast, capture versions, execute, insert
+  // the answer into the cache, Finish.
+  template <typename Call>
+  void ExecuteSolo(Request<Call>& request);
+  // Runs one backend call under `trace`: I/O snapshot, wall timer, trace
+  // absorption and I/O accounting on every outcome, so reads by a request
+  // that ends in an error still count. An escaping exception becomes
+  // kInternal.
+  template <typename Fn>
+  auto Execute(TraceRecorder& trace, Execution* exec, Fn&& run)
+      -> decltype(run());
+  // The one cache insertion: a computed answer under `key` (no-op when
+  // empty), stamped with the versions captured before it ran.
+  template <typename Call, typename Value>
+  void Remember(const std::string& key, const Value& value,
+                std::vector<uint64_t> versions);
+  // Accounts a request's terminal outcome — status counters, latency
+  // histogram, telemetry profile, inflight slot — and fulfils its
+  // promise. `exec` is null when the request itself executed nothing
+  // (cache hit, fail-fast, answered by a batch).
+  template <typename Call>
+  void Finish(Request<Call>& request,
+              StatusOr<typename Call::Response> outcome, Execution* exec);
+  // Admission rejection: kResourceExhausted without executing.
+  template <typename Call>
+  void Shed(Request<Call>& request, const char* reason);
 
   // Collector thread body: waits for pending requests, holds the batch
   // open for up to batch_window_ms (or until batch_max_size), then hands
@@ -240,14 +328,8 @@ class QueryService {
   void BatchCollectorLoop();
   // Executes one formed batch: per-item fail-fast, within-batch dedupe by
   // fingerprint, one QueryBackend::TopKBatch call, cache insertion (one
-  // per unique fingerprint), and promise fan-out.
-  void ExecuteTopKBatch(std::vector<PendingTopK> batch);
-  // Re-runs one request solo; used when a deduped duplicate's
-  // representative was cancelled but the duplicate's own token is live.
-  void ExecuteSoloTopKFallback(PendingTopK item,
-                               const std::vector<uint64_t>& versions);
-  // Accounts a batched request's terminal outcome and fulfils its promise.
-  void FinishBatchedTopK(PendingTopK item, StatusOr<TopKResponse> outcome);
+  // per unique fingerprint), and Finish per request.
+  void ExecuteTopKBatch(std::vector<std::shared_ptr<TopKRequest>> batch);
   size_t BatchQueueDepth() const;
 
   const QueryBackend* const backend_;
@@ -313,7 +395,7 @@ class QueryService {
   // joined in the destructor before the pool drains.
   mutable std::mutex batch_mu_;
   std::condition_variable batch_cv_;
-  std::deque<PendingTopK> batch_queue_;
+  std::deque<std::shared_ptr<TopKRequest>> batch_queue_;
   bool batch_stop_ = false;
   // Declared last so teardown destroys it first: workers drain while the
   // metrics/cache members their tasks touch are still alive.

@@ -286,6 +286,8 @@ Status ShardCoordinator::FanOut(const std::vector<RankedShard>& order,
 StatusOr<std::vector<ScoredObject>> ShardCoordinator::TopK(
     const SpatialKeywordQuery& query, const CancelToken* cancel,
     TraceRecorder* trace) const {
+  // Before RankShards: a NaN alpha makes every shard bound NaN.
+  WSK_RETURN_IF_ERROR(ValidateTopKQuery(query));
   TraceSpan root_span(trace, TraceStage::kQuery);
   const ScatterBusyScope busy(&scatter_busy_us_);
   queries_.fetch_add(1, std::memory_order_relaxed);
@@ -338,7 +340,13 @@ std::vector<BackendBatchResult> ShardCoordinator::TopKBatch(
   };
   std::vector<ItemState> states(items.size());
   for (size_t i = 0; i < items.size(); ++i) {
-    states[i].order = RankShards(*items[i].query);
+    // An invalid item fails alone; the rest of the batch still answers.
+    states[i].status = ValidateTopKQuery(*items[i].query);
+    if (states[i].status.ok()) {
+      states[i].order = RankShards(*items[i].query);
+    } else {
+      states[i].done = true;
+    }
   }
 
   std::vector<BackendBatchItem> sub_items;

@@ -83,18 +83,6 @@ Status BlobStore::Flush() {
   return Status::Ok();
 }
 
-Status BlobStore::ReadRange(const BlobRef& ref, uint32_t offset,
-                            uint32_t length, std::vector<uint8_t>* out) const {
-  if (offset > ref.length || length > ref.length - offset) {
-    return Status::OutOfRange("blob range read past end");
-  }
-  BlobRef sub = ref;
-  sub.page += (ref.offset + offset) / page_size_;
-  sub.offset = (ref.offset + offset) % page_size_;
-  sub.length = length;
-  return Read(sub, out);
-}
-
 Status BlobStore::Read(const BlobRef& ref, std::vector<uint8_t>* out) const {
   if (ref.length == 0) {
     out->clear();

@@ -58,12 +58,6 @@ class BlobStore {
   // Reads the blob through the buffer pool (so reads are cached + counted).
   Status Read(const BlobRef& ref, std::vector<uint8_t>* out) const;
 
-  // Reads `length` bytes starting `offset` bytes into the blob, fetching
-  // only the pages actually spanned — the random-access path for large
-  // array blobs (object tables, posting directories).
-  Status ReadRange(const BlobRef& ref, uint32_t offset, uint32_t length,
-                   std::vector<uint8_t>* out) const;
-
  private:
   BufferPool* const pool_;
   const uint32_t page_size_;

@@ -121,47 +121,6 @@ TEST_F(BlobStoreTest, SerializeRefRoundTrip) {
   EXPECT_EQ(BlobRef::Deserialize(buf), ref);
 }
 
-TEST_F(BlobStoreTest, ReadRangeWithinSinglePageBlob) {
-  const auto data = Bytes(100, 4);
-  auto ref = store_->Append(data);
-  ASSERT_TRUE(ref.ok());
-  ASSERT_TRUE(store_->Flush().ok());
-  std::vector<uint8_t> out;
-  ASSERT_TRUE(store_->ReadRange(ref.value(), 30, 20, &out).ok());
-  EXPECT_EQ(out, std::vector<uint8_t>(data.begin() + 30, data.begin() + 50));
-  // Zero-length range at the end is fine.
-  ASSERT_TRUE(store_->ReadRange(ref.value(), 100, 0, &out).ok());
-  EXPECT_TRUE(out.empty());
-}
-
-TEST_F(BlobStoreTest, ReadRangeAcrossPagesOfLargeBlob) {
-  const auto big = Bytes(900, 6);  // 4 pages of 256
-  auto ref = store_->Append(big);
-  ASSERT_TRUE(ref.ok());
-  ASSERT_TRUE(store_->Flush().ok());
-  std::vector<uint8_t> out;
-  // Range straddling the 256-byte page boundary.
-  ASSERT_TRUE(store_->ReadRange(ref.value(), 250, 20, &out).ok());
-  EXPECT_EQ(out, std::vector<uint8_t>(big.begin() + 250, big.begin() + 270));
-  // A range entirely inside the third page costs a single fetch.
-  ASSERT_TRUE(pool_->InvalidateAll().ok());
-  pager_->io_stats().Reset();
-  ASSERT_TRUE(store_->ReadRange(ref.value(), 600, 10, &out).ok());
-  EXPECT_EQ(pager_->io_stats().physical_reads(), 1u);
-  EXPECT_EQ(out, std::vector<uint8_t>(big.begin() + 600, big.begin() + 610));
-}
-
-TEST_F(BlobStoreTest, ReadRangePastEndFails) {
-  auto ref = store_->Append(Bytes(50, 8));
-  ASSERT_TRUE(ref.ok());
-  ASSERT_TRUE(store_->Flush().ok());
-  std::vector<uint8_t> out;
-  EXPECT_EQ(store_->ReadRange(ref.value(), 40, 20, &out).code(),
-            StatusCode::kOutOfRange);
-  EXPECT_EQ(store_->ReadRange(ref.value(), 60, 1, &out).code(),
-            StatusCode::kOutOfRange);
-}
-
 TEST_F(BlobStoreTest, ReadCostsOneFetchPerPageSpanned) {
   const auto big = Bytes(700, 5);  // 3 pages
   auto ref = store_->Append(big);

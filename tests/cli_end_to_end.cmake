@@ -12,8 +12,9 @@ execute_process(COMMAND ${CLI} topk --data ${csv} --x 0.5 --y 0.5
 if(NOT rc EQUAL 0 OR NOT out MATCHES "top-5")
   message(FATAL_ERROR "topk failed: ${out}")
 endif()
-# Malformed top-k input answers with a usage error (exit 2), not a crash.
-foreach(bad_flag "--k;-1" "--alpha;nan" "--x;inf")
+# Malformed top-k input answers with a usage error (exit 2), not a crash;
+# a numeric flag must parse whole.
+foreach(bad_flag "--k;-1" "--alpha;nan" "--x;inf" "--k;abc" "--alpha;0.5x")
   execute_process(COMMAND ${CLI} topk --data ${csv} --keywords "term1 term3"
                           ${bad_flag}
                   RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)

@@ -109,15 +109,6 @@ TEST(SerializationFuzzTest, RandomBlobSequencesRoundTrip) {
     std::vector<uint8_t> out;
     ASSERT_TRUE(store.Read(ref, &out).ok());
     EXPECT_EQ(out, data);
-    if (data.size() >= 2) {
-      const uint32_t offset =
-          static_cast<uint32_t>(rng.NextUint64(data.size() - 1));
-      const uint32_t length = static_cast<uint32_t>(
-          1 + rng.NextUint64(data.size() - offset));
-      ASSERT_TRUE(store.ReadRange(ref, offset, length, &out).ok());
-      EXPECT_EQ(out, std::vector<uint8_t>(data.begin() + offset,
-                                          data.begin() + offset + length));
-    }
   }
 }
 

@@ -88,6 +88,7 @@
 //   wsk_cli whynot --data /tmp/pois.csv --x 0.5 --y 0.5 \
 //       --keywords "term1 term7" --missing 1234 --algorithm kcr
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -152,17 +153,37 @@ class Args {
 
   bool Has(const std::string& name) const { return values_.count(name) > 0; }
 
+  // A numeric flag must parse whole: an empty value, trailing characters
+  // or an out-of-range number is a usage error (exit 2).
   double GetDouble(const std::string& name, double fallback) const {
     const char* v = Get(name);
-    return v == nullptr ? fallback : std::strtod(v, nullptr);
+    if (v == nullptr) return fallback;
+    char* end = nullptr;
+    errno = 0;
+    const double value = std::strtod(v, &end);
+    CheckNumber(name, v, end);
+    return value;
   }
 
   long GetLong(const std::string& name, long fallback) const {
     const char* v = Get(name);
-    return v == nullptr ? fallback : std::strtol(v, nullptr, 10);
+    if (v == nullptr) return fallback;
+    char* end = nullptr;
+    errno = 0;
+    const long value = std::strtol(v, &end, 10);
+    CheckNumber(name, v, end);
+    return value;
   }
 
  private:
+  static void CheckNumber(const std::string& name, const char* value,
+                          const char* end) {
+    if (*value != '\0' && *end == '\0' && errno != ERANGE) return;
+    std::fprintf(stderr, "invalid number for --%s: '%s'\n", name.c_str(),
+                 value);
+    std::exit(2);
+  }
+
   std::map<std::string, std::vector<std::string>> values_;
   bool ok_ = true;
 };
