@@ -11,6 +11,7 @@
 #include "common/macros.h"
 #include "common/rng.h"
 #include "data/generator.h"
+#include "observability/trace.h"
 
 namespace wsk::bench {
 
@@ -256,21 +257,6 @@ class JsonTeeReporter : public benchmark::ConsoleReporter {
   std::vector<Run> runs_;
 };
 
-void JsonEscape(const std::string& in, std::string* out) {
-  for (char c : in) {
-    if (c == '"' || c == '\\') {
-      out->push_back('\\');
-      out->push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out->append(buf);
-    } else {
-      out->push_back(c);
-    }
-  }
-}
-
 void WriteJson(const std::string& path, const std::vector<
                    benchmark::BenchmarkReporter::Run>& runs) {
   std::FILE* f = std::fopen(path.c_str(), "w");
@@ -282,7 +268,7 @@ void WriteJson(const std::string& path, const std::vector<
   for (size_t i = 0; i < runs.size(); ++i) {
     const auto& run = runs[i];
     std::string name;
-    JsonEscape(run.benchmark_name(), &name);
+    AppendJsonEscaped(run.benchmark_name(), &name);
     const double iterations = static_cast<double>(run.iterations);
     const double ns_per_op =
         iterations > 0 ? run.real_accumulated_time * 1e9 / iterations : 0.0;
@@ -294,7 +280,7 @@ void WriteJson(const std::string& path, const std::vector<
     bool first = true;
     for (const auto& [counter_name, counter] : run.counters) {
       std::string escaped;
-      JsonEscape(counter_name, &escaped);
+      AppendJsonEscaped(counter_name, &escaped);
       std::fprintf(f, "%s\n        \"%s\": %.17g", first ? "" : ",",
                    escaped.c_str(), static_cast<double>(counter.value));
       first = false;

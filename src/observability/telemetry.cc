@@ -13,35 +13,6 @@ namespace wsk {
 
 namespace {
 
-void AppendJsonString(const std::string& s, std::string* out) {
-  *out += '"';
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      case '\t':
-        *out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          *out += c;
-        }
-    }
-  }
-  *out += '"';
-}
-
 // Captured during static initialization — effectively process start.
 const std::chrono::steady_clock::time_point kProcessEpoch =
     std::chrono::steady_clock::now();
@@ -93,15 +64,15 @@ std::string QueryProfile::ToJson() const {
   std::snprintf(buf, sizeof(buf), "\"id\":%" PRIu64 ",\"kind\":\"%s\"", id,
                 ProfileKindName(kind));
   out += buf;
-  out += ",\"algorithm\":";
-  AppendJsonString(algorithm, &out);
-  std::snprintf(buf, sizeof(buf), ",\"fingerprint\":\"%016" PRIx64 "\"",
+  out += ",\"algorithm\":\"";
+  AppendJsonEscaped(algorithm, &out);
+  std::snprintf(buf, sizeof(buf),
+                "\",\"fingerprint\":\"%016" PRIx64 "\",\"status\":\"",
                 fingerprint);
   out += buf;
-  out += ",\"status\":";
-  AppendJsonString(status, &out);
+  AppendJsonEscaped(status, &out);
   std::snprintf(buf, sizeof(buf),
-                ",\"ok\":%s,\"cache_hit\":%s,\"sampled\":%s,\"slow\":%s,"
+                "\",\"ok\":%s,\"cache_hit\":%s,\"sampled\":%s,\"slow\":%s,"
                 "\"wall_ms\":%.3f,\"queue_ms\":%.3f",
                 ok ? "true" : "false", cache_hit ? "true" : "false",
                 sampled ? "true" : "false", slow ? "true" : "false", wall_ms,

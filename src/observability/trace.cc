@@ -39,7 +39,9 @@ constexpr const char* kCounterNames[kNumTraceCounters] = {
     "batch.nodes_shared",
 };
 
-void AppendJsonEscaped(const std::string& s, std::string* out) {
+}  // namespace
+
+void AppendJsonEscaped(std::string_view s, std::string* out) {
   for (char c : s) {
     switch (c) {
       case '"':
@@ -65,8 +67,6 @@ void AppendJsonEscaped(const std::string& s, std::string* out) {
     }
   }
 }
-
-}  // namespace
 
 const char* TraceStageName(TraceStage stage) {
   const size_t i = static_cast<size_t>(stage);

@@ -27,6 +27,7 @@
 #include <chrono>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -83,6 +84,11 @@ enum class TraceCounter : uint8_t {
 };
 inline constexpr size_t kNumTraceCounters = 19;
 const char* TraceCounterName(TraceCounter counter);
+
+// Appends `s` to `out` as the inside of a JSON string: quote, backslash,
+// newline and tab take their short escapes, other control bytes \u00XX.
+// The one escaper behind the trace, slow-log and bench JSON writers.
+void AppendJsonEscaped(std::string_view s, std::string* out);
 
 struct TraceEvent {
   TraceStage stage = TraceStage::kQuery;

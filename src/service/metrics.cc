@@ -19,6 +19,55 @@ std::string PrometheusName(const std::string& name) {
   return out;
 }
 
+// One number format for both views: integral values print whole, the
+// rest with nine significant digits.
+std::string FormatValue(double value) {
+  char buf[32];
+  if (value == std::floor(value) && std::fabs(value) < 1e15) {
+    std::snprintf(buf, sizeof(buf), "%.0f", value);
+  } else {
+    std::snprintf(buf, sizeof(buf), "%.9g", value);
+  }
+  return buf;
+}
+
+// A histogram sample (recorded in its registry name's unit) in the unit
+// both views print.
+double InUnit(const MetricRow& row, double recorded) {
+  return row.seconds ? recorded / 1000.0 : recorded;
+}
+
+// The text view's line key: the section with the label values appended.
+std::string TextKey(const MetricRow& row) {
+  std::string key = row.section;
+  for (const auto& label : row.labels) key += "." + label.second;
+  return key;
+}
+
+std::string LabelSet(const MetricRow::Labels& labels) {
+  if (labels.empty()) return "";
+  std::string out = "{";
+  for (const auto& [key, value] : labels) {
+    if (out.size() > 1) out += ",";
+    out += key + "=\"" + value + "\"";
+  }
+  return out + "}";
+}
+
+// The rows grouped by `key`, groups in order of first appearance.
+template <typename KeyFn>
+std::vector<std::vector<const MetricRow*>> GroupRows(
+    const std::vector<MetricRow>& rows, KeyFn key) {
+  std::vector<std::vector<const MetricRow*>> groups;
+  std::map<std::string, size_t> index;
+  for (const MetricRow& row : rows) {
+    const auto [it, added] = index.emplace(key(row), groups.size());
+    if (added) groups.emplace_back();
+    groups[it->second].push_back(&row);
+  }
+  return groups;
+}
+
 }  // namespace
 
 size_t LatencyHistogram::BucketFor(double ms) { return LatencyBucketIndex(ms); }
@@ -76,70 +125,97 @@ LatencyHistogram& MetricsRegistry::histogram(const std::string& name) {
   return *slot;
 }
 
-std::string MetricsRegistry::Report() const {
+MetricsSnapshot MetricsRegistry::Snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::string out;
-  char line[256];
+  MetricsSnapshot snap;
   for (const auto& [name, counter] : counters_) {
-    std::snprintf(line, sizeof(line), "counter   %-32s %llu\n", name.c_str(),
-                  static_cast<unsigned long long>(counter->value()));
-    out += line;
+    snap.AddCounter(name, "", PrometheusName(name) + "_total",
+                    "Cumulative count of " + name + " events.",
+                    static_cast<double>(counter->value()));
   }
   for (const auto& [name, histogram] : histograms_) {
-    const LatencyHistogram::Snapshot s = histogram->TakeSnapshot();
-    std::snprintf(line, sizeof(line),
-                  "histogram %-32s count %llu mean %.3f ms p50 %.3f ms "
-                  "p95 %.3f ms p99 %.3f ms max %.3f ms\n",
-                  name.c_str(), static_cast<unsigned long long>(s.count),
-                  s.mean_ms, s.p50_ms, s.p95_ms, s.p99_ms, s.max_ms);
-    out += line;
+    const bool seconds = name.ends_with(".ms");
+    snap.rows.push_back({name, "", PrometheusName(name),
+                         "Distribution of " + name + " samples" +
+                             (seconds ? " (seconds)." : "."),
+                         MetricRow::Type::kHistogram, 0.0, {},
+                         histogram->TakeSnapshot(), seconds});
+  }
+  return snap;
+}
+
+std::string MetricsSnapshot::Text() const {
+  std::string out;
+  // Appends ` key value`, or ` value` for an empty key.
+  const auto put = [&out](const std::string& key, double value) {
+    if (!key.empty()) out += ' ' + key;
+    out += ' ';
+    out += FormatValue(value);
+  };
+  for (const auto& line : GroupRows(rows, TextKey)) {
+    std::string head = TextKey(*line.front());
+    if (head.size() < 9) head.resize(9, ' ');
+    out += head;
+    for (const MetricRow* row : line) {
+      if (row->type != MetricRow::Type::kHistogram) {
+        put(row->field, row->value);
+        continue;
+      }
+      const LatencyHistogram::Snapshot& h = row->histogram;
+      const std::string unit = row->seconds ? "_s" : "";
+      put("count", static_cast<double>(h.count));
+      for (const auto& [stat, ms] :
+           {std::pair{"sum", h.sum_ms}, std::pair{"p50", h.p50_ms},
+            std::pair{"p95", h.p95_ms}, std::pair{"p99", h.p99_ms},
+            std::pair{"max", h.max_ms}}) {
+        put(stat + unit, InUnit(*row, ms));
+      }
+    }
+    out += '\n';
   }
   return out;
 }
 
-std::string MetricsRegistry::PrometheusText() const {
-  std::lock_guard<std::mutex> lock(mu_);
+std::string MetricsSnapshot::Prometheus() const {
   std::string out;
-  char line[256];
-  for (const auto& [name, counter] : counters_) {
-    const std::string pname = PrometheusName(name) + "_total";
-    out += "# HELP " + pname + " Cumulative count of " + name + " events.\n";
-    out += "# TYPE " + pname + " counter\n";
-    std::snprintf(line, sizeof(line), "%s %llu\n", pname.c_str(),
-                  static_cast<unsigned long long>(counter->value()));
-    out += line;
-  }
-  for (const auto& [name, histogram] : histograms_) {
-    const LatencyHistogram::Snapshot s = histogram->TakeSnapshot();
-    const std::string pname = PrometheusName(name);
-    out += "# HELP " + pname + " Distribution of " + name +
-           " samples (seconds).\n";
-    out += "# TYPE " + pname + " histogram\n";
+  const auto family = [&out](const std::string& name, const std::string& help,
+                             const char* type) {
+    out += "# HELP " + name + " " + help + "\n";
+    out += "# TYPE " + name + " " + type + "\n";
+  };
+  const auto sample = [&out](const std::string& series, double value) {
+    out += series + " " + FormatValue(value) + "\n";
+  };
+  const auto by_name = [](const MetricRow& row) { return row.name; };
+  for (const auto& group : GroupRows(rows, by_name)) {
+    const MetricRow& first = *group.front();
+    if (first.type != MetricRow::Type::kHistogram) {
+      family(first.name, first.help,
+             first.type == MetricRow::Type::kCounter ? "counter" : "gauge");
+      for (const MetricRow* row : group) {
+        sample(row->name + LabelSet(row->labels), row->value);
+      }
+      continue;
+    }
+    // A histogram family: cumulative buckets, _sum and _count, then the
+    // observed maximum as its own gauge family.
+    const LatencyHistogram::Snapshot& h = first.histogram;
+    family(first.name, first.help, "histogram");
     uint64_t cumulative = 0;
     for (size_t i = 0; i < LatencyHistogram::kNumBuckets; ++i) {
-      cumulative += s.bucket_counts[i];
-      // Bucket bounds are milliseconds internally; Prometheus convention
-      // for *_seconds-style latencies is seconds, so convert.
-      std::snprintf(line, sizeof(line), "%s_bucket{le=\"%.9g\"} %llu\n",
-                    pname.c_str(), LatencyHistogram::BucketBoundMs(i) / 1000.0,
-                    static_cast<unsigned long long>(cumulative));
-      out += line;
+      cumulative += h.bucket_counts[i];
+      const double le = InUnit(first, LatencyHistogram::BucketBoundMs(i));
+      sample(first.name + "_bucket{le=\"" + FormatValue(le) + "\"}",
+             static_cast<double>(cumulative));
     }
-    std::snprintf(line, sizeof(line), "%s_bucket{le=\"+Inf\"} %llu\n",
-                  pname.c_str(), static_cast<unsigned long long>(s.count));
-    out += line;
-    std::snprintf(line, sizeof(line), "%s_sum %.9g\n", pname.c_str(),
-                  s.sum_ms / 1000.0);
-    out += line;
-    std::snprintf(line, sizeof(line), "%s_count %llu\n", pname.c_str(),
-                  static_cast<unsigned long long>(s.count));
-    out += line;
-    out += "# HELP " + pname + "_max Largest observed " + name +
-           " sample (seconds).\n";
-    out += "# TYPE " + pname + "_max gauge\n";
-    std::snprintf(line, sizeof(line), "%s_max %.9g\n", pname.c_str(),
-                  s.max_ms / 1000.0);
-    out += line;
+    sample(first.name + "_bucket{le=\"+Inf\"}", static_cast<double>(h.count));
+    sample(first.name + "_sum", InUnit(first, h.sum_ms));
+    sample(first.name + "_count", static_cast<double>(h.count));
+    family(first.name + "_max",
+           "Largest observed " + first.section + " sample" +
+               (first.seconds ? " (seconds)." : "."),
+           "gauge");
+    sample(first.name + "_max", InUnit(first, h.max_ms));
   }
   return out;
 }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <functional>
 #include <string_view>
 #include <type_traits>
@@ -478,11 +477,6 @@ void QueryService::ExecuteTopKBatch(
   }
 }
 
-size_t QueryService::BatchQueueDepth() const {
-  std::lock_guard<std::mutex> lock(batch_mu_);
-  return batch_queue_.size();
-}
-
 StatusOr<QueryService::MutationResponse> QueryService::FinishMutation(
     StatusOr<ObjectId> outcome, Counter& kind_counter, double latency_ms) {
   latency_mutation_.Record(latency_ms);
@@ -527,309 +521,194 @@ StatusOr<QueryService::MutationResponse> QueryService::Delete(ObjectId id) {
                         timer.ElapsedMillis());
 }
 
-std::string QueryService::MetricsReport() const {
-  std::string out = metrics_.Report();
-  char line[256];
+MetricsSnapshot QueryService::Snapshot() const {
+  MetricsSnapshot s = metrics_.Snapshot();
   const ResultCache::Stats cs = cache_.stats();
-  std::snprintf(line, sizeof(line),
-                "cache     hits %llu misses %llu stale %llu insertions %llu "
-                "evictions %llu size %zu capacity %zu\n",
-                static_cast<unsigned long long>(cs.hits),
-                static_cast<unsigned long long>(cs.misses),
-                static_cast<unsigned long long>(cs.stale),
-                static_cast<unsigned long long>(cs.insertions),
-                static_cast<unsigned long long>(cs.evictions), cache_.size(),
-                cache_.capacity());
-  out += line;
-  const BackendIoSnapshot io = backend_->io_snapshot();
-  std::snprintf(line, sizeof(line),
-                "engine_io setr physical %llu logical %llu mapped %llu | "
-                "kcr physical %llu logical %llu mapped %llu\n",
-                static_cast<unsigned long long>(io.setr_physical),
-                static_cast<unsigned long long>(io.setr_logical),
-                static_cast<unsigned long long>(io.setr_mapped),
-                static_cast<unsigned long long>(io.kcr_physical),
-                static_cast<unsigned long long>(io.kcr_logical),
-                static_cast<unsigned long long>(io.kcr_mapped));
-  out += line;
-  if (const SegmentCountersSnapshot seg = backend_->segment_counters();
-      seg.valid) {
-    std::snprintf(line, sizeof(line),
-                  "segments  frozen %llu delta_objects %llu live %llu | "
-                  "inserts %llu updates %llu deletes %llu\n",
-                  static_cast<unsigned long long>(seg.frozen_segments),
-                  static_cast<unsigned long long>(seg.delta_objects),
-                  static_cast<unsigned long long>(seg.live_objects),
-                  static_cast<unsigned long long>(seg.inserts),
-                  static_cast<unsigned long long>(seg.updates),
-                  static_cast<unsigned long long>(seg.deletes));
-    out += line;
-    std::snprintf(line, sizeof(line),
-                  "compaction merges %llu rotations %llu retired %llu "
-                  "busy_ms %.1f last_ms %.1f tombstones %llu\n",
-                  static_cast<unsigned long long>(seg.merges),
-                  static_cast<unsigned long long>(seg.rotations),
-                  static_cast<unsigned long long>(seg.segments_retired),
-                  static_cast<double>(seg.merge_busy_us) / 1000.0,
-                  static_cast<double>(seg.merge_last_us) / 1000.0,
-                  static_cast<unsigned long long>(seg.tombstones_replayed));
-    out += line;
-  }
-  if (const ShardCountersSnapshot sh = backend_->shard_counters(); sh.valid) {
-    std::snprintf(line, sizeof(line),
-                  "shards    count %llu queries %llu visited %llu "
-                  "pruned %llu scatter_busy_ms %.1f\n",
-                  static_cast<unsigned long long>(sh.num_shards),
-                  static_cast<unsigned long long>(sh.queries),
-                  static_cast<unsigned long long>(sh.shards_visited),
-                  static_cast<unsigned long long>(sh.shards_pruned),
-                  static_cast<double>(sh.scatter_busy_us) / 1000.0);
-    out += line;
-    for (size_t i = 0; i < sh.per_shard_visited.size(); ++i) {
-      std::snprintf(
-          line, sizeof(line),
-          "shard.%zu   visited %llu pruned %llu mutations %llu objects "
-          "%llu\n",
-          i, static_cast<unsigned long long>(sh.per_shard_visited[i]),
-          static_cast<unsigned long long>(sh.per_shard_pruned[i]),
-          static_cast<unsigned long long>(sh.per_shard_mutations[i]),
-          static_cast<unsigned long long>(sh.per_shard_objects[i]));
-      out += line;
-    }
-  }
-  if (const NodeCache* nc = backend_->node_cache()) {
-    const NodeCache::Stats ns = nc->GetStats();
-    std::snprintf(line, sizeof(line),
-                  "node_cache hits %llu misses %llu evictions %llu "
-                  "entries %llu bytes %llu capacity %llu\n",
-                  static_cast<unsigned long long>(ns.hits),
-                  static_cast<unsigned long long>(ns.misses),
-                  static_cast<unsigned long long>(ns.evictions),
-                  static_cast<unsigned long long>(ns.entries),
-                  static_cast<unsigned long long>(ns.bytes_in_use),
-                  static_cast<unsigned long long>(ns.capacity_bytes));
-    out += line;
-  }
-  if (config_.batch_max_size > 1) {
-    std::snprintf(line, sizeof(line),
-                  "batching  max_size %zu window_ms %.3f pending %zu\n",
-                  config_.batch_max_size, config_.batch_window_ms,
-                  BatchQueueDepth());
-    out += line;
-  }
-  if (telemetry_ != nullptr) {
-    const TelemetryStats ts = telemetry_->stats();
-    std::snprintf(line, sizeof(line),
-                  "telemetry observed %llu sampled %llu slow %llu "
-                  "threshold_ms %.3f reservoir %zu slow_ring %zu\n",
-                  static_cast<unsigned long long>(ts.requests_observed),
-                  static_cast<unsigned long long>(ts.profiles_sampled),
-                  static_cast<unsigned long long>(ts.slow_queries),
-                  ts.slow_threshold_ms, ts.reservoir_size, ts.slow_log_size);
-    out += line;
-    for (const uint64_t w : {uint64_t{1}, uint64_t{10}, uint64_t{60}}) {
-      const RollingWindows::Snapshot s = telemetry_->Window(w);
-      char label[16];
-      std::snprintf(label, sizeof(label), "%llus",
-                    static_cast<unsigned long long>(w));
-      std::snprintf(line, sizeof(line),
-                    "window.%-4s requests %llu qps %.1f shed %.2f hit %.2f "
-                    "p50 %.3f p99 %.3f ms\n", label,
-                    static_cast<unsigned long long>(s.requests), s.qps,
-                    s.shed_ratio, s.hit_ratio, s.p50_ms, s.p99_ms);
-      out += line;
-    }
-  }
-  std::snprintf(line, sizeof(line),
-                "pool      workers %d queue_depth %zu task_exceptions %llu\n",
-                config_.num_workers, pool_->queue_depth(),
-                static_cast<unsigned long long>(pool_->num_task_exceptions()));
-  out += line;
-  return out;
-}
-
-std::string QueryService::PrometheusReport() const {
-  std::string out = metrics_.PrometheusText();
-  char line[256];
-  const auto sample = [&](const char* name, const char* help,
-                          const char* type, double value) {
-    out += std::string("# HELP ") + name + " " + help + "\n";
-    out += std::string("# TYPE ") + name + " " + type + "\n";
-    std::snprintf(line, sizeof(line), "%s %.17g\n", name, value);
-    out += line;
-  };
-  const auto counter_line = [&](const char* name, const char* help,
-                                uint64_t value) {
-    sample(name, help, "counter", static_cast<double>(value));
-  };
-  const auto gauge_line = [&](const char* name, const char* help,
-                              uint64_t value) {
-    sample(name, help, "gauge", static_cast<double>(value));
-  };
-  const ResultCache::Stats cs = cache_.stats();
-  counter_line("wsk_result_cache_hits_total",
+  s.AddCounter("cache", "hits", "wsk_result_cache_hits_total",
                "Result-cache lookups answered from cache.", cs.hits);
-  counter_line("wsk_result_cache_misses_total",
+  s.AddCounter("cache", "misses", "wsk_result_cache_misses_total",
                "Result-cache lookups that missed.", cs.misses);
-  counter_line("wsk_result_cache_stale_total",
+  s.AddCounter("cache", "stale", "wsk_result_cache_stale_total",
                "Cached entries rejected by version validation.", cs.stale);
-  counter_line("wsk_result_cache_insertions_total",
+  s.AddCounter("cache", "insertions", "wsk_result_cache_insertions_total",
                "Entries inserted into the result cache.", cs.insertions);
-  counter_line("wsk_result_cache_evictions_total",
+  s.AddCounter("cache", "evictions", "wsk_result_cache_evictions_total",
                "Entries evicted from the result cache.", cs.evictions);
-  gauge_line("wsk_result_cache_size", "Entries currently cached.",
-             cache_.size());
+  s.AddGauge("cache", "size", "wsk_result_cache_size",
+             "Entries currently cached.", cache_.size());
+  s.AddGauge("cache", "capacity", "wsk_result_cache_capacity",
+             "Result-cache capacity in entries.", cache_.capacity());
   const BackendIoSnapshot io = backend_->io_snapshot();
-  counter_line("wsk_engine_setr_physical_reads_total",
+  s.AddCounter("engine_io", "setr_physical",
+               "wsk_engine_setr_physical_reads_total",
                "SETR tree pages read from disk.", io.setr_physical);
-  counter_line("wsk_engine_setr_logical_reads_total",
+  s.AddCounter("engine_io", "setr_logical",
+               "wsk_engine_setr_logical_reads_total",
                "SETR tree node accesses.", io.setr_logical);
-  counter_line("wsk_engine_setr_mapped_reads_total",
+  s.AddCounter("engine_io", "setr_mapped", "wsk_engine_setr_mapped_reads_total",
                "SETR tree nodes served zero-copy from mmap.", io.setr_mapped);
-  counter_line("wsk_engine_kcr_physical_reads_total",
+  s.AddCounter("engine_io", "kcr_physical",
+               "wsk_engine_kcr_physical_reads_total",
                "KcR tree pages read from disk.", io.kcr_physical);
-  counter_line("wsk_engine_kcr_logical_reads_total",
+  s.AddCounter("engine_io", "kcr_logical", "wsk_engine_kcr_logical_reads_total",
                "KcR tree node accesses.", io.kcr_logical);
-  counter_line("wsk_engine_kcr_mapped_reads_total",
+  s.AddCounter("engine_io", "kcr_mapped", "wsk_engine_kcr_mapped_reads_total",
                "KcR tree nodes served zero-copy from mmap.", io.kcr_mapped);
   if (const SegmentCountersSnapshot seg = backend_->segment_counters();
       seg.valid) {
-    counter_line("wsk_segment_inserts_total", "Objects inserted.",
-                 seg.inserts);
-    counter_line("wsk_segment_updates_total", "Objects updated.",
-                 seg.updates);
-    counter_line("wsk_segment_deletes_total", "Objects deleted.",
-                 seg.deletes);
-    counter_line("wsk_segment_merges_total", "Merge passes completed.",
-                 seg.merges);
-    counter_line("wsk_segment_rotations_total",
-                 "Delta-to-frozen segment rotations.", seg.rotations);
-    counter_line("wsk_segment_retired_total",
-                 "Frozen segments retired after merges.",
-                 seg.segments_retired);
-    gauge_line("wsk_segment_frozen_segments", "Frozen segments live now.",
-               seg.frozen_segments);
-    gauge_line("wsk_segment_delta_objects",
+    s.AddGauge("segments", "frozen", "wsk_segment_frozen_segments",
+               "Frozen segments live now.", seg.frozen_segments);
+    s.AddGauge("segments", "delta_objects", "wsk_segment_delta_objects",
                "Objects in the mutable delta segment.", seg.delta_objects);
-    gauge_line("wsk_segment_live_objects", "Live objects across segments.",
-               seg.live_objects);
-    gauge_line("wsk_segment_dataset_version",
+    s.AddGauge("segments", "live", "wsk_segment_live_objects",
+               "Live objects across segments.", seg.live_objects);
+    s.AddCounter("segments", "inserts", "wsk_segment_inserts_total",
+                 "Objects inserted.", seg.inserts);
+    s.AddCounter("segments", "updates", "wsk_segment_updates_total",
+                 "Objects updated.", seg.updates);
+    s.AddCounter("segments", "deletes", "wsk_segment_deletes_total",
+                 "Objects deleted.", seg.deletes);
+    s.AddGauge("segments", "version", "wsk_segment_dataset_version",
                "Backend dataset version (bumped by every mutation).",
                backend_->dataset_version());
     // Background-task visibility: compaction work as rates and durations.
-    counter_line("wsk_bg_merge_passes_total",
+    s.AddCounter("compaction", "merges", "wsk_bg_merge_passes_total",
                  "Background merge passes started (success or failure).",
                  seg.merges);
-    sample("wsk_bg_merge_busy_seconds_total",
-           "Wall time spent inside background merge passes.", "counter",
-           static_cast<double>(seg.merge_busy_us) / 1e6);
-    sample("wsk_bg_merge_last_seconds",
-           "Duration of the most recent merge pass.", "gauge",
-           static_cast<double>(seg.merge_last_us) / 1e6);
-    counter_line("wsk_bg_merge_tombstones_total",
-                 "Tombstones replayed onto freshly merged segments.",
-                 seg.tombstones_replayed);
-    counter_line("wsk_bg_segments_retired_total",
+    s.AddCounter("compaction", "rotations", "wsk_segment_rotations_total",
+                 "Delta-to-frozen segment rotations.", seg.rotations);
+    s.AddCounter("compaction", "retired", "wsk_bg_segments_retired_total",
                  "Segments handed to epoch-based reclamation.",
                  seg.segments_retired);
+    s.AddCounter("compaction", "busy_s", "wsk_bg_merge_busy_seconds_total",
+                 "Wall time spent inside background merge passes.",
+                 static_cast<double>(seg.merge_busy_us) / 1e6);
+    s.AddGauge("compaction", "last_s", "wsk_bg_merge_last_seconds",
+               "Duration of the most recent merge pass.",
+               static_cast<double>(seg.merge_last_us) / 1e6);
+    s.AddCounter("compaction", "tombstones", "wsk_bg_merge_tombstones_total",
+                 "Tombstones replayed onto freshly merged segments.",
+                 seg.tombstones_replayed);
   }
   if (const ShardCountersSnapshot sh = backend_->shard_counters(); sh.valid) {
-    gauge_line("wsk_shards", "Shards the coordinator fans out to.",
-               sh.num_shards);
-    counter_line("wsk_shard_queries_total",
+    s.AddGauge("shards", "count", "wsk_shards",
+               "Shards the coordinator fans out to.", sh.num_shards);
+    s.AddCounter("shards", "queries", "wsk_shard_queries_total",
                  "Queries answered by scatter-gather.", sh.queries);
-    counter_line("wsk_shards_visited_total",
+    s.AddCounter("shards", "visited", "wsk_shards_visited_total",
                  "Per-query shard visits (bound not reached).",
                  sh.shards_visited);
-    counter_line("wsk_shards_pruned_total",
+    s.AddCounter("shards", "pruned", "wsk_shards_pruned_total",
                  "Shards skipped by the MaxScore bound.", sh.shards_pruned);
-    sample("wsk_bg_scatter_busy_seconds_total",
-           "Wall time spent inside scatter-gather top-k.", "counter",
-           static_cast<double>(sh.scatter_busy_us) / 1e6);
+    s.AddCounter("shards", "scatter_busy_s",
+                 "wsk_bg_scatter_busy_seconds_total",
+                 "Wall time spent inside scatter-gather top-k.",
+                 static_cast<double>(sh.scatter_busy_us) / 1e6);
+    for (size_t i = 0; i < sh.per_shard_visited.size(); ++i) {
+      const MetricRow::Labels shard = {{"shard", std::to_string(i)}};
+      s.AddCounter("shard", "visited", "wsk_shard_visited_total",
+                   "Scatter-gather visits of the shard.",
+                   sh.per_shard_visited[i], shard);
+      s.AddCounter("shard", "pruned", "wsk_shard_pruned_total",
+                   "Scatter-gather visits of the shard skipped by the bound.",
+                   sh.per_shard_pruned[i], shard);
+      s.AddCounter("shard", "mutations", "wsk_shard_mutations_total",
+                   "Mutations routed to the shard.",
+                   sh.per_shard_mutations[i], shard);
+      s.AddGauge("shard", "objects", "wsk_shard_objects",
+                 "Live objects the shard owns.", sh.per_shard_objects[i],
+                 shard);
+    }
   }
   if (const NodeCache* nc = backend_->node_cache()) {
     const NodeCache::Stats ns = nc->GetStats();
-    counter_line("wsk_node_cache_hits_total", "Node-cache hits.", ns.hits);
-    counter_line("wsk_node_cache_misses_total", "Node-cache misses.",
-                 ns.misses);
-    counter_line("wsk_node_cache_evictions_total", "Node-cache evictions.",
-                 ns.evictions);
-    gauge_line("wsk_node_cache_bytes", "Bytes of cached nodes resident.",
-               ns.bytes_in_use);
+    s.AddCounter("node_cache", "hits", "wsk_node_cache_hits_total",
+                 "Node-cache hits.", ns.hits);
+    s.AddCounter("node_cache", "misses", "wsk_node_cache_misses_total",
+                 "Node-cache misses.", ns.misses);
+    s.AddCounter("node_cache", "evictions", "wsk_node_cache_evictions_total",
+                 "Node-cache evictions.", ns.evictions);
+    s.AddGauge("node_cache", "entries", "wsk_node_cache_entries",
+               "Decoded nodes resident.", ns.entries);
+    s.AddGauge("node_cache", "bytes", "wsk_node_cache_bytes",
+               "Bytes of cached nodes resident.", ns.bytes_in_use);
+    s.AddGauge("node_cache", "capacity_bytes", "wsk_node_cache_capacity_bytes",
+               "Node-cache capacity in bytes.", ns.capacity_bytes);
   }
-  gauge_line("wsk_inflight_requests",
-             "Admitted requests not yet completed.", inflight());
   if (config_.batch_max_size > 1) {
-    // wsk_batch_* counters/histograms come from the registry above; the
-    // pending-queue depth is the one live gauge the registry cannot hold.
-    gauge_line("wsk_batch_pending_requests",
-               "Requests waiting in the batch collector.", BatchQueueDepth());
+    s.AddGauge("batching", "max_size", "wsk_batch_max_size",
+               "Largest batch the collector dispatches.",
+               config_.batch_max_size);
+    s.AddGauge("batching", "window_s", "wsk_batch_window_seconds",
+               "How long the collector holds an open batch.",
+               config_.batch_window_ms / 1e3);
+    std::lock_guard<std::mutex> lock(batch_mu_);
+    s.AddGauge("batching", "pending", "wsk_batch_pending_requests",
+               "Requests waiting in the batch collector.", batch_queue_.size());
   }
-  gauge_line("wsk_pool_queue_depth", "Tasks queued for the worker pool.",
-             pool_->queue_depth());
-  counter_line("wsk_pool_task_exceptions_total",
-               "Worker tasks that escaped with an exception.",
-               pool_->num_task_exceptions());
   if (telemetry_ != nullptr) {
     const TelemetryStats ts = telemetry_->stats();
-    counter_line("wsk_telemetry_requests_observed_total",
+    s.AddCounter("telemetry", "observed",
+                 "wsk_telemetry_requests_observed_total",
                  "Request completions the telemetry hub observed.",
                  ts.requests_observed);
-    counter_line("wsk_telemetry_profiles_sampled_total",
+    s.AddCounter("telemetry", "sampled", "wsk_telemetry_profiles_sampled_total",
                  "Requests that carried an event-capacity profile recorder.",
                  ts.profiles_sampled);
-    counter_line("wsk_telemetry_slow_queries_total",
+    s.AddCounter("telemetry", "slow", "wsk_telemetry_slow_queries_total",
                  "Requests captured by the rolling slow threshold.",
                  ts.slow_queries);
-    sample("wsk_telemetry_slow_threshold_seconds",
-           "Current slow-query capture threshold.", "gauge",
-           ts.slow_threshold_ms / 1e3);
-    gauge_line("wsk_telemetry_reservoir_profiles",
+    s.AddGauge("telemetry", "threshold_s",
+               "wsk_telemetry_slow_threshold_seconds",
+               "Current slow-query capture threshold.",
+               ts.slow_threshold_ms / 1e3);
+    s.AddGauge("telemetry", "reservoir", "wsk_telemetry_reservoir_profiles",
                "Sampled profiles retained in the reservoir.",
                ts.reservoir_size);
-    const RollingWindows::Snapshot w1 = telemetry_->Window(1);
-    const RollingWindows::Snapshot w10 = telemetry_->Window(10);
-    const RollingWindows::Snapshot w60 = telemetry_->Window(60);
-    const auto window_gauge = [&](const char* name, const char* help,
-                                  double v1, double v10, double v60) {
-      out += std::string("# HELP ") + name + " " + help + "\n";
-      out += std::string("# TYPE ") + name + " gauge\n";
-      const char* const windows[3] = {"1s", "10s", "60s"};
-      const double values[3] = {v1, v10, v60};
-      for (int i = 0; i < 3; ++i) {
-        std::snprintf(line, sizeof(line), "%s{window=\"%s\"} %.17g\n", name,
-                      windows[i], values[i]);
-        out += line;
-      }
-    };
-    window_gauge("wsk_window_request_rate",
-                 "Completed requests per second over the window.", w1.qps,
-                 w10.qps, w60.qps);
-    window_gauge("wsk_window_shed_ratio",
+    s.AddGauge("telemetry", "slow_ring", "wsk_telemetry_slow_log_entries",
+               "Slow-query records retained in the ring.", ts.slow_log_size);
+    for (const uint64_t seconds : {1, 10, 60}) {
+      const RollingWindows::Snapshot w = telemetry_->Window(seconds);
+      const MetricRow::Labels window = {
+          {"window", std::to_string(seconds) + "s"}};
+      s.AddGauge("window", "requests", "wsk_window_requests",
+                 "Completed requests in the window.", w.requests, window);
+      s.AddGauge("window", "qps", "wsk_window_request_rate",
+                 "Completed requests per second over the window.", w.qps,
+                 window);
+      s.AddGauge("window", "shed", "wsk_window_shed_ratio",
                  "Admission rejections over offered load in the window.",
-                 w1.shed_ratio, w10.shed_ratio, w60.shed_ratio);
-    window_gauge("wsk_window_cache_hit_ratio",
+                 w.shed_ratio, window);
+      s.AddGauge("window", "hit", "wsk_window_cache_hit_ratio",
                  "Result-cache hits over completions in the window.",
-                 w1.hit_ratio, w10.hit_ratio, w60.hit_ratio);
-    window_gauge("wsk_window_latency_p50_seconds",
+                 w.hit_ratio, window);
+      s.AddGauge("window", "p50_s", "wsk_window_latency_p50_seconds",
                  "Median request execution wall time in the window.",
-                 w1.p50_ms / 1e3, w10.p50_ms / 1e3, w60.p50_ms / 1e3);
-    window_gauge("wsk_window_latency_p99_seconds",
+                 w.p50_ms / 1e3, window);
+      s.AddGauge("window", "p99_s", "wsk_window_latency_p99_seconds",
                  "99th-percentile request execution wall time in the window.",
-                 w1.p99_ms / 1e3, w10.p99_ms / 1e3, w60.p99_ms / 1e3);
+                 w.p99_ms / 1e3, window);
+    }
   }
-  out += "# HELP wsk_build_info Build metadata; the value is always 1.\n";
-  out += "# TYPE wsk_build_info gauge\n";
-  std::snprintf(line, sizeof(line),
-                "wsk_build_info{version=\"%s\",isa=\"%s\",node_format=\"%s\"}"
-                " 1\n",
-                kBuildVersion, BuildIsa(), kNodeFormatName);
-  out += line;
-  sample("wsk_process_uptime_seconds", "Seconds since process start.",
-         "gauge", ProcessUptimeSeconds());
-  gauge_line("wsk_process_resident_memory_bytes",
+  s.AddGauge("pool", "workers", "wsk_pool_workers", "Worker threads.",
+             config_.num_workers);
+  s.AddGauge("pool", "queue_depth", "wsk_pool_queue_depth",
+             "Tasks queued for the worker pool.", pool_->queue_depth());
+  s.AddCounter("pool", "task_exceptions", "wsk_pool_task_exceptions_total",
+               "Worker tasks that escaped with an exception.",
+               pool_->num_task_exceptions());
+  s.AddGauge("service", "inflight", "wsk_inflight_requests",
+             "Admitted requests not yet completed.", inflight());
+  s.AddGauge("process", "uptime_s", "wsk_process_uptime_seconds",
+             "Seconds since process start.", ProcessUptimeSeconds());
+  s.AddGauge("process", "resident_bytes", "wsk_process_resident_memory_bytes",
              "Resident set size of the process.", ProcessResidentBytes());
-  return out;
+  s.AddGauge("build", "info", "wsk_build_info",
+             "Build metadata; the value is always 1.", 1,
+             {{"version", kBuildVersion},
+              {"isa", BuildIsa()},
+              {"node_format", kNodeFormatName}});
+  return s;
 }
 
 }  // namespace wsk

@@ -181,14 +181,16 @@ class QueryService {
   // rolling-window rates. nullptr when config.telemetry.enabled is false.
   TelemetryHub* telemetry() const { return telemetry_.get(); }
 
-  // The metrics registry dump plus cache statistics, engine I/O counters,
-  // and worker-pool health — the service's full observability snapshot.
-  std::string MetricsReport() const;
+  // The service's whole observable state as one table: every registered
+  // counter and histogram, then result-cache, engine I/O, segment, shard,
+  // node-cache, batching, telemetry, rolling-window, pool, inflight,
+  // process and build rows (docs/OBSERVABILITY.md "One snapshot, two
+  // views").
+  MetricsSnapshot Snapshot() const;
 
-  // The same snapshot in Prometheus text exposition format: every
-  // registered counter/histogram via MetricsRegistry::PrometheusText()
-  // plus result-cache, node-cache, pool, and inflight gauges.
-  std::string PrometheusReport() const;
+  // The snapshot's two views: human text and Prometheus exposition.
+  std::string MetricsReport() const { return Snapshot().Text(); }
+  std::string PrometheusReport() const { return Snapshot().Prometheus(); }
 
  private:
   // The per-kind part of the request pipeline: the arguments, the
@@ -277,8 +279,8 @@ class QueryService {
   // Adds the I/O since `before` to the io.* counters and to `profile`
   // (summed across the SETR and KcR trees). Attribution is approximate
   // under concurrency (the counters are shared; overlapping queries see
-  // each other's reads) — the aggregate engine snapshot in
-  // MetricsReport() is the exact total.
+  // each other's reads) — the engine_io rows of Snapshot() are the exact
+  // total.
   void AccountIo(const BackendIoSnapshot& before, QueryProfile* profile);
   // Folds a finished request's stage totals and pruning counters into the
   // interned stage.* histograms / prune.* counters.
@@ -330,7 +332,6 @@ class QueryService {
   // fingerprint, one QueryBackend::TopKBatch call, cache insertion (one
   // per unique fingerprint), and Finish per request.
   void ExecuteTopKBatch(std::vector<std::shared_ptr<TopKRequest>> batch);
-  size_t BatchQueueDepth() const;
 
   const QueryBackend* const backend_;
   const QueryServiceConfig config_;

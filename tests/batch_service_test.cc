@@ -193,6 +193,28 @@ TEST_F(BatchServiceTest, ReportsSurfaceBatchingMetrics) {
   EXPECT_NE(prom.find("wsk_prune_batch_queries_total"), std::string::npos);
 }
 
+// batch.occupancy records a batch size, a count: one batch of four
+// exports 4 in both views, not the 0.004 a milliseconds-to-seconds
+// conversion would make of it.
+TEST_F(BatchServiceTest, OccupancyExportsTheBatchSizeAsACount) {
+  // The window outlasts the test: the collector dispatches only when the
+  // batch is full.
+  QueryService service(engine_.get(), BatchedConfig(4, 60000.0));
+  std::vector<std::future<StatusOr<QueryService::TopKResponse>>> futures;
+  for (size_t i = 0; i < 4; ++i) {
+    futures.push_back(service.SubmitTopK(Query(i)));
+  }
+  for (auto& f : futures) ASSERT_TRUE(f.get().ok());
+  ASSERT_EQ(service.metrics().counter("batch.batches").value(), 1u);
+
+  const std::string prom = service.PrometheusReport();
+  EXPECT_NE(prom.find("\nwsk_batch_occupancy_sum 4\n"), std::string::npos)
+      << prom;
+  EXPECT_NE(prom.find("\nwsk_batch_occupancy_max 4\n"), std::string::npos);
+  EXPECT_NE(service.MetricsReport().find("batch.occupancy count 1 sum 4 "),
+            std::string::npos);
+}
+
 TEST_F(BatchServiceTest, DefaultConfigKeepsSoloPath) {
   QueryServiceConfig config;  // batch_max_size defaults to 1: disabled
   ASSERT_EQ(config.batch_max_size, 1u);

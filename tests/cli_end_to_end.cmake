@@ -71,7 +71,7 @@ execute_process(COMMAND ${CLI} statsz --data ${csv} --random 10 --seed 7
                         --top --frames 2 --interval-ms 50
                 RESULT_VARIABLE rc OUTPUT_VARIABLE out)
 if(NOT rc EQUAL 0 OR NOT out MATCHES "frame 2/2" OR
-   NOT out MATCHES "window +requests" OR NOT out MATCHES "bg +merges" OR
+   NOT out MATCHES "window\\.1s +requests" OR NOT out MATCHES "compaction +merges" OR
    NOT out MATCHES "telemetry observed")
   message(FATAL_ERROR "statsz --top failed: ${out}")
 endif()

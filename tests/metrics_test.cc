@@ -181,6 +181,29 @@ TEST(MetricsRegistryTest, PrometheusTextExposition) {
   }
 }
 
+// A histogram named `*.ms` records milliseconds and exports seconds; any
+// other exports its samples in their own unit, and neither view prints
+// "ms" for it.
+TEST(MetricsRegistryTest, HistogramUnitFollowsItsName) {
+  MetricsRegistry registry;
+  registry.histogram("batch.occupancy").Record(4.0);
+  registry.histogram("latency.topk.ms").Record(4.0);
+  const std::string text = registry.PrometheusText();
+  EXPECT_NE(text.find("wsk_batch_occupancy_sum 4\n"), std::string::npos);
+  EXPECT_NE(text.find("wsk_batch_occupancy_max 4\n"), std::string::npos);
+  EXPECT_NE(text.find("wsk_latency_topk_ms_sum 0.004\n"), std::string::npos);
+  EXPECT_NE(text.find("wsk_latency_topk_ms_max 0.004\n"), std::string::npos);
+
+  const std::string report = registry.Report();
+  EXPECT_NE(report.find("batch.occupancy count 1 sum 4 p50 "),
+            std::string::npos)
+      << report;
+  EXPECT_NE(report.find("latency.topk.ms count 1 sum_s 0.004 p50_s "),
+            std::string::npos)
+      << report;
+  EXPECT_EQ(report.find(" ms"), std::string::npos) << report;
+}
+
 TEST(MetricsRegistryTest, ConcurrentInterningAndRecording) {
   MetricsRegistry registry;
   std::vector<std::thread> threads;

@@ -32,6 +32,7 @@
 
 #include "data/generator.h"
 #include "segment/segmented_engine.h"
+#include "shard/shard_coordinator.h"
 
 namespace wsk {
 namespace {
@@ -366,6 +367,43 @@ TEST(PrometheusLintTest, LiveBatchServiceReportIsCleanExposition) {
   EXPECT_NE(report.find("wsk_bg_merge_busy_seconds_total"),
             std::string::npos);
   EXPECT_NE(report.find("wsk_batch_pending_requests"), std::string::npos);
+}
+
+TEST(PrometheusLintTest, LiveShardedServiceReportIsCleanExposition) {
+  GeneratorConfig gen;
+  gen.num_objects = 600;
+  gen.vocab_size = 60;
+  gen.seed = 9090;
+  Dataset dataset = GenerateDataset(gen);
+  ShardCoordinator::Config shard_config;
+  shard_config.num_shards = 3;
+  shard_config.live = true;
+  shard_config.auto_merge = false;
+  auto coordinator = ShardCoordinator::Build(dataset, shard_config).value();
+
+  QueryServiceConfig config;
+  config.batch_max_size = 4;
+  config.telemetry.sample_every = 1;
+  QueryService service(coordinator.get(), config);
+  ASSERT_TRUE(service.Insert(Point{0.2, 0.2}, {"alpha", "beta"}).ok());
+  ASSERT_TRUE(service.TopK(QueryFor(dataset, 7)).ok());
+
+  const std::string report = service.PrometheusReport();
+  const std::vector<std::string> errors = LintExposition(report);
+  EXPECT_TRUE(errors.empty()) << JoinErrors(errors);
+
+  // The aggregate shard families and the labelled per-shard series.
+  EXPECT_NE(report.find("wsk_shards 3\n"), std::string::npos);
+  EXPECT_NE(report.find("wsk_shards_pruned_total"), std::string::npos);
+  for (const char* shard : {"0", "1", "2"}) {
+    for (const std::string family :
+         {"wsk_shard_visited_total", "wsk_shard_pruned_total",
+          "wsk_shard_mutations_total", "wsk_shard_objects"}) {
+      EXPECT_NE(report.find(family + "{shard=\"" + shard + "\"} "),
+                std::string::npos)
+          << family << " shard " << shard;
+    }
+  }
 }
 
 // The linter must actually reject bad documents, or the pass above is

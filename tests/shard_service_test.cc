@@ -4,10 +4,15 @@
 // parallel fan-out ready for the next one, and — the regression the
 // topology-aware version vector exists for — a mutation routed to one
 // shard orphans only that shard's cached entries, while entries whose
-// shards provably cannot be affected keep hitting.
+// shards provably cannot be affected keep hitting. The service's one
+// metrics snapshot prints every row with the same value in its text and
+// Prometheus views.
 #include "service/query_service.h"
 
+#include <cstdlib>
+#include <map>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -268,6 +273,140 @@ TEST(ShardServiceTest, WhyNotCacheInvalidatesOnAnyShardMutation) {
                            WhyNotOptions{})
                    .value()
                    .cache_hit);
+}
+
+// The text view of one snapshot: line key -> field -> value. A bare value
+// (a registry counter's line) is keyed by the empty field.
+std::map<std::string, std::map<std::string, double>> ParseTextView(
+    const std::string& text, size_t* values) {
+  std::map<std::string, std::map<std::string, double>> lines;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) {
+    std::istringstream ls(line);
+    std::vector<std::string> tokens;
+    for (std::string t; ls >> t;) tokens.push_back(t);
+    if (tokens.size() < 2) {
+      ADD_FAILURE() << "line without a value: " << line;
+      continue;
+    }
+    EXPECT_TRUE(lines.find(tokens[0]) == lines.end()) << "repeated " << line;
+    std::map<std::string, double>& fields = lines[tokens[0]];
+    // An even token count is the key, a bare value, then pairs.
+    size_t i = 1;
+    if (tokens.size() % 2 == 0) {
+      fields[""] = std::strtod(tokens[i++].c_str(), nullptr);
+    }
+    for (; i + 1 < tokens.size(); i += 2) {
+      const double value = std::strtod(tokens[i + 1].c_str(), nullptr);
+      EXPECT_TRUE(fields.emplace(tokens[i], value).second)
+          << "repeated field " << tokens[i] << " in " << line;
+    }
+    *values += tokens.size() / 2;
+  }
+  return lines;
+}
+
+// The Prometheus view of one snapshot: series (`name{labels}`) -> value.
+std::map<std::string, double> ParsePrometheusView(const std::string& text) {
+  std::map<std::string, double> series;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) {
+    if (line.empty() || line[0] == '#') continue;
+    const size_t space = line.rfind(' ');
+    EXPECT_TRUE(series
+                    .emplace(line.substr(0, space),
+                             std::strtod(line.c_str() + space + 1, nullptr))
+                    .second)
+        << "repeated series " << line;
+  }
+  return series;
+}
+
+// One snapshot of a live sharded service with telemetry and batching on,
+// rendered twice: every row's value reads the same in both views, and
+// neither view carries a value that is not a row.
+TEST(ShardServiceTest, BothViewsPrintEveryRowOfOneSnapshot) {
+  GeneratorConfig gen;
+  gen.num_objects = 600;
+  gen.vocab_size = 60;
+  gen.seed = 9090;
+  Dataset dataset = GenerateDataset(gen);
+  ShardCoordinator::Config config;
+  config.num_shards = 3;
+  config.live = true;
+  config.auto_merge = false;
+  auto coordinator = ShardCoordinator::Build(dataset, config).value();
+  QueryServiceConfig service_config;
+  service_config.batch_max_size = 4;
+  service_config.telemetry.sample_every = 1;
+  QueryService service(coordinator.get(), service_config);
+
+  ASSERT_TRUE(service.Insert(Point{0.2, 0.2}, {"alpha", "beta"}).ok());
+  const SpatialKeywordQuery query = QueryAt(
+      dataset, dataset.objects()[5].loc,
+      {dataset.vocabulary().TermString(*dataset.objects()[5].doc.begin())},
+      5);
+  const auto topk = service.TopK(query);
+  ASSERT_TRUE(topk.ok()) << topk.status().ToString();
+  ASSERT_TRUE(service.TopK(query).value().cache_hit);
+  ASSERT_TRUE(service
+                  .WhyNot(WhyNotAlgorithm::kAdvanced, query,
+                          {topk.value().results.back().id}, WhyNotOptions{})
+                  .ok());
+
+  const MetricsSnapshot snapshot = service.Snapshot();
+  size_t text_values = 0;
+  const auto text = ParseTextView(snapshot.Text(), &text_values);
+  const auto prom = ParsePrometheusView(snapshot.Prometheus());
+
+  size_t want_text_values = 0;
+  size_t want_samples = 0;
+  size_t labelled = 0;
+  for (const MetricRow& row : snapshot.rows) {
+    std::string key = row.section;
+    std::string labels;
+    for (const auto& [name, value] : row.labels) {
+      key += "." + value;
+      labels += (labels.empty() ? "{" : ",") + name + "=\"" + value + "\"";
+    }
+    if (!labels.empty()) labels += "}";
+    labelled += labels.empty() ? 0 : 1;
+    SCOPED_TRACE(row.name + labels);
+    const auto line = text.find(key);
+    ASSERT_NE(line, text.end()) << key;
+    const auto in_text = [&](const std::string& field) {
+      const auto it = line->second.find(field);
+      EXPECT_NE(it, line->second.end()) << key << " " << field;
+      return it == line->second.end() ? -1.0 : it->second;
+    };
+    const auto in_prom = [&](const std::string& series) {
+      const auto it = prom.find(series);
+      EXPECT_NE(it, prom.end()) << series;
+      return it == prom.end() ? -2.0 : it->second;
+    };
+    if (row.type != MetricRow::Type::kHistogram) {
+      EXPECT_EQ(in_text(row.field), in_prom(row.name + labels));
+      ++want_text_values;
+      ++want_samples;
+      continue;
+    }
+    const std::string unit = row.seconds ? "_s" : "";
+    EXPECT_EQ(in_text("count"), in_prom(row.name + "_count"));
+    EXPECT_EQ(in_text("sum" + unit), in_prom(row.name + "_sum"));
+    EXPECT_EQ(in_text("max" + unit), in_prom(row.name + "_max"));
+    EXPECT_EQ(in_text("count"),
+              in_prom(row.name + "_bucket{le=\"+Inf\"}"));
+    want_text_values += 6;  // count sum p50 p95 p99 max
+    want_samples += LatencyHistogram::kNumBuckets + 4;  // +Inf sum count max
+  }
+  EXPECT_EQ(text_values, want_text_values);
+  EXPECT_EQ(prom.size(), want_samples);
+  // The per-shard and per-window rows are labelled in Prometheus and
+  // appended to the section in the text.
+  EXPECT_EQ(labelled, 3u * 4 + 3u * 6 + 1);  // shards, windows, build
+  EXPECT_NE(text.find("shard.2"), text.end());
+  EXPECT_NE(prom.find("wsk_shard_objects{shard=\"2\"}"), prom.end());
+  EXPECT_NE(text.find("window.60s"), text.end());
 }
 
 }  // namespace

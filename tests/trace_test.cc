@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -145,6 +146,14 @@ TEST(TraceRecorderTest, AnnotationsBecomeInstantEvents) {
   EXPECT_NE(json.find("\"arg\":42"), std::string::npos);
   // The quote inside the detail must come out escaped.
   EXPECT_NE(json.find("\\\"far\\\""), std::string::npos);
+}
+
+// The one JSON escaper behind the trace, slow-log and bench writers.
+TEST(TraceRecorderTest, JsonEscaperUsesShortEscapesThenUnicode) {
+  constexpr char kRaw[] = "a\"b\\c\nd\te\x01" "f\x1f" "g\0h";
+  std::string out = "<";
+  AppendJsonEscaped(std::string_view(kRaw, sizeof(kRaw) - 1), &out);
+  EXPECT_EQ(out, "<a\\\"b\\\\c\\nd\\te\\u0001f\\u001fg\\u0000h");
 }
 
 TEST(TraceRecorderTest, ChromeTraceJsonShape) {

@@ -79,6 +79,7 @@ Exit status: 0 clean (warnings allowed), 1 on any failure.
 
 import argparse
 import json
+import operator
 import sys
 
 HARD_LOWER_IS_BETTER = ("avg_io", "cand_eval", "v2_size_ratio")
@@ -96,6 +97,48 @@ TIME_METRICS = (
     "v1_decode_ns",
     "v2_decode_ns",
     "v2_mmap_decode_ns",
+)
+
+# Absolute gates: facts of the current build, not drifts from the baseline,
+# so each applies to every current benchmark that reports its counter,
+# whether or not the baseline has it yet. (counter, op, flag, reason): the
+# run fails when op(value, limit) holds, the limit being the value of
+# --flag; reason is formatted with the value, the limit and the headroom
+# 1 - limit.
+ABSOLUTE_GATES = (
+    # Tracing must stay cheap (docs/OBSERVABILITY.md).
+    (
+        "trace_overhead",
+        operator.gt,
+        "max_trace_overhead",
+        "{value:.2f}x exceeds the cap {limit:.2f}x (tracing must stay cheap)",
+    ),
+    # The always-on telemetry pipeline at its shipped defaults stays within
+    # a few percent of a telemetry-less service on any machine
+    # (docs/OBSERVABILITY.md "Continuous telemetry").
+    (
+        "sampling_overhead",
+        operator.gt,
+        "max_sampling_overhead",
+        "{value:.3f}x exceeds the cap {limit:.2f}x (always-on telemetry "
+        "must stay affordable)",
+    ),
+    # The v2 node format's two acceptance properties (docs/STORAGE.md
+    # "v2 node format & mmap").
+    (
+        "decode_speedup",
+        operator.lt,
+        "min_decode_speedup",
+        "{value:.2f}x below the absolute floor {limit:.2f}x (v2+mmap must "
+        "beat v1 decode)",
+    ),
+    (
+        "v2_size_ratio",
+        operator.gt,
+        "max_v2_size_ratio",
+        "{value:.3f} exceeds the cap {limit:.2f} (v2 must stay at least "
+        "{headroom:.0%} smaller than v1)",
+    ),
 )
 
 
@@ -240,48 +283,15 @@ def main():
                     )
                     (failures if args.strict_time else warnings).append(msg)
 
-    # Trace overhead is an absolute property of the build, not a drift from
-    # the baseline: cap it for every current benchmark that reports it, even
-    # before the baseline file has caught up.
-    for name, bench in sorted(cur.items()):
-        overhead = metric_values(bench).get("trace_overhead")
-        if overhead is not None and overhead > args.max_trace_overhead:
+    for counter, fails, flag, reason in ABSOLUTE_GATES:
+        limit = getattr(args, flag)
+        for name, bench in sorted(cur.items()):
+            value = metric_values(bench).get(counter)
+            if value is None or not fails(value, limit):
+                continue
             failures.append(
-                f"{name}: trace_overhead {overhead:.2f}x exceeds the cap "
-                f"{args.max_trace_overhead:.2f}x (tracing must stay cheap)"
-            )
-
-    # So is sampling: the always-on telemetry pipeline at its shipped
-    # defaults must stay within a few percent of a telemetry-less service
-    # on any machine (docs/OBSERVABILITY.md "Continuous telemetry").
-    for name, bench in sorted(cur.items()):
-        overhead = metric_values(bench).get("sampling_overhead")
-        if overhead is not None and overhead > args.max_sampling_overhead:
-            failures.append(
-                f"{name}: sampling_overhead {overhead:.3f}x exceeds the cap "
-                f"{args.max_sampling_overhead:.2f}x (always-on telemetry "
-                "must stay affordable)"
-            )
-
-    # The v2 node format's two acceptance properties are absolute facts of
-    # the current build, capped/floored for every benchmark that reports
-    # them even before the baseline file has caught up (docs/STORAGE.md
-    # "v2 node format & mmap").
-    for name, bench in sorted(cur.items()):
-        vals = metric_values(bench)
-        decode = vals.get("decode_speedup")
-        if decode is not None and decode < args.min_decode_speedup:
-            failures.append(
-                f"{name}: decode_speedup {decode:.2f}x below the absolute "
-                f"floor {args.min_decode_speedup:.2f}x (v2+mmap must beat "
-                "v1 decode)"
-            )
-        ratio = vals.get("v2_size_ratio")
-        if ratio is not None and ratio > args.max_v2_size_ratio:
-            failures.append(
-                f"{name}: v2_size_ratio {ratio:.3f} exceeds the cap "
-                f"{args.max_v2_size_ratio:.2f} (v2 must stay at least "
-                f"{1 - args.max_v2_size_ratio:.0%} smaller than v1)"
+                f"{name}: {counter} "
+                + reason.format(value=value, limit=limit, headroom=1 - limit)
             )
 
     # Cross-shard bound pruning must actually fire: on the clustered

@@ -27,11 +27,11 @@
 //       Replay a workload through the QueryService and print the
 //       Prometheus text exposition of its metrics registry. --top
 //       switches to a refreshing dashboard: the workload replays once
-//       per frame and each frame prints the 1s/10s/60s rolling-window
-//       rates, latency quantiles, and background-compaction counters
-//       instead of the full exposition. --live serves the segmented
-//       backend and streams M random inserts per frame so rotations and
-//       merges run (and the wsk_bg_* counters move) while windows fill.
+//       per frame and each frame prints the window.1s/10s/60s,
+//       telemetry and compaction lines of the text report instead of
+//       the full exposition. --live serves the segmented backend and
+//       streams M random inserts per frame so rotations and merges run
+//       (and the wsk_bg_* counters move) while windows fill.
 //   profiles  --data FILE (--queries FILE | --random N) [--sample-every N]
 //             [--reservoir N] [--dump FILE] [service flags]
 //       Replay the workload with profile sampling forced on (default:
@@ -915,8 +915,7 @@ int Statsz(const Args& args) {
   if (args.Has("top")) {
     // `top`-style refresh: one workload replay per frame, printing the
     // rolling-window dashboard instead of the full exposition.
-    const TelemetryHub* hub = service.telemetry();
-    if (hub == nullptr) {
+    if (service.telemetry() == nullptr) {
       std::fprintf(stderr, "statsz --top requires telemetry enabled\n");
       return 2;
     }
@@ -931,32 +930,13 @@ int Statsz(const Args& args) {
       }
       std::printf("-- frame %ld/%ld %.*s\n", frame + 1, frames, 44,
                   "--------------------------------------------");
-      std::printf("%-8s %9s %9s %6s %6s %10s %10s\n", "window", "requests",
-                  "qps", "shed", "hit", "p50_ms", "p99_ms");
-      for (const uint64_t w : {uint64_t{1}, uint64_t{10}, uint64_t{60}}) {
-        const RollingWindows::Snapshot s = hub->Window(w);
-        char label[16];
-        std::snprintf(label, sizeof(label), "%llus",
-                      static_cast<unsigned long long>(w));
-        std::printf("%-8s %9llu %9.1f %6.2f %6.2f %10.3f %10.3f\n", label,
-                    static_cast<unsigned long long>(s.requests), s.qps,
-                    s.shed_ratio, s.hit_ratio, s.p50_ms, s.p99_ms);
-      }
-      const TelemetryStats ts = hub->stats();
-      std::printf("telemetry observed %llu sampled %llu slow %llu "
-                  "threshold_ms %.3f\n",
-                  static_cast<unsigned long long>(ts.requests_observed),
-                  static_cast<unsigned long long>(ts.profiles_sampled),
-                  static_cast<unsigned long long>(ts.slow_queries),
-                  ts.slow_threshold_ms);
-      if (const SegmentCountersSnapshot seg = backend->segment_counters();
-          seg.valid) {
-        std::printf("bg       merges %llu busy_ms %.1f tombstones %llu "
-                    "retired %llu\n",
-                    static_cast<unsigned long long>(seg.merges),
-                    static_cast<double>(seg.merge_busy_us) / 1000.0,
-                    static_cast<unsigned long long>(seg.tombstones_replayed),
-                    static_cast<unsigned long long>(seg.segments_retired));
+      // The text view's rolling-window, telemetry and compaction lines.
+      std::istringstream report(service.MetricsReport());
+      for (std::string line; std::getline(report, line);) {
+        if (line.starts_with("window.") || line.starts_with("telemetry ") ||
+            line.starts_with("compaction ")) {
+          std::printf("%s\n", line.c_str());
+        }
       }
       if (frame + 1 < frames && interval_ms > 0) {
         std::this_thread::sleep_for(std::chrono::milliseconds(interval_ms));
