@@ -1,10 +1,12 @@
 // QueryBackend: the servable surface the service layer runs against.
 //
-// Two implementations exist: WhyNotEngine (a frozen dataset, bulk-loaded
-// trees, no mutations) and SegmentedEngine (src/segment/: a live dataset
-// with a mutable delta segment and background merge). QueryService talks
-// only to this interface, so the same front end serves both
-// (docs/SERVICE.md, docs/SEGMENTS.md).
+// Three implementations exist: WhyNotEngine (a frozen dataset, bulk-loaded
+// trees, no mutations), SegmentedEngine (src/segment/: a live dataset with
+// a mutable delta segment and background merge) and ShardCoordinator
+// (src/shard/: one of those per spatial tile). All three answer why-not
+// queries through PlannedBackend (planned_backend.h). QueryService talks
+// only to this interface, so the same front end serves all of them
+// (docs/SERVICE.md, docs/SEGMENTS.md, docs/SHARDING.md).
 #ifndef WSK_CORE_BACKEND_H_
 #define WSK_CORE_BACKEND_H_
 
@@ -16,7 +18,9 @@
 #include "core/whynot.h"
 #include "data/dataset.h"
 #include "data/query.h"
+#include "index/batch_topk.h"
 #include "observability/trace.h"
+#include "storage/io_stats.h"
 #include "storage/node_cache.h"
 
 namespace wsk {
@@ -28,26 +32,6 @@ enum class WhyNotAlgorithm {
 };
 
 const char* WhyNotAlgorithmName(WhyNotAlgorithm algorithm);
-
-// Point-in-time view of the backend's cumulative I/O counters, split by
-// index family. Monotonic across the backend's lifetime — a segmented
-// backend folds retired segments' totals into these numbers so counters
-// never run backwards across a merge.
-struct BackendIoSnapshot {
-  uint64_t setr_physical = 0;
-  uint64_t kcr_physical = 0;
-  uint64_t setr_logical = 0;
-  uint64_t kcr_logical = 0;
-  // Pages served from the mmap zero-copy path (frozen segments). Counted
-  // apart from physical reads so the paper's buffered-I/O metric keeps its
-  // meaning when mapping is on.
-  uint64_t setr_mapped = 0;
-  uint64_t kcr_mapped = 0;
-  uint64_t setr_cache_hits = 0;
-  uint64_t kcr_cache_hits = 0;
-  uint64_t setr_cache_misses = 0;
-  uint64_t kcr_cache_misses = 0;
-};
 
 // Live-dataset counters for the segment subsystem; `valid` is false on
 // frozen backends (the segment.* metrics lines are omitted).
@@ -86,17 +70,11 @@ struct ShardCountersSnapshot {
   std::vector<uint64_t> per_shard_objects;  // gauge: owned live objects
 };
 
-// One query's slot in a backend batch (docs/BATCHING.md). `query` and
-// `cancel` are borrowed and must outlive the call.
-struct BackendBatchItem {
-  const SpatialKeywordQuery* query = nullptr;
-  const CancelToken* cancel = nullptr;
-};
-
-struct BackendBatchResult {
-  Status status;
-  std::vector<ScoredObject> topk;  // valid only when status.ok()
-};
+// One query's slot in a backend batch and its answer (docs/BATCHING.md):
+// the shared traversal's own request/result types. `query` and `cancel`
+// are borrowed and must outlive the call.
+using BackendBatchItem = BatchTopKRequest;
+using BackendBatchResult = BatchTopKResult;
 
 class QueryBackend {
  public:

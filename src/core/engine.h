@@ -1,9 +1,10 @@
 // WhyNotEngine: the library facade.
 //
-// Owns the disk-resident SetR-tree and KcR-tree built over a dataset (each
-// in its own paged file with its own 4 MiB LRU buffer, as in the paper's
-// setup), answers spatial keyword top-k queries, and dispatches why-not
-// queries to the three algorithms:
+// Owns the disk-resident SetR-tree and KcR-tree built over a dataset (one
+// IndexPair: each tree in its own paged file with its own 4 MiB LRU
+// buffer, as in the paper's setup), answers spatial keyword top-k queries,
+// and answers why-not queries through PlannedBackend's dispatcher with the
+// three algorithms:
 //   kBasic      — BS        (Section IV-B; no optimizations, SetR-tree)
 //   kAdvanced   — AdvancedBS (Section IV-C optimizations, SetR-tree)
 //   kKcrBased   — KcRBased  (Section V bound-and-prune, KcR-tree)
@@ -16,19 +17,16 @@
 #include <vector>
 
 #include "common/cancel.h"
-#include "core/backend.h"
+#include "core/planned_backend.h"
 #include "core/whynot.h"
 #include "data/dataset.h"
 #include "data/query.h"
-#include "index/kcr_tree.h"
-#include "index/setr_tree.h"
-#include "storage/buffer_pool.h"
+#include "index/index_pair.h"
 #include "storage/node_cache.h"
-#include "storage/pager.h"
 
 namespace wsk {
 
-class WhyNotEngine : public QueryBackend {
+class WhyNotEngine : public PlannedBackend {
  public:
   struct Config {
     std::string work_dir = "/tmp";        // index files land here
@@ -55,7 +53,6 @@ class WhyNotEngine : public QueryBackend {
   static StatusOr<std::unique_ptr<WhyNotEngine>> Build(const Dataset* dataset,
                                                        const Config& config);
 
-  ~WhyNotEngine();
   WhyNotEngine(const WhyNotEngine&) = delete;
   WhyNotEngine& operator=(const WhyNotEngine&) = delete;
 
@@ -70,22 +67,18 @@ class WhyNotEngine : public QueryBackend {
   // DropCaches() and ResetIoStats() mutate shared state and require
   // exclusive access: they must not run while any query is in flight.
   // That contract is enforced — both WSK_CHECK that no query is active
-  // (tracked by an inflight counter the query methods maintain).
+  // (tracked by an inflight counter the query methods maintain; Answer()
+  // and Rank() hold it through the plan).
   //
-  // Note: WhyNotResult.stats.io_reads is a before/after delta of the
-  // shared physical-read counter, so under concurrent queries it
-  // attributes overlapping I/O to every query that was in flight; treat it
-  // as exact only for sequential use (aggregate counters stay exact).
+  // Note: WhyNotResult.stats.io_reads counts the pages of the algorithm's
+  // tree (physical + mapped reads; mapped stays 0 without mmap_reads) as a
+  // before/after delta of the shared counters, so under concurrent queries
+  // it attributes overlapping I/O to every query that was in flight; treat
+  // it as exact only for sequential use (aggregate counters stay exact).
 
-  // Answers the keyword-adapted why-not query (Definition 2) with the given
-  // algorithm. When options.num_threads is 0 and the algorithm is kBasic,
-  // this reproduces the paper's unoptimized BS exactly (the optimization
-  // switches in `options` are ignored for kBasic — they are forced off).
-  // options.cancel aborts the query with kCancelled / kDeadlineExceeded.
-  StatusOr<WhyNotResult> Answer(WhyNotAlgorithm algorithm,
-                                const SpatialKeywordQuery& query,
-                                const std::vector<ObjectId>& missing,
-                                const WhyNotOptions& options) const override;
+  // Answer() and Rank() come from PlannedBackend over this plan: the
+  // engine's dataset and its one index pair, unfiltered.
+  WhyNotPlan PlanWhyNot() const override;
 
   // Spatial keyword top-k over the SetR-tree. `cancel` (optional,
   // borrowed) aborts the traversal at node-visit granularity; `trace`
@@ -99,10 +92,6 @@ class WhyNotEngine : public QueryBackend {
   std::vector<BackendBatchResult> TopKBatch(
       const std::vector<BackendBatchItem>& items,
       TraceRecorder* trace = nullptr) const override;
-
-  // R(object, query) per Eqn 3.
-  StatusOr<uint32_t> Rank(const SpatialKeywordQuery& query,
-                          ObjectId object) const;
 
   // The object at the given 1-based position of the ranked stream (used by
   // the experiments to pick "the object ranked 5*k0+1").
@@ -127,18 +116,17 @@ class WhyNotEngine : public QueryBackend {
   BackendIoSnapshot io_snapshot() const override;
 
   const Dataset& dataset() const { return *dataset_; }
-  const SetRTree& setr_tree() const { return *setr_tree_; }
-  const KcrTree& kcr_tree() const { return *kcr_tree_; }
-  const Config& config() const { return config_; }
+  const SetRTree& setr_tree() const { return index_->setr(); }
+  const KcrTree& kcr_tree() const { return index_->kcr(); }
 
   // I/O counters of the two index files.
-  IoStats& setr_io() const { return setr_pager_->io_stats(); }
-  IoStats& kcr_io() const { return kcr_pager_->io_stats(); }
+  IoStats& setr_io() const { return index_->setr_io(); }
+  IoStats& kcr_io() const { return index_->kcr_io(); }
 
   // The backing pagers (file size / map state introspection, wsk_cli
   // inspect).
-  const Pager& setr_pager() const { return *setr_pager_; }
-  const Pager& kcr_pager() const { return *kcr_pager_; }
+  const Pager& setr_pager() const { return index_->setr_pager(); }
+  const Pager& kcr_pager() const { return index_->kcr_pager(); }
 
   // Requires no query in flight (see the thread-safety contract above).
   void ResetIoStats() const;
@@ -163,16 +151,8 @@ class WhyNotEngine : public QueryBackend {
   };
 
   const Dataset* dataset_ = nullptr;
-  Config config_;
-  std::string setr_path_;
-  std::string kcr_path_;
-  std::unique_ptr<Pager> setr_pager_;
-  std::unique_ptr<Pager> kcr_pager_;
-  std::unique_ptr<BufferPool> setr_pool_;
-  std::unique_ptr<BufferPool> kcr_pool_;
-  std::unique_ptr<SetRTree> setr_tree_;
-  std::unique_ptr<KcrTree> kcr_tree_;
-  std::unique_ptr<NodeCache> node_cache_;
+  std::unique_ptr<NodeCache> node_cache_;  // outlives index_
+  std::unique_ptr<IndexPair> index_;
   mutable std::atomic<int> inflight_queries_{0};
 };
 

@@ -1,0 +1,82 @@
+// PlannedBackend: the one why-not dispatcher every backend shares.
+//
+// A backend describes what a query runs over as a WhyNotPlan: an object
+// store, the index pairs (one per frozen table, each with its snapshot
+// visibility filter), the in-memory delta objects that no tree indexes,
+// and whatever must stay alive while the query runs. The dispatcher owns
+// everything else — the cancel check, the root trace span, forcing BS's
+// optimisation switches off, building the top-k sources and io_reads — so
+// the frozen engine, the live engine and the shard coordinator answer
+// through the same code. The coordinator's plan is its shards' plans
+// concatenated (docs/SHARDING.md).
+#ifndef WSK_CORE_PLANNED_BACKEND_H_
+#define WSK_CORE_PLANNED_BACKEND_H_
+
+#include <memory>
+#include <optional>
+#include <vector>
+
+#include "core/backend.h"
+#include "index/index_pair.h"
+#include "index/merged_source.h"
+
+namespace wsk {
+
+// One index pair a plan traverses.
+struct PlanSegment {
+  const IndexPair* index = nullptr;
+  // nullptr: every object in the pair's trees is visible.
+  const ObjectVisibility* visibility = nullptr;
+  // Objects hidden by `visibility` (an upper bound is sound; the KcR
+  // traversal uses it as MinDom slack).
+  uint32_t shadow_count = 0;
+};
+
+struct WhyNotPlan {
+  // Resolves object ids; null in plans made without one (top-k needs none).
+  const ObjectStore* store = nullptr;
+  std::vector<PlanSegment> segments;
+  // Visible objects no tree indexes (live deltas), scored exactly.
+  std::vector<const SpatialObject*> extras;
+  double diagonal = 1.0;  // the SDist normalizer every tree shares
+  // What the pointers above borrow from (snapshots, visibility filters,
+  // stores) plus any in-flight guard the backend holds for the query.
+  std::vector<std::shared_ptr<const void>> keep_alive;
+
+  // The plan's trees of one family as merged-traversal segments.
+  std::vector<MergedSegment> Trees(bool kcr) const;
+
+  // The ranked stream over one tree family. One unfiltered tree with no
+  // extras streams that tree directly (the frozen engine's paper setup);
+  // every other plan goes through one MergedTopKSource, emplaced into
+  // `*merged` (`trace` receives its segment counters).
+  const TopKSource& Source(bool kcr, TraceRecorder* trace,
+                           std::optional<MergedTopKSource>* merged) const;
+};
+
+class PlannedBackend : public QueryBackend {
+ public:
+  // Answers the keyword-adapted why-not query (Definition 2) over
+  // PlanWhyNot(). BS and AdvancedBS rank over the SetR-trees, KcRBased
+  // traverses the KcR-trees. For kBasic the optimisation switches in
+  // `options` are forced off, so it reproduces the paper's unoptimised BS.
+  // options.cancel aborts with kCancelled / kDeadlineExceeded.
+  // stats.io_reads is the before/after delta of io_snapshot().page_reads
+  // for the algorithm's tree family, so under concurrent queries it
+  // counts every query's pages that overlapped this one.
+  StatusOr<WhyNotResult> Answer(WhyNotAlgorithm algorithm,
+                                const SpatialKeywordQuery& query,
+                                const std::vector<ObjectId>& missing,
+                                const WhyNotOptions& options) const override;
+
+  // R(object, query) per Eqn 3, over the same plan.
+  StatusOr<uint32_t> Rank(const SpatialKeywordQuery& query,
+                          ObjectId object) const;
+
+  // The point-in-time sources of one query; safe for concurrent callers.
+  virtual WhyNotPlan PlanWhyNot() const = 0;
+};
+
+}  // namespace wsk
+
+#endif  // WSK_CORE_PLANNED_BACKEND_H_

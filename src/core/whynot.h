@@ -112,7 +112,10 @@ struct WhyNotStats {
   // expanded by the rank traversals (initial rank and per candidate).
   uint64_t nodes_expanded = 0;
   double elapsed_ms = 0.0;
-  uint64_t io_reads = 0;  // physical page reads during the query
+  // Pages of the algorithm's tree family (SetR for BS/AdvancedBS, KcR for
+  // KcRBased) fetched during the query: physical + mapped reads, the same
+  // on every backend (mapped reads are 0 unless the files are mmap'd).
+  uint64_t io_reads = 0;
 };
 
 struct WhyNotResult {

@@ -14,7 +14,7 @@
 #include "core/whynot.h"
 #include "data/dataset.h"
 #include "data/query.h"
-#include "index/setr_tree.h"
+#include "index/topk.h"
 
 namespace wsk {
 
@@ -24,24 +24,15 @@ namespace wsk {
 // top-k (if they do, the result reports already_in_result). The original
 // query's doc must be non-empty and alpha strictly inside (0, 1).
 //
-// The generalized form runs over (object store, top-k source, diagonal) so
-// the same implementation serves a single frozen SetR-tree and a live
-// multi-segment snapshot (docs/SEGMENTS.md).
+// It runs over (object store, top-k source, diagonal), so the same
+// implementation serves a single frozen SetR-tree and a live multi-segment
+// snapshot (docs/SEGMENTS.md); PlannedBackend builds both.
 StatusOr<WhyNotResult> AnswerWhyNotBasic(const ObjectStore& store,
                                          const TopKSource& source,
                                          double diagonal,
                                          const SpatialKeywordQuery& original,
                                          const std::vector<ObjectId>& missing,
                                          const WhyNotOptions& options);
-
-// Single-tree convenience used by the frozen-dataset engine and tests.
-inline StatusOr<WhyNotResult> AnswerWhyNotBasic(
-    const Dataset& dataset, const SetRTree& tree,
-    const SpatialKeywordQuery& original, const std::vector<ObjectId>& missing,
-    const WhyNotOptions& options) {
-  return AnswerWhyNotBasic(dataset, tree, tree.diagonal(), original, missing,
-                           options);
-}
 
 }  // namespace wsk
 

@@ -26,18 +26,10 @@
 #include "data/dataset.h"
 #include "data/query.h"
 #include "index/kcr_tree.h"
+#include "index/merged_source.h"
 #include "index/topk.h"
 
 namespace wsk {
-
-// Per-object visibility filter over one frozen segment (tombstones at a
-// snapshot sequence number). Implementations must be safe for concurrent
-// use by query threads.
-class ObjectVisibility {
- public:
-  virtual ~ObjectVisibility() = default;
-  virtual bool IsVisible(ObjectId id) const = 0;
-};
 
 // One frozen segment's KcR-tree plus its visibility mask.
 struct KcrSegmentSource {
@@ -70,18 +62,6 @@ StatusOr<WhyNotResult> AnswerWhyNotKcr(const ObjectStore& store,
                                        const SpatialKeywordQuery& original,
                                        const std::vector<ObjectId>& missing,
                                        const WhyNotOptions& options);
-
-// Single-tree convenience used by the frozen-dataset engine and tests.
-inline StatusOr<WhyNotResult> AnswerWhyNotKcr(
-    const Dataset& dataset, const KcrTree& tree,
-    const SpatialKeywordQuery& original, const std::vector<ObjectId>& missing,
-    const WhyNotOptions& options) {
-  KcrMultiSource source;
-  source.segments.push_back(KcrSegmentSource{&tree, nullptr, 0});
-  source.rank_source = &tree;
-  source.diagonal = tree.diagonal();
-  return AnswerWhyNotKcr(dataset, source, original, missing, options);
-}
 
 }  // namespace wsk
 

@@ -263,13 +263,14 @@ void TelemetryHub::Retain(std::vector<QueryProfile>* ring, size_t* next,
 }
 
 void TelemetryHub::Report(QueryProfile profile, const TraceRecorder* trace) {
-  profile.id = completions_.fetch_add(1, std::memory_order_relaxed) + 1;
+  profile.id = reports_.fetch_add(1, std::memory_order_relaxed) + 1;
   // Batch dispatches are background work covering many client requests
   // (each of which reports its own completion): they may be sampled into
-  // the reservoir but never feed the per-request windows or the slow
-  // classification.
+  // the reservoir but never count as observed requests, feed the
+  // per-request windows or the slow classification.
   const bool background = profile.kind == ProfileKind::kBatch;
   if (!background) {
+    completions_.fetch_add(1, std::memory_order_relaxed);
     windows_.RecordRequest(profile.ok, profile.cache_hit, profile.wall_ms);
   }
   if (trace != nullptr) {

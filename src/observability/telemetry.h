@@ -229,7 +229,7 @@ class TelemetryHub {
 
  private:
   // Recomputes the slow threshold from the rolling 60 s p99; called every
-  // kThresholdRefreshMask+1 completions.
+  // kThresholdRefreshMask+1 reports (batch dispatches included).
   void RefreshThreshold();
   void Retain(std::vector<QueryProfile>* ring, size_t* next, size_t capacity,
               QueryProfile profile);
@@ -239,7 +239,8 @@ class TelemetryHub {
   const TelemetryConfig config_;
   RollingWindows windows_;
   std::atomic<uint64_t> decision_counter_{0};
-  std::atomic<uint64_t> completions_{0};
+  std::atomic<uint64_t> reports_{0};      // every profile: ids, cadence
+  std::atomic<uint64_t> completions_{0};  // client requests only
   std::atomic<uint64_t> profiles_sampled_{0};
   std::atomic<uint64_t> slow_queries_{0};
   std::atomic<uint64_t> slow_threshold_us_;

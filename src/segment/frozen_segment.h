@@ -1,9 +1,9 @@
 // Sealed on-disk segment (docs/SEGMENTS.md).
 //
-// An immutable object table with a SetR-tree and a KcR-tree STR-packed over
-// it (the existing bulk-load path, pinned to the dataset's global diagonal
-// so every segment scores with the same SDist normalizer), each in its own
-// paged file with its own buffer pool. The only mutable state is the shadow
+// An immutable object table with an IndexPair — a SetR-tree and a KcR-tree
+// STR-packed over it, pinned to the dataset's global diagonal so every
+// segment scores with the same SDist normalizer, each in its own paged
+// file with its own buffer pool. The only mutable state is the shadow
 // array: one atomic tombstone sequence per object, set when a later
 // mutation deletes or supersedes an object that lives here. Queries resolve
 // visibility per object against their snapshot sequence; the trees
@@ -11,81 +11,64 @@
 // NodeCache remain sound.
 //
 // Retirement: when the last snapshot referencing a retired segment drops
-// it, the destructor (a) erases both trees' entries from the shared
-// NodeCache by tree id — their ids are never reused, so no later segment
-// can collide — and (b) folds the segment's cumulative I/O counters into
-// the manager's retired-I/O accumulator, keeping the backend's aggregate
-// counters monotone across merges. Index files are deleted on destruction.
+// it, the destructor folds the segment's cumulative I/O counters into the
+// manager's retired-I/O accumulator, keeping the backend's aggregate
+// counters monotone across merges. The IndexPair then erases both trees'
+// entries from the shared NodeCache by tree id — their ids are never
+// reused, so no later segment can collide — and deletes the index files.
 #ifndef WSK_SEGMENT_FROZEN_SEGMENT_H_
 #define WSK_SEGMENT_FROZEN_SEGMENT_H_
 
 #include <atomic>
 #include <memory>
-#include <string>
+#include <mutex>
 #include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
-#include "core/whynot_kcr.h"
 #include "data/dataset.h"
-#include "index/kcr_tree.h"
-#include "index/setr_tree.h"
-#include "storage/buffer_pool.h"
+#include "index/index_pair.h"
+#include "index/merged_source.h"
+#include "storage/io_stats.h"
 #include "storage/node_cache.h"
-#include "storage/pager.h"
-#include "text/similarity.h"
 
 namespace wsk {
 
-// Retired segments fold their I/O counters here (relaxed atomics; the sums
-// are monotone event counts).
-struct RetiredIoAccumulator {
-  std::atomic<uint64_t> setr_physical{0};
-  std::atomic<uint64_t> setr_logical{0};
-  std::atomic<uint64_t> setr_mapped{0};
-  std::atomic<uint64_t> setr_cache_hits{0};
-  std::atomic<uint64_t> setr_cache_misses{0};
-  std::atomic<uint64_t> kcr_physical{0};
-  std::atomic<uint64_t> kcr_logical{0};
-  std::atomic<uint64_t> kcr_mapped{0};
-  std::atomic<uint64_t> kcr_cache_hits{0};
-  std::atomic<uint64_t> kcr_cache_misses{0};
+// Retired segments fold their I/O counters here; the sum is monotone.
+class RetiredIoAccumulator {
+ public:
+  void Add(const BackendIoSnapshot& io) {
+    std::lock_guard<std::mutex> lock(mu_);
+    total_ += io;
+  }
+  BackendIoSnapshot Total() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return total_;
+  }
+
   std::atomic<uint64_t> segments_retired{0};
+
+ private:
+  mutable std::mutex mu_;
+  BackendIoSnapshot total_;
 };
 
 class FrozenSegment {
  public:
-  struct Options {
-    std::string work_dir = "/tmp";
-    uint32_t page_size = kDefaultPageSize;
-    size_t buffer_bytes = 4u << 20;
-    uint32_t node_capacity = 100;
-    SimilarityModel model = SimilarityModel::kJaccard;
-    // Frozen segments are immutable by construction, which makes them the
-    // natural home for the compact static node format: smaller files and
-    // zero-copy decode. v1 remains available for differential runs.
-    uint8_t node_format = kNodeFormatV2;
-    // Switch both pagers to mmap-backed reads after the build finalizes.
-    // Falls back silently to the buffered pread path if the platform (or
-    // an empty file) cannot map.
-    bool mmap_reads = true;
-  };
-
-  // Builds both trees over `objects` (ids preserved, need not be dense).
-  // `node_cache` (optional) is attached to both trees; `retired` (optional)
-  // receives the segment's I/O totals at destruction. Both borrowed
-  // pointers must outlive the segment.
+  // Builds the index pair over `objects` (ids preserved, need not be
+  // dense). `node_cache` (optional) is attached to both trees; `retired`
+  // (optional) receives the segment's I/O totals at destruction. Both
+  // borrowed pointers must outlive the segment.
   static StatusOr<std::shared_ptr<FrozenSegment>> Build(
       std::vector<SpatialObject> objects, double diagonal,
-      const Options& options, NodeCache* node_cache,
+      const IndexPair::Options& options, NodeCache* node_cache,
       RetiredIoAccumulator* retired);
 
   ~FrozenSegment();
   FrozenSegment(const FrozenSegment&) = delete;
   FrozenSegment& operator=(const FrozenSegment&) = delete;
 
-  const SetRTree& setr() const { return *setr_tree_; }
-  const KcrTree& kcr() const { return *kcr_tree_; }
+  const IndexPair& trees() const { return *trees_; }
 
   size_t num_objects() const { return objects_.size(); }
   const std::vector<SpatialObject>& objects() const { return objects_; }
@@ -115,9 +98,6 @@ class FrozenSegment {
   // against concurrent tombstoning).
   uint32_t ShadowedAt(uint64_t seq) const;
 
-  const IoStats& setr_io() const { return setr_pager_->io_stats(); }
-  const IoStats& kcr_io() const { return kcr_pager_->io_stats(); }
-
   // Folds counter growth since the last fold into the retired accumulator
   // (no double counting: a baseline tracks what was already folded). The
   // manager calls this when the segment leaves the published view, so the
@@ -135,18 +115,9 @@ class FrozenSegment {
   std::unique_ptr<std::atomic<uint64_t>[]> shadow_;
   std::atomic<uint32_t> shadow_total_{0};
 
-  std::string setr_path_;
-  std::string kcr_path_;
-  std::unique_ptr<Pager> setr_pager_;
-  std::unique_ptr<Pager> kcr_pager_;
-  std::unique_ptr<BufferPool> setr_pool_;
-  std::unique_ptr<BufferPool> kcr_pool_;
-  std::unique_ptr<SetRTree> setr_tree_;
-  std::unique_ptr<KcrTree> kcr_tree_;
-  NodeCache* node_cache_ = nullptr;
+  std::unique_ptr<IndexPair> trees_;
   RetiredIoAccumulator* retired_ = nullptr;
-  IoStats::Snapshot folded_setr_;
-  IoStats::Snapshot folded_kcr_;
+  BackendIoSnapshot folded_;  // what FoldIntoRetired already handed over
 };
 
 // Exact per-snapshot visibility filter over one frozen segment, handed to

@@ -40,16 +40,8 @@ Status SegmentManager::SeedFrozen(std::vector<SpatialObject> objects) {
   const size_t count = objects.size();
   auto next = std::make_shared<SegmentView>();
   if (!objects.empty()) {
-    FrozenSegment::Options seg_options;
-    seg_options.work_dir = options_.work_dir;
-    seg_options.page_size = options_.page_size;
-    seg_options.buffer_bytes = options_.buffer_bytes;
-    seg_options.node_capacity = options_.node_capacity;
-    seg_options.model = options_.model;
-    seg_options.node_format = options_.node_format;
-    seg_options.mmap_reads = options_.mmap_reads;
     StatusOr<std::shared_ptr<FrozenSegment>> built = FrozenSegment::Build(
-        std::move(objects), diagonal_, seg_options, node_cache_, &retired_);
+        std::move(objects), diagonal_, options_.index, node_cache_, &retired_);
     if (!built.ok()) return built.status();
     next->frozen.push_back(std::move(built).value());
   }
@@ -272,16 +264,8 @@ void SegmentManager::RunMerge() {
 
   std::shared_ptr<FrozenSegment> merged;
   if (!objects.empty()) {
-    FrozenSegment::Options seg_options;
-    seg_options.work_dir = options_.work_dir;
-    seg_options.page_size = options_.page_size;
-    seg_options.buffer_bytes = options_.buffer_bytes;
-    seg_options.node_capacity = options_.node_capacity;
-    seg_options.model = options_.model;
-    seg_options.node_format = options_.node_format;
-    seg_options.mmap_reads = options_.mmap_reads;
     StatusOr<std::shared_ptr<FrozenSegment>> built = FrozenSegment::Build(
-        std::move(objects), diagonal_, seg_options, node_cache_, &retired_);
+        std::move(objects), diagonal_, options_.index, node_cache_, &retired_);
     if (!built.ok()) {
       // Failed merges leave the published view untouched; the inputs stay
       // live and a later merge retries.
@@ -396,33 +380,9 @@ BackendIoSnapshot SegmentManager::io_snapshot() const {
   // the retired accumulator in the same critical section) can never be
   // observed half-done.
   std::lock_guard<std::mutex> lock(view_mu_);
-  BackendIoSnapshot snap;
-  snap.setr_physical = retired_.setr_physical.load(std::memory_order_relaxed);
-  snap.setr_logical = retired_.setr_logical.load(std::memory_order_relaxed);
-  snap.setr_mapped = retired_.setr_mapped.load(std::memory_order_relaxed);
-  snap.setr_cache_hits =
-      retired_.setr_cache_hits.load(std::memory_order_relaxed);
-  snap.setr_cache_misses =
-      retired_.setr_cache_misses.load(std::memory_order_relaxed);
-  snap.kcr_physical = retired_.kcr_physical.load(std::memory_order_relaxed);
-  snap.kcr_logical = retired_.kcr_logical.load(std::memory_order_relaxed);
-  snap.kcr_mapped = retired_.kcr_mapped.load(std::memory_order_relaxed);
-  snap.kcr_cache_hits = retired_.kcr_cache_hits.load(std::memory_order_relaxed);
-  snap.kcr_cache_misses =
-      retired_.kcr_cache_misses.load(std::memory_order_relaxed);
+  BackendIoSnapshot snap = retired_.Total();
   for (const auto& frozen : current_->frozen) {
-    const IoStats& setr = frozen->setr_io();
-    const IoStats& kcr = frozen->kcr_io();
-    snap.setr_physical += setr.physical_reads();
-    snap.setr_logical += setr.logical_reads();
-    snap.setr_mapped += setr.mapped_reads();
-    snap.setr_cache_hits += setr.node_cache_hits();
-    snap.setr_cache_misses += setr.node_cache_misses();
-    snap.kcr_physical += kcr.physical_reads();
-    snap.kcr_logical += kcr.logical_reads();
-    snap.kcr_mapped += kcr.mapped_reads();
-    snap.kcr_cache_hits += kcr.node_cache_hits();
-    snap.kcr_cache_misses += kcr.node_cache_misses();
+    snap += frozen->trees().io_snapshot();
   }
   return snap;
 }

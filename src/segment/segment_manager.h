@@ -56,15 +56,9 @@ namespace wsk {
 class SegmentManager {
  public:
   struct Options {
-    std::string work_dir = "/tmp";
-    uint32_t page_size = kDefaultPageSize;
-    size_t buffer_bytes = 4u << 20;
-    uint32_t node_capacity = 100;
-    SimilarityModel model = SimilarityModel::kJaccard;
-    // Node format and read mode for frozen segments (see
-    // FrozenSegment::Options). Deltas are in-memory and unaffected.
-    uint8_t node_format = kNodeFormatV2;
-    bool mmap_reads = true;
+    // Every frozen segment's index files; the defaults (v2 node format,
+    // mapped reads) suit sealed files. Deltas are in-memory and unaffected.
+    IndexPair::Options index;
     // Active-delta rotation threshold: when the active delta reaches this
     // many entries it is sealed and (with auto_merge) a compaction starts.
     uint32_t delta_capacity = 4096;
@@ -128,7 +122,6 @@ class SegmentManager {
 
   SegmentCountersSnapshot counters() const;
   BackendIoSnapshot io_snapshot() const;
-  const RetiredIoAccumulator& retired_io() const { return retired_; }
 
   // Test hook: runs on the merge thread after the new frozen segment is
   // built, before the swap lock is taken — mid-merge queries and mutations

@@ -1,11 +1,8 @@
 #include "segment/segmented_engine.h"
 
-#include <optional>
 #include <utility>
 
 #include "common/macros.h"
-#include "core/whynot_bs.h"
-#include "core/whynot_kcr.h"
 #include "index/batch_topk.h"
 #include "index/topk.h"
 #include "observability/trace.h"
@@ -41,7 +38,6 @@ const SpatialObject* SnapshotStore::FindObject(ObjectId id) const {
 StatusOr<std::unique_ptr<SegmentedEngine>> SegmentedEngine::Build(
     const Dataset& seed, const Config& config) {
   std::unique_ptr<SegmentedEngine> engine(new SegmentedEngine());
-  engine->config_ = config;
   if (config.shared_vocabulary != nullptr) {
     engine->shared_vocab_ = config.shared_vocabulary;
   } else {
@@ -52,11 +48,11 @@ StatusOr<std::unique_ptr<SegmentedEngine>> SegmentedEngine::Build(
   }
   engine->merge_pool_ = std::make_unique<ThreadPool>(1);
   SegmentManager::Options options;
-  options.work_dir = config.work_dir;
-  options.page_size = config.page_size;
-  options.buffer_bytes = config.buffer_bytes;
-  options.node_capacity = config.node_capacity;
-  options.model = config.model;
+  options.index.work_dir = config.work_dir;
+  options.index.page_size = config.page_size;
+  options.index.buffer_bytes = config.buffer_bytes;
+  options.index.node_capacity = config.node_capacity;
+  options.index.model = config.model;
   options.delta_capacity = config.delta_capacity;
   options.auto_merge = config.auto_merge;
   engine->manager_ = std::make_unique<SegmentManager>(
@@ -68,37 +64,42 @@ StatusOr<std::unique_ptr<SegmentedEngine>> SegmentedEngine::Build(
 
 SegmentedEngine::~SegmentedEngine() = default;
 
-SegmentedEngine::QueryPlan SegmentedEngine::MakePlan(bool want_kcr) const {
-  QueryPlan plan;
-  plan.snapshot = manager_->GetSnapshot();
-  const SegmentManager::SegmentView& view = *plan.snapshot.view;
-  const uint64_t seq = plan.snapshot.seq;
+WhyNotPlan SegmentedEngine::MakePlan(bool with_store) const {
+  const SegmentManager::Snapshot snapshot = manager_->GetSnapshot();
+  const SegmentManager::SegmentView& view = *snapshot.view;
+  const uint64_t seq = snapshot.seq;
+  WhyNotPlan plan;
+  plan.diagonal = manager_->diagonal();
   for (const auto& frozen : view.frozen) {
-    const FrozenVisibility* vis = nullptr;
+    const ObjectVisibility* vis = nullptr;
     // A tombstone applied after the check would carry a sequence above this
     // snapshot — invisible to the filter anyway — so skipping the filter
     // for shadow-free segments is exact, not just an optimization.
     if (frozen->shadow_total() > 0) {
-      plan.visibility.push_back(
-          std::make_unique<FrozenVisibility>(frozen.get(), seq));
-      vis = plan.visibility.back().get();
+      auto filter = std::make_shared<FrozenVisibility>(frozen.get(), seq);
+      vis = filter.get();
+      plan.keep_alive.push_back(std::move(filter));
     }
-    plan.setr_segments.push_back(MergedSegment{&frozen->setr(), vis});
-    if (want_kcr) {
-      plan.kcr.segments.push_back(
-          KcrSegmentSource{&frozen->kcr(), vis, frozen->shadow_total()});
-    }
+    plan.segments.push_back(
+        PlanSegment{&frozen->trees(), vis, frozen->shadow_total()});
   }
   const auto collect = [&plan](const DeltaSegment::Entry& e) {
     plan.extras.push_back(&e.object);
   };
   for (const auto& sealed : view.sealed) sealed->ForEachVisible(seq, collect);
   view.active->ForEachVisible(seq, collect);
-  if (want_kcr) {
-    plan.kcr.extras = plan.extras;
-    plan.kcr.diagonal = manager_->diagonal();
+  if (with_store) {
+    auto store = std::make_shared<SnapshotStore>(vocab(), snapshot);
+    plan.store = store.get();
+    plan.keep_alive.push_back(std::move(store));
+  } else {
+    plan.keep_alive.push_back(snapshot.view);
   }
   return plan;
+}
+
+WhyNotPlan SegmentedEngine::PlanWhyNot() const {
+  return MakePlan(/*with_store=*/true);
 }
 
 StatusOr<std::vector<ScoredObject>> SegmentedEngine::TopK(
@@ -108,9 +109,9 @@ StatusOr<std::vector<ScoredObject>> SegmentedEngine::TopK(
   // an alpha outside (0, 1).
   WSK_RETURN_IF_ERROR(ValidateTopKQuery(query));
   TraceSpan root_span(trace, TraceStage::kQuery);
-  const QueryPlan plan = MakePlan(/*want_kcr=*/false);
-  MergedTopKSource source(plan.setr_segments, plan.extras,
-                          manager_->diagonal(), trace);
+  const WhyNotPlan plan = MakePlan(/*with_store=*/false);
+  MergedTopKSource source(plan.Trees(/*kcr=*/false), plan.extras,
+                          plan.diagonal, trace);
   return IndexTopK(source, query, cancel, /*use_cache=*/true, trace);
 }
 
@@ -120,107 +121,10 @@ std::vector<BackendBatchResult> SegmentedEngine::TopKBatch(
   // One snapshot for the whole batch: every item answers against the same
   // point-in-time view, exactly what solo execution at batch-formation time
   // would have seen.
-  const QueryPlan plan = MakePlan(/*want_kcr=*/false);
-  MergedTopKSource source(plan.setr_segments, plan.extras,
-                          manager_->diagonal(), trace);
-  std::vector<BatchTopKRequest> requests(items.size());
-  for (size_t i = 0; i < items.size(); ++i) {
-    requests[i].query = items[i].query;
-    requests[i].cancel = items[i].cancel;
-  }
-  std::vector<BatchTopKResult> raw =
-      BatchedIndexTopK(source, requests, /*use_cache=*/true, trace);
-  std::vector<BackendBatchResult> results(raw.size());
-  for (size_t i = 0; i < raw.size(); ++i) {
-    results[i].status = std::move(raw[i].status);
-    results[i].topk = std::move(raw[i].topk);
-  }
-  return results;
-}
-
-StatusOr<WhyNotResult> SegmentedEngine::Answer(
-    WhyNotAlgorithm algorithm, const SpatialKeywordQuery& query,
-    const std::vector<ObjectId>& missing, const WhyNotOptions& options) const {
-  if (options.cancel != nullptr) {
-    WSK_RETURN_IF_ERROR(options.cancel->Check());
-  }
-  TraceSpan root_span(options.trace, TraceStage::kQuery);
-  const bool kcr = algorithm == WhyNotAlgorithm::kKcrBased;
-  QueryPlan plan = MakePlan(kcr);
-  const SnapshotStore store(vocab(), plan.snapshot);
-  const double diagonal = manager_->diagonal();
-  const BackendIoSnapshot before = io_snapshot();
-
-  StatusOr<WhyNotResult> result = Status::Internal("unreachable");
-  switch (algorithm) {
-    case WhyNotAlgorithm::kBasic: {
-      WhyNotOptions plain = options;
-      plain.opt_early_stop = false;
-      plain.opt_enumeration_order = false;
-      plain.opt_keyword_filtering = false;
-      MergedTopKSource source(plan.setr_segments, plan.extras, diagonal,
-                              options.trace);
-      result = AnswerWhyNotBasic(store, source, diagonal, query, missing,
-                                 plain);
-      break;
-    }
-    case WhyNotAlgorithm::kAdvanced: {
-      MergedTopKSource source(plan.setr_segments, plan.extras, diagonal,
-                              options.trace);
-      result = AnswerWhyNotBasic(store, source, diagonal, query, missing,
-                                 options);
-      break;
-    }
-    case WhyNotAlgorithm::kKcrBased: {
-      // The rank source mirrors the traversal's segment set over the same
-      // visibility filters, so R(M, q') and the dominator bounds agree on
-      // what exists.
-      std::vector<MergedSegment> kcr_segments;
-      kcr_segments.reserve(plan.kcr.segments.size());
-      for (const KcrSegmentSource& seg : plan.kcr.segments) {
-        kcr_segments.push_back(MergedSegment{seg.tree, seg.visibility});
-      }
-      MergedTopKSource rank_source(std::move(kcr_segments), plan.extras,
-                                   diagonal, options.trace);
-      plan.kcr.rank_source = &rank_source;
-      result = AnswerWhyNotKcr(store, plan.kcr, query, missing, options);
-      break;
-    }
-  }
-  if (result.ok()) {
-    // Frozen segments serve node reads from the mmap path by default, so a
-    // page access lands in either the physical or the mapped counter —
-    // io_reads stays "pages fetched from the index file" in both modes.
-    const BackendIoSnapshot after = io_snapshot();
-    result.value().stats.io_reads =
-        kcr ? (after.kcr_physical - before.kcr_physical) +
-                  (after.kcr_mapped - before.kcr_mapped)
-            : (after.setr_physical - before.setr_physical) +
-                  (after.setr_mapped - before.setr_mapped);
-  }
-  return result;
-}
-
-StatusOr<uint32_t> SegmentedEngine::Rank(const SpatialKeywordQuery& query,
-                                         ObjectId object) const {
-  const QueryPlan plan = MakePlan(/*want_kcr=*/false);
-  const SnapshotStore store(vocab(), plan.snapshot);
-  const SpatialObject* o = store.FindObject(object);
-  if (o == nullptr) {
-    return Status::InvalidArgument("object id not visible in this snapshot");
-  }
-  const double score = Score(*o, query, manager_->diagonal());
-  MergedTopKSource source(plan.setr_segments, plan.extras,
-                          manager_->diagonal(), nullptr);
-  TopKIterator it(&source, query);
-  uint32_t strictly_better = 0;
-  std::optional<ScoredObject> next;
-  for (;;) {
-    WSK_RETURN_IF_ERROR(it.Next(&next));
-    if (!next || next->score <= score) break;
-    ++strictly_better;
-  }
-  return strictly_better + 1;
+  const WhyNotPlan plan = MakePlan(/*with_store=*/false);
+  MergedTopKSource source(plan.Trees(/*kcr=*/false), plan.extras,
+                          plan.diagonal, trace);
+  return BatchedIndexTopK(source, items, /*use_cache=*/true, trace);
 }
 
 BackendIoSnapshot SegmentedEngine::io_snapshot() const {

@@ -1,11 +1,11 @@
 // SegmentedEngine: the live-dataset QueryBackend (docs/SEGMENTS.md).
 //
 // Wraps a SegmentManager and answers the full query surface over
-// point-in-time snapshots: top-k and the BS/AdvancedBS rank traversals run
-// on a MergedTopKSource over the frozen SetR-trees plus the delta objects;
-// the KcR-based algorithm traverses every frozen KcR-tree at once with
-// per-segment tombstone masks and the delta objects as exactly-scored
-// extras (whynot_kcr.h). The SDist normalizer is pinned to the seed
+// point-in-time snapshots: top-k runs on a MergedTopKSource over the
+// frozen SetR-trees plus the delta objects; why-not queries go through
+// PlannedBackend over the same snapshot, where the KcR-based algorithm
+// traverses every frozen KcR-tree at once with per-segment tombstone
+// masks and the delta objects as exactly-scored extras (whynot_kcr.h). The SDist normalizer is pinned to the seed
 // dataset's diagonal at build time, so scores stay comparable across
 // segments and across the dataset's whole lifetime.
 //
@@ -20,8 +20,7 @@
 #include <vector>
 
 #include "common/thread_pool.h"
-#include "core/backend.h"
-#include "segment/merged_source.h"
+#include "core/planned_backend.h"
 #include "segment/segment_manager.h"
 
 namespace wsk {
@@ -39,15 +38,13 @@ class SnapshotStore : public ObjectStore {
   size_t num_objects() const override { return num_objects_; }
   const Vocabulary& vocabulary() const override { return *vocabulary_; }
 
-  const SegmentManager::Snapshot& snapshot() const { return snapshot_; }
-
  private:
   const Vocabulary* vocabulary_;
   SegmentManager::Snapshot snapshot_;
   size_t num_objects_ = 0;
 };
 
-class SegmentedEngine : public QueryBackend {
+class SegmentedEngine : public PlannedBackend {
  public:
   struct Config {
     std::string work_dir = "/tmp";
@@ -86,10 +83,10 @@ class SegmentedEngine : public QueryBackend {
   std::vector<BackendBatchResult> TopKBatch(
       const std::vector<BackendBatchItem>& items,
       TraceRecorder* trace = nullptr) const override;
-  StatusOr<WhyNotResult> Answer(WhyNotAlgorithm algorithm,
-                                const SpatialKeywordQuery& query,
-                                const std::vector<ObjectId>& missing,
-                                const WhyNotOptions& options) const override;
+  // Answer() and Rank() (R(object, query), Eqn 3) come from
+  // PlannedBackend over one snapshot: the frozen segments' index pairs
+  // with their tombstone filters, and the visible delta objects as extras.
+  WhyNotPlan PlanWhyNot() const override;
 
   BackendIoSnapshot io_snapshot() const override;
   NodeCache* node_cache() const override { return node_cache_.get(); }
@@ -115,34 +112,19 @@ class SegmentedEngine : public QueryBackend {
   // Synchronous compaction (tests, CLI, benchmarks).
   Status ForceMerge() const { return manager_->ForceMerge(); }
 
-  // R(object, query) over the current snapshot (Eqn 3).
-  StatusOr<uint32_t> Rank(const SpatialKeywordQuery& query,
-                          ObjectId object) const;
-
   SegmentManager::Snapshot GetSnapshot() const {
     return manager_->GetSnapshot();
   }
   SegmentManager* manager() const { return manager_.get(); }
   const Vocabulary& vocabulary() const { return *vocab(); }
   double diagonal() const { return manager_->diagonal(); }
-  const Config& config() const { return config_; }
-
-  // Per-query traversal state: visibility filters must outlive the merged
-  // sources that point at them. Public so the shard coordinator can
-  // concatenate per-shard plans into one cross-shard merged source.
-  struct QueryPlan {
-    SegmentManager::Snapshot snapshot;
-    std::vector<std::unique_ptr<FrozenVisibility>> visibility;
-    std::vector<const SpatialObject*> extras;
-    std::vector<MergedSegment> setr_segments;
-    KcrMultiSource kcr;
-  };
-  QueryPlan CollectPlan(bool want_kcr) const { return MakePlan(want_kcr); }
 
  private:
   SegmentedEngine() = default;
 
-  QueryPlan MakePlan(bool want_kcr) const;
+  // The snapshot's sources; the SnapshotStore (an O(objects) tombstone
+  // count) only when `with_store` — top-k needs no id lookups.
+  WhyNotPlan MakePlan(bool with_store) const;
 
   // The interning vocabulary: shared (coordinator-owned) or this engine's
   // own copy of the seed's.
@@ -150,7 +132,6 @@ class SegmentedEngine : public QueryBackend {
     return shared_vocab_ != nullptr ? shared_vocab_ : vocabulary_.get();
   }
 
-  Config config_;
   Vocabulary* shared_vocab_ = nullptr;
   std::unique_ptr<Vocabulary> vocabulary_;
   std::unique_ptr<NodeCache> node_cache_;

@@ -113,27 +113,20 @@ void QueryService::AccountStatus(const Status& status) {
 
 void QueryService::AccountIo(const BackendIoSnapshot& before,
                              QueryProfile* profile) {
-  const BackendIoSnapshot after = backend_->io_snapshot();
-  io_setr_physical_.Increment(after.setr_physical - before.setr_physical);
-  io_kcr_physical_.Increment(after.kcr_physical - before.kcr_physical);
-  io_setr_logical_.Increment(after.setr_logical - before.setr_logical);
-  io_kcr_logical_.Increment(after.kcr_logical - before.kcr_logical);
-  io_setr_mapped_.Increment(after.setr_mapped - before.setr_mapped);
-  io_kcr_mapped_.Increment(after.kcr_mapped - before.kcr_mapped);
-  io_setr_node_cache_hits_.Increment(after.setr_cache_hits -
-                                     before.setr_cache_hits);
-  io_kcr_node_cache_hits_.Increment(after.kcr_cache_hits -
-                                    before.kcr_cache_hits);
-  io_setr_node_cache_misses_.Increment(after.setr_cache_misses -
-                                       before.setr_cache_misses);
-  io_kcr_node_cache_misses_.Increment(after.kcr_cache_misses -
-                                      before.kcr_cache_misses);
-  profile->io_physical = (after.setr_physical - before.setr_physical) +
-                         (after.kcr_physical - before.kcr_physical);
-  profile->io_mapped = (after.setr_mapped - before.setr_mapped) +
-                       (after.kcr_mapped - before.kcr_mapped);
-  profile->io_cache_hits = (after.setr_cache_hits - before.setr_cache_hits) +
-                           (after.kcr_cache_hits - before.kcr_cache_hits);
+  const BackendIoSnapshot d = backend_->io_snapshot() - before;
+  io_setr_physical_.Increment(d.setr_physical);
+  io_kcr_physical_.Increment(d.kcr_physical);
+  io_setr_logical_.Increment(d.setr_logical);
+  io_kcr_logical_.Increment(d.kcr_logical);
+  io_setr_mapped_.Increment(d.setr_mapped);
+  io_kcr_mapped_.Increment(d.kcr_mapped);
+  io_setr_node_cache_hits_.Increment(d.setr_cache_hits);
+  io_kcr_node_cache_hits_.Increment(d.kcr_cache_hits);
+  io_setr_node_cache_misses_.Increment(d.setr_cache_misses);
+  io_kcr_node_cache_misses_.Increment(d.kcr_cache_misses);
+  profile->io_physical = d.setr_physical + d.kcr_physical;
+  profile->io_mapped = d.setr_mapped + d.kcr_mapped;
+  profile->io_cache_hits = d.setr_cache_hits + d.kcr_cache_hits;
 }
 
 void QueryService::AbsorbTrace(const TraceRecorder& trace) {

@@ -11,9 +11,6 @@
 
 #include "common/macros.h"
 #include "common/timer.h"
-#include "core/whynot_bs.h"
-#include "core/whynot_kcr.h"
-#include "segment/merged_source.h"
 #include "shard/shard_partition.h"
 
 namespace wsk {
@@ -101,6 +98,15 @@ StatusOr<std::unique_ptr<ShardCoordinator>> ShardCoordinator::Build(
   c->diagonal_ = seed.diagonal();
   c->vocabulary_ = std::make_unique<Vocabulary>(seed.vocabulary());
 
+  // The storage knobs both kinds of shard engine take from `config`.
+  const auto storage = [&config](auto* ec) {
+    ec->work_dir = config.work_dir;
+    ec->page_size = config.page_size;
+    ec->buffer_bytes = config.buffer_bytes;
+    ec->node_capacity = config.node_capacity;
+    ec->model = config.model;
+    ec->node_cache_bytes = config.node_cache_bytes;
+  };
   ShardPartition partition = PartitionDataset(seed, config.num_shards);
   ObjectId max_id = 0;
   uint64_t topology = 1469598103934665603ull;  // FNV-1a offset basis
@@ -120,33 +126,24 @@ StatusOr<std::unique_ptr<ShardCoordinator>> ShardCoordinator::Build(
     topology = FnvMixDouble(topology, shard->summary.mbr.max_y);
     if (config.live) {
       SegmentedEngine::Config ec;
-      ec.work_dir = config.work_dir;
-      ec.page_size = config.page_size;
-      ec.buffer_bytes = config.buffer_bytes;
-      ec.node_capacity = config.node_capacity;
-      ec.model = config.model;
-      ec.node_cache_bytes = config.node_cache_bytes;
+      storage(&ec);
       ec.delta_capacity = config.delta_capacity;
       ec.auto_merge = config.auto_merge;
       ec.shared_vocabulary = c->vocabulary_.get();
       StatusOr<std::unique_ptr<SegmentedEngine>> built =
           SegmentedEngine::Build(shard->tile, ec);
       if (!built.ok()) return built.status();
-      shard->engine = std::move(built).value();
+      shard->live = built.value().get();
+      shard->backend = std::move(built).value();
       // The engine owns the seeded objects now; drop the tile copy.
       shard->tile = Dataset();
     } else {
       WhyNotEngine::Config ec;
-      ec.work_dir = config.work_dir;
-      ec.page_size = config.page_size;
-      ec.buffer_bytes = config.buffer_bytes;
-      ec.node_capacity = config.node_capacity;
-      ec.model = config.model;
-      ec.node_cache_bytes = config.node_cache_bytes;
+      storage(&ec);
       StatusOr<std::unique_ptr<WhyNotEngine>> built =
           WhyNotEngine::Build(&shard->tile, ec);
       if (!built.ok()) return built.status();
-      shard->frozen = std::move(built).value();
+      shard->backend = std::move(built).value();
     }
     c->shards_.push_back(std::move(shard));
   }
@@ -213,11 +210,7 @@ StatusOr<std::vector<ScoredObject>> ShardCoordinator::VisitShard(
                     static_cast<int64_t>(shard_id));
   }
   TraceSpan visit_span(trace, TraceStage::kShardVisit);
-  const QueryBackend* backend =
-      shard.frozen != nullptr
-          ? static_cast<const QueryBackend*>(shard.frozen.get())
-          : shard.engine.get();
-  return backend->TopK(query, cancel, trace);
+  return shard.backend->TopK(query, cancel, trace);
 }
 
 Status ShardCoordinator::FanOut(const std::vector<RankedShard>& order,
@@ -406,16 +399,12 @@ std::vector<BackendBatchResult> ShardCoordinator::TopKBatch(
                         static_cast<int64_t>(group_shards[g]));
       }
       TraceSpan visit_span(trace, TraceStage::kShardVisit);
-      const QueryBackend* backend =
-          shard.frozen != nullptr
-              ? static_cast<const QueryBackend*>(shard.frozen.get())
-              : shard.engine.get();
       sub_items.clear();
       for (size_t i : live) {
         sub_items.push_back(BackendBatchItem{items[i].query, items[i].cancel});
       }
       std::vector<BackendBatchResult> partials =
-          backend->TopKBatch(sub_items, trace);
+          shard.backend->TopKBatch(sub_items, trace);
       for (size_t j = 0; j < live.size(); ++j) {
         ItemState& s = states[live[j]];
         if (!partials[j].status.ok()) {
@@ -437,124 +426,35 @@ std::vector<BackendBatchResult> ShardCoordinator::TopKBatch(
   return results;
 }
 
-StatusOr<WhyNotResult> ShardCoordinator::Answer(
-    WhyNotAlgorithm algorithm, const SpatialKeywordQuery& query,
-    const std::vector<ObjectId>& missing, const WhyNotOptions& options) const {
-  if (options.cancel != nullptr) {
-    WSK_RETURN_IF_ERROR(options.cancel->Check());
-  }
-  TraceSpan root_span(options.trace, TraceStage::kQuery);
-  const bool kcr = algorithm == WhyNotAlgorithm::kKcrBased;
-
-  // Concatenate every shard's sources into one cross-shard plan. Live
-  // plans (snapshots + visibility filters) and snapshot stores must stay
-  // alive for the whole query.
-  std::vector<SegmentedEngine::QueryPlan> live_plans;
-  std::vector<std::unique_ptr<SnapshotStore>> live_stores;
-  live_plans.reserve(shards_.size());
-  std::vector<MergedSegment> setr_segments;
-  std::vector<const SpatialObject*> extras;
-  KcrMultiSource kcr_source;
+WhyNotPlan ShardCoordinator::PlanWhyNot() const {
+  // Every shard's sources side by side: one cross-shard merged traversal,
+  // whatever kind of backend each shard runs.
+  WhyNotPlan plan;
+  plan.diagonal = diagonal_;
   std::vector<const ObjectStore*> stores;
   stores.reserve(shards_.size());
   for (const std::unique_ptr<Shard>& shard : shards_) {
-    if (shard->frozen != nullptr) {
-      setr_segments.push_back(
-          MergedSegment{&shard->frozen->setr_tree(), nullptr});
-      if (kcr) {
-        kcr_source.segments.push_back(
-            KcrSegmentSource{&shard->frozen->kcr_tree(), nullptr, 0});
-      }
-      stores.push_back(&shard->tile);
-    } else {
-      live_plans.push_back(shard->engine->CollectPlan(kcr));
-      SegmentedEngine::QueryPlan& plan = live_plans.back();
-      setr_segments.insert(setr_segments.end(), plan.setr_segments.begin(),
-                           plan.setr_segments.end());
-      extras.insert(extras.end(), plan.extras.begin(), plan.extras.end());
-      if (kcr) {
-        kcr_source.segments.insert(kcr_source.segments.end(),
-                                   plan.kcr.segments.begin(),
-                                   plan.kcr.segments.end());
-      }
-      live_stores.push_back(
-          std::make_unique<SnapshotStore>(vocabulary_.get(), plan.snapshot));
-      stores.push_back(live_stores.back().get());
-    }
+    WhyNotPlan part = shard->backend->PlanWhyNot();
+    stores.push_back(part.store);
+    plan.segments.insert(plan.segments.end(), part.segments.begin(),
+                         part.segments.end());
+    plan.extras.insert(plan.extras.end(), part.extras.begin(),
+                       part.extras.end());
+    plan.keep_alive.insert(plan.keep_alive.end(),
+                           std::make_move_iterator(part.keep_alive.begin()),
+                           std::make_move_iterator(part.keep_alive.end()));
   }
-  const ShardedStore store(vocabulary_.get(), std::move(stores));
-  const BackendIoSnapshot before = io_snapshot();
-
-  StatusOr<WhyNotResult> result = Status::Internal("unreachable");
-  switch (algorithm) {
-    case WhyNotAlgorithm::kBasic: {
-      WhyNotOptions plain = options;
-      plain.opt_early_stop = false;
-      plain.opt_enumeration_order = false;
-      plain.opt_keyword_filtering = false;
-      MergedTopKSource source(setr_segments, extras, diagonal_,
-                              options.trace);
-      result = AnswerWhyNotBasic(store, source, diagonal_, query, missing,
-                                 plain);
-      break;
-    }
-    case WhyNotAlgorithm::kAdvanced: {
-      MergedTopKSource source(setr_segments, extras, diagonal_,
-                              options.trace);
-      result = AnswerWhyNotBasic(store, source, diagonal_, query, missing,
-                                 options);
-      break;
-    }
-    case WhyNotAlgorithm::kKcrBased: {
-      // The rank source mirrors the traversal's segment set, so R(M, q')
-      // and the dominator bounds agree on what exists (the same contract
-      // SegmentedEngine::Answer keeps for its own segments).
-      std::vector<MergedSegment> kcr_segments;
-      kcr_segments.reserve(kcr_source.segments.size());
-      for (const KcrSegmentSource& seg : kcr_source.segments) {
-        kcr_segments.push_back(MergedSegment{seg.tree, seg.visibility});
-      }
-      MergedTopKSource rank_source(std::move(kcr_segments), extras,
-                                   diagonal_, options.trace);
-      kcr_source.extras = extras;
-      kcr_source.diagonal = diagonal_;
-      kcr_source.rank_source = &rank_source;
-      result = AnswerWhyNotKcr(store, kcr_source, query, missing, options);
-      break;
-    }
-  }
-  if (result.ok()) {
-    // Live shards back onto frozen segments, which serve node reads from
-    // the mmap path by default — count both so io_reads means "pages
-    // fetched from the index file" regardless of read mode.
-    const BackendIoSnapshot after = io_snapshot();
-    result.value().stats.io_reads =
-        kcr ? (after.kcr_physical - before.kcr_physical) +
-                  (after.kcr_mapped - before.kcr_mapped)
-            : (after.setr_physical - before.setr_physical) +
-                  (after.setr_mapped - before.setr_mapped);
-  }
-  return result;
+  auto store =
+      std::make_shared<ShardedStore>(vocabulary_.get(), std::move(stores));
+  plan.store = store.get();
+  plan.keep_alive.push_back(std::move(store));
+  return plan;
 }
 
 BackendIoSnapshot ShardCoordinator::io_snapshot() const {
   BackendIoSnapshot total;
   for (const std::unique_ptr<Shard>& shard : shards_) {
-    const QueryBackend* backend =
-        shard->frozen != nullptr
-            ? static_cast<const QueryBackend*>(shard->frozen.get())
-            : shard->engine.get();
-    const BackendIoSnapshot s = backend->io_snapshot();
-    total.setr_physical += s.setr_physical;
-    total.kcr_physical += s.kcr_physical;
-    total.setr_logical += s.setr_logical;
-    total.kcr_logical += s.kcr_logical;
-    total.setr_mapped += s.setr_mapped;
-    total.kcr_mapped += s.kcr_mapped;
-    total.setr_cache_hits += s.setr_cache_hits;
-    total.kcr_cache_hits += s.kcr_cache_hits;
-    total.setr_cache_misses += s.setr_cache_misses;
-    total.kcr_cache_misses += s.kcr_cache_misses;
+    total += shard->backend->io_snapshot();
   }
   return total;
 }
@@ -562,7 +462,7 @@ BackendIoSnapshot ShardCoordinator::io_snapshot() const {
 uint64_t ShardCoordinator::dataset_version() const {
   uint64_t total = 0;
   for (const std::unique_ptr<Shard>& shard : shards_) {
-    if (shard->engine != nullptr) total += shard->engine->dataset_version();
+    total += shard->backend->dataset_version();
   }
   return total;
 }
@@ -571,9 +471,7 @@ std::vector<uint64_t> ShardCoordinator::version_vector() const {
   std::vector<uint64_t> versions;
   versions.reserve(shards_.size());
   for (const std::unique_ptr<Shard>& shard : shards_) {
-    versions.push_back(shard->engine != nullptr
-                           ? shard->engine->dataset_version()
-                           : 0);
+    versions.push_back(shard->backend->dataset_version());
   }
   return versions;
 }
@@ -619,8 +517,7 @@ bool ShardCoordinator::WhyNotCacheValid(
 SegmentCountersSnapshot ShardCoordinator::segment_counters() const {
   SegmentCountersSnapshot total;
   for (const std::unique_ptr<Shard>& shard : shards_) {
-    if (shard->engine == nullptr) continue;
-    const SegmentCountersSnapshot s = shard->engine->segment_counters();
+    const SegmentCountersSnapshot s = shard->backend->segment_counters();
     total.valid = total.valid || s.valid;
     total.inserts += s.inserts;
     total.updates += s.updates;
@@ -654,8 +551,8 @@ ShardCountersSnapshot ShardCoordinator::shard_counters() const {
     snap.per_shard_mutations.push_back(
         shard->mutations.load(std::memory_order_relaxed));
     snap.per_shard_objects.push_back(
-        shard->engine != nullptr ? shard->engine->manager()->live_objects()
-                                 : shard->tile.size());
+        shard->live != nullptr ? shard->live->manager()->live_objects()
+                               : shard->tile.size());
   }
   return snap;
 }
@@ -701,7 +598,7 @@ StatusOr<ObjectId> ShardCoordinator::Insert(
   const uint32_t target = RouteInsert(loc);
   Shard& shard = *shards_[target];
   const ObjectId id = next_insert_id_;
-  StatusOr<ObjectId> inserted = shard.engine->InsertWithId(id, loc, keywords);
+  StatusOr<ObjectId> inserted = shard.live->InsertWithId(id, loc, keywords);
   if (!inserted.ok()) return inserted;
   ++next_insert_id_;
   {
@@ -729,7 +626,7 @@ Status ShardCoordinator::Update(ObjectId id, Point loc,
     target = it->second;
   }
   Shard& shard = *shards_[target];
-  WSK_RETURN_IF_ERROR(shard.engine->Update(id, loc, keywords));
+  WSK_RETURN_IF_ERROR(shard.live->Update(id, loc, keywords));
   AbsorbMutation(&shard, loc, vocabulary_->InternAll(keywords));
   shard.mutations.fetch_add(1, std::memory_order_relaxed);
   return Status::Ok();
@@ -750,7 +647,7 @@ Status ShardCoordinator::Delete(ObjectId id) const {
     target = it->second;
   }
   Shard& shard = *shards_[target];
-  WSK_RETURN_IF_ERROR(shard.engine->Delete(id));
+  WSK_RETURN_IF_ERROR(shard.live->Delete(id));
   {
     std::lock_guard<std::mutex> owners(owner_mu_);
     owner_.erase(id);

@@ -18,11 +18,12 @@
 // serial visit that re-applies the cut after every shard; the visited set
 // can only be larger.
 //
-// Why-not never re-implements the algorithms: it concatenates the shards'
-// index sources into one cross-shard MergedTopKSource / KcrMultiSource
-// (exactly how SegmentedEngine merges its own segments), so per-shard
-// MaxDom/MinDom bounds aggregate inside the one keyword-adaption search
-// and answers are bit-identical to an unsharded engine.
+// Why-not never re-implements the algorithms: its plan concatenates the
+// shards' plans (frozen and live alike) and PlannedBackend answers over
+// one cross-shard MergedTopKSource / KcrMultiSource (exactly how
+// SegmentedEngine merges its own segments), so per-shard MaxDom/MinDom
+// bounds aggregate inside the one keyword-adaption search and answers are
+// bit-identical to an unsharded engine.
 //
 // Mutations route by ownership: inserts to the shard whose summary MBR is
 // nearest, updates/deletes to the owning shard. The coordinator allocates
@@ -50,7 +51,7 @@
 
 namespace wsk {
 
-class ShardCoordinator : public QueryBackend {
+class ShardCoordinator : public PlannedBackend {
  public:
   struct Config {
     uint32_t num_shards = 2;
@@ -90,10 +91,9 @@ class ShardCoordinator : public QueryBackend {
   std::vector<BackendBatchResult> TopKBatch(
       const std::vector<BackendBatchItem>& items,
       TraceRecorder* trace = nullptr) const override;
-  StatusOr<WhyNotResult> Answer(WhyNotAlgorithm algorithm,
-                                const SpatialKeywordQuery& query,
-                                const std::vector<ObjectId>& missing,
-                                const WhyNotOptions& options) const override;
+  // Answer() comes from PlannedBackend over every shard's plan,
+  // concatenated.
+  WhyNotPlan PlanWhyNot() const override;
 
   BackendIoSnapshot io_snapshot() const override;
   uint64_t dataset_version() const override;
@@ -135,9 +135,9 @@ class ShardCoordinator : public QueryBackend {
 
  private:
   struct Shard {
-    Dataset tile;  // frozen mode: the authoritative object store
-    std::unique_ptr<WhyNotEngine> frozen;
-    std::unique_ptr<SegmentedEngine> engine;  // live mode
+    Dataset tile;  // frozen mode: the engine's object table
+    std::unique_ptr<PlannedBackend> backend;
+    SegmentedEngine* live = nullptr;  // live mode: `backend`, for mutations
     mutable std::mutex summary_mu;
     ShardSummary summary;
     mutable std::atomic<uint64_t> visited{0};

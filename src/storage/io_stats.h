@@ -100,6 +100,74 @@ class IoStats {
   std::atomic<uint64_t> mapped_reads_{0};
 };
 
+// Point-in-time view of a backend's cumulative I/O counters, split by
+// index family. Monotonic across the backend's lifetime — a segmented
+// backend folds retired segments' totals into these numbers so counters
+// never run backwards across a merge.
+struct BackendIoSnapshot {
+  BackendIoSnapshot() = default;
+  // The counters of one SetR-tree file and one KcR-tree file.
+  BackendIoSnapshot(const IoStats& setr, const IoStats& kcr)
+      : setr_physical(setr.physical_reads()),
+        kcr_physical(kcr.physical_reads()),
+        setr_logical(setr.logical_reads()),
+        kcr_logical(kcr.logical_reads()),
+        setr_mapped(setr.mapped_reads()),
+        kcr_mapped(kcr.mapped_reads()),
+        setr_cache_hits(setr.node_cache_hits()),
+        kcr_cache_hits(kcr.node_cache_hits()),
+        setr_cache_misses(setr.node_cache_misses()),
+        kcr_cache_misses(kcr.node_cache_misses()) {}
+
+  BackendIoSnapshot& operator+=(const BackendIoSnapshot& other);
+
+  // Pages of one tree family fetched from its index files, through the
+  // buffer pool or the mapping — a why-not answer's io_reads.
+  uint64_t page_reads(bool kcr) const {
+    return kcr ? kcr_physical + kcr_mapped : setr_physical + setr_mapped;
+  }
+
+  uint64_t setr_physical = 0;
+  uint64_t kcr_physical = 0;
+  uint64_t setr_logical = 0;
+  uint64_t kcr_logical = 0;
+  // Pages served from the mmap zero-copy path. Counted apart from physical
+  // reads so the paper's buffered-I/O metric keeps its meaning when
+  // mapping is on.
+  uint64_t setr_mapped = 0;
+  uint64_t kcr_mapped = 0;
+  uint64_t setr_cache_hits = 0;
+  uint64_t kcr_cache_hits = 0;
+  uint64_t setr_cache_misses = 0;
+  uint64_t kcr_cache_misses = 0;
+};
+
+// Every counter of BackendIoSnapshot, for the field-wise arithmetic.
+inline constexpr uint64_t BackendIoSnapshot::*kBackendIoFields[] = {
+    &BackendIoSnapshot::setr_physical,   &BackendIoSnapshot::kcr_physical,
+    &BackendIoSnapshot::setr_logical,    &BackendIoSnapshot::kcr_logical,
+    &BackendIoSnapshot::setr_mapped,     &BackendIoSnapshot::kcr_mapped,
+    &BackendIoSnapshot::setr_cache_hits, &BackendIoSnapshot::kcr_cache_hits,
+    &BackendIoSnapshot::setr_cache_misses,
+    &BackendIoSnapshot::kcr_cache_misses,
+};
+
+inline BackendIoSnapshot& BackendIoSnapshot::operator+=(
+    const BackendIoSnapshot& other) {
+  for (uint64_t BackendIoSnapshot::*field : kBackendIoFields) {
+    this->*field += other.*field;
+  }
+  return *this;
+}
+
+inline BackendIoSnapshot operator-(BackendIoSnapshot a,
+                                   const BackendIoSnapshot& b) {
+  for (uint64_t BackendIoSnapshot::*field : kBackendIoFields) {
+    a.*field -= b.*field;
+  }
+  return a;
+}
+
 }  // namespace wsk
 
 #endif  // WSK_STORAGE_IO_STATS_H_

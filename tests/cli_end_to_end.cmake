@@ -133,6 +133,22 @@ if(NOT rc EQUAL 0 OR NOT out MATCHES "dataset version" OR
    NOT out MATCHES "segments")
   message(FATAL_ERROR "live failed: ${out}")
 endif()
+# The mutation stream never deletes an object a why-not request names as
+# missing, so every request answers OK: on this file and seed the stream
+# would otherwise delete one at its ninth mutation.
+set(live_csv "${WORK_DIR}/cli_e2e_live.csv")
+execute_process(COMMAND ${CLI} generate --out ${live_csv} --objects 2000
+                        --vocab 80 --seed 7
+                RESULT_VARIABLE rc OUTPUT_VARIABLE out)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "generate for live failed: ${out}")
+endif()
+execute_process(COMMAND ${CLI} live --data ${live_csv} --random 20 --workers 2
+                        --mutations 150 --delta 64 --seed 7
+                RESULT_VARIABLE rc OUTPUT_VARIABLE out)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "live --random 20 exited ${rc}: ${out}")
+endif()
 # inspect: layout histograms for both formats; the v2+mmap run must report
 # the v2 format byte, the map marker, and per-level lines down to the
 # leaves.

@@ -24,7 +24,7 @@
 #include "index/kcr_tree.h"
 #include "index/setr_tree.h"
 #include "observability/trace.h"
-#include "segment/merged_source.h"
+#include "index/merged_source.h"
 #include "test_util.h"
 
 namespace wsk {

@@ -79,7 +79,7 @@ TEST(FrozenSegmentTest, ShadowSemantics) {
   };
   RetiredIoAccumulator retired;
   StatusOr<std::shared_ptr<FrozenSegment>> built = FrozenSegment::Build(
-      objects, /*diagonal=*/2.0, FrozenSegment::Options{}, nullptr, &retired);
+      objects, /*diagonal=*/2.0, IndexPair::Options{}, nullptr, &retired);
   ASSERT_TRUE(built.ok()) << built.status().ToString();
   std::shared_ptr<FrozenSegment> segment = std::move(built).value();
 
@@ -101,7 +101,7 @@ TEST(FrozenSegmentTest, ShadowSemantics) {
   // Retirement folds I/O into the accumulator exactly once.
   segment.reset();
   EXPECT_EQ(retired.segments_retired.load(), 1u);
-  EXPECT_GT(retired.setr_physical.load() + retired.setr_logical.load(), 0u);
+  EXPECT_GT(retired.Total().setr_physical + retired.Total().setr_logical, 0u);
 }
 
 // Shared fixture state: a small clustered dataset with an interned query.
@@ -212,6 +212,37 @@ TEST(SegmentedEngineTest, InsertUpdateDeleteVisibility) {
   topk = fx.engine->TopK(fx.query);
   ASSERT_TRUE(topk.ok());
   ExpectTopKEqual(topk.value(), BruteForceTopK(reference, fx.query));
+}
+
+TEST(SegmentedEngineTest, RankMatchesBruteForceAcrossMutationsAndMerge) {
+  LiveFixture fx;
+  const auto expect_ranks = [&fx](const char* phase) {
+    SCOPED_TRACE(phase);
+    const Dataset reference = fx.Rebuild();
+    for (const SpatialObject& o : reference.objects()) {
+      StatusOr<uint32_t> rank = fx.engine->Rank(fx.query, o.id);
+      ASSERT_TRUE(rank.ok()) << rank.status().ToString();
+      EXPECT_EQ(rank.value(), BruteForceRank(reference, fx.query, o.id))
+          << "object " << o.id;
+    }
+  };
+  expect_ranks("seeded");
+  // Inserts land in the delta (delta_capacity 4 rotates some into sealed
+  // deltas); deletes tombstone frozen objects and delta objects alike.
+  StatusOr<ObjectId> near = fx.engine->Insert(Point{2.0, 2.1}, {"base", "kw1"});
+  ASSERT_TRUE(near.ok());
+  for (int i = 0; i < 6; ++i) {
+    const std::string kw = "kw" + std::to_string(i);
+    ASSERT_TRUE(fx.engine->Insert(Point{0.5 * i, 3.0}, {"base", kw}).ok());
+  }
+  ASSERT_TRUE(fx.engine->Delete(7).ok());
+  ASSERT_TRUE(fx.engine->Delete(13).ok());
+  ASSERT_TRUE(fx.engine->Delete(near.value()).ok());
+  ASSERT_TRUE(fx.engine->Update(2, Point{2.0, 1.9}, {"base", "kw1"}).ok());
+  expect_ranks("after mutations");
+  ASSERT_TRUE(fx.engine->ForceMerge().ok());
+  expect_ranks("after merge");
+  EXPECT_FALSE(fx.engine->Rank(fx.query, 7).ok());  // deleted
 }
 
 TEST(SegmentedEngineTest, SnapshotIsolation) {

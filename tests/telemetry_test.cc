@@ -178,6 +178,41 @@ TEST(TelemetryHubTest, SampledProfilesLandInReservoirOldestFirst) {
   EXPECT_EQ(stats.reservoir_size, 3u);
 }
 
+TEST(TelemetryHubTest, BatchDispatchesAreNotObservedRequests) {
+  TelemetryConfig config;
+  config.sample_every = 1;
+  config.profile_reservoir = 256;
+  config.slow_factor = 0.0;
+  config.slow_min_ms = 0.0;
+  TelemetryHub hub(config);
+
+  // 80 requests in 14 batches (10 of six, 4 of five): each batch reports
+  // one background dispatch profile, then every item its own completion.
+  size_t requests = 0;
+  for (int batch = 0; batch < 14; ++batch) {
+    QueryProfile dispatch = MakeProfile(2.0);
+    dispatch.kind = ProfileKind::kBatch;
+    dispatch.algorithm = "batch";
+    TraceRecorder dispatch_trace(16);
+    hub.Report(std::move(dispatch), &dispatch_trace);
+    const int items = batch < 10 ? 6 : 5;
+    for (int i = 0; i < items; ++i, ++requests) {
+      TraceRecorder trace(16);
+      hub.Report(MakeProfile(1.0), &trace);
+    }
+  }
+  ASSERT_EQ(requests, 80u);
+  EXPECT_EQ(hub.stats().requests_observed, 80u);
+  EXPECT_EQ(hub.Window(60).requests, 80u);
+
+  // Every profile, dispatches included, still gets its own id.
+  const std::vector<QueryProfile> profiles = hub.Profiles();
+  ASSERT_EQ(profiles.size(), 94u);
+  for (size_t i = 0; i < profiles.size(); ++i) {
+    EXPECT_EQ(profiles[i].id, i + 1);
+  }
+}
+
 TEST(TelemetryHubTest, AggregationOnlyRecorderIsNotSampled) {
   TelemetryConfig config;
   config.sample_every = 1;

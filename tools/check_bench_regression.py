@@ -101,45 +101,97 @@ TIME_METRICS = (
 
 # Absolute gates: facts of the current build, not drifts from the baseline,
 # so each applies to every current benchmark that reports its counter,
-# whether or not the baseline has it yet. (counter, op, flag, reason): the
-# run fails when op(value, limit) holds, the limit being the value of
-# --flag; reason is formatted with the value, the limit and the headroom
-# 1 - limit.
+# whether or not the baseline has it yet. Each row is
+# (counters, op, limit, reason, series, min_n):
+#   * the gated value is the largest of `counters` the benchmark reports;
+#   * the run fails when op(value, limit) holds, the limit being the value
+#     of the flag named by `limit`, or `limit` itself when it is a number;
+#   * `series` restricts the gate to benchmarks whose name (less a trailing
+#     /iterations:1) starts with it and ends in ":N" with N >= min_n;
+#   * the failure reads "<name>: <first counter> <reason>", the reason
+#     formatted with the value, the limit, the headroom 1 - limit, N, and
+#     each counter's value by name (0 when absent).
 ABSOLUTE_GATES = (
     # Tracing must stay cheap (docs/OBSERVABILITY.md).
     (
-        "trace_overhead",
+        ("trace_overhead",),
         operator.gt,
         "max_trace_overhead",
         "{value:.2f}x exceeds the cap {limit:.2f}x (tracing must stay cheap)",
+        "",
+        0,
     ),
     # The always-on telemetry pipeline at its shipped defaults stays within
     # a few percent of a telemetry-less service on any machine
     # (docs/OBSERVABILITY.md "Continuous telemetry").
     (
-        "sampling_overhead",
+        ("sampling_overhead",),
         operator.gt,
         "max_sampling_overhead",
         "{value:.3f}x exceeds the cap {limit:.2f}x (always-on telemetry "
         "must stay affordable)",
+        "",
+        0,
     ),
     # The v2 node format's two acceptance properties (docs/STORAGE.md
     # "v2 node format & mmap").
     (
-        "decode_speedup",
+        ("decode_speedup",),
         operator.lt,
         "min_decode_speedup",
         "{value:.2f}x below the absolute floor {limit:.2f}x (v2+mmap must "
         "beat v1 decode)",
+        "",
+        0,
     ),
     (
-        "v2_size_ratio",
+        ("v2_size_ratio",),
         operator.gt,
         "max_v2_size_ratio",
         "{value:.3f} exceeds the cap {limit:.2f} (v2 must stay at least "
         "{headroom:.0%} smaller than v1)",
+        "",
+        0,
+    ),
+    # Cross-shard bound pruning must actually fire: on the clustered
+    # service/shards workload every multi-shard topology has to skip at
+    # least one shard over the whole run (docs/SHARDING.md).
+    (
+        ("shards_pruned",),
+        operator.le,
+        0,
+        "= 0 with {n} shards — the cross-shard bound never pruned on the "
+        "clustered workload",
+        "service/shards/n:",
+        2,
+    ),
+    # Batched execution must actually amortize: at batch size >= 8 the
+    # service/batch series has to beat solo by the floor either in wall
+    # clock (batch_speedup) or in node decodes (decode_amortization, the
+    # machine-independent witness of the same reduction)
+    # (docs/BATCHING.md).
+    (
+        ("batch_speedup", "decode_amortization"),
+        operator.lt,
+        "min_batch_speedup",
+        "{batch_speedup:.2f}x and decode_amortization "
+        "{decode_amortization:.2f}x both below the absolute floor "
+        "{limit:.2f}x at batch size {n}",
+        "service/batch/n:",
+        8,
     ),
 )
+
+
+def series_size(name, series):
+    """N of a `<series>...:N` benchmark name, or None when it is not one."""
+    name = name.removesuffix("/iterations:1")
+    if not name.startswith(series):
+        return None
+    try:
+        return int(name.rpartition(":")[2])
+    except ValueError:
+        return None
 
 
 def load(path):
@@ -283,62 +335,27 @@ def main():
                     )
                     (failures if args.strict_time else warnings).append(msg)
 
-    for counter, fails, flag, reason in ABSOLUTE_GATES:
-        limit = getattr(args, flag)
+    for counters, fails, limit, reason, series, min_n in ABSOLUTE_GATES:
+        if isinstance(limit, str):
+            limit = getattr(args, limit)
         for name, bench in sorted(cur.items()):
-            value = metric_values(bench).get(counter)
-            if value is None or not fails(value, limit):
+            n = series_size(name, series) if series else None
+            if series and (n is None or n < min_n):
                 continue
+            vals = metric_values(bench)
+            present = [vals[c] for c in counters if c in vals]
+            if not present or not fails(max(present), limit):
+                continue
+            fields = {c: vals.get(c) or 0 for c in counters}
             failures.append(
-                f"{name}: {counter} "
-                + reason.format(value=value, limit=limit, headroom=1 - limit)
-            )
-
-    # Cross-shard bound pruning must actually fire: on the clustered
-    # service/shards workload every multi-shard topology has to skip at
-    # least one shard over the whole run (docs/SHARDING.md), an absolute
-    # floor independent of the baseline, like the trace-overhead cap.
-    for name, bench in sorted(cur.items()):
-        series = name.removesuffix("/iterations:1")
-        if not series.startswith("service/shards/n:"):
-            continue
-        try:
-            num_shards = int(series.rpartition(":")[2])
-        except ValueError:
-            continue
-        pruned = metric_values(bench).get("shards_pruned")
-        if num_shards > 1 and pruned is not None and pruned <= 0:
-            failures.append(
-                f"{name}: shards_pruned = 0 with {num_shards} shards — the "
-                "cross-shard bound never pruned on the clustered workload"
-            )
-
-    # Batched execution must actually amortize: at batch size >= 8 the
-    # service/batch series has to beat solo by the floor either in wall
-    # clock (batch_speedup) or in node decodes (decode_amortization, the
-    # machine-independent witness of the same reduction) — an absolute
-    # property of the current run, like the trace-overhead cap
-    # (docs/BATCHING.md).
-    for name, bench in sorted(cur.items()):
-        series = name.removesuffix("/iterations:1")
-        if not series.startswith("service/batch/n:"):
-            continue
-        try:
-            batch_n = int(series.rpartition(":")[2])
-        except ValueError:
-            continue
-        vals = metric_values(bench)
-        speedup = vals.get("batch_speedup")
-        amortization = vals.get("decode_amortization")
-        if batch_n < 8 or (speedup is None and amortization is None):
-            continue
-        best = max(v for v in (speedup, amortization) if v is not None)
-        if best < args.min_batch_speedup:
-            failures.append(
-                f"{name}: batch_speedup {speedup or 0:.2f}x and "
-                f"decode_amortization {amortization or 0:.2f}x both below "
-                f"the absolute floor {args.min_batch_speedup:.2f}x at batch "
-                f"size {batch_n}"
+                f"{name}: {counters[0]} "
+                + reason.format(
+                    value=max(present),
+                    limit=limit,
+                    headroom=1 - limit,
+                    n=n,
+                    **fields,
+                )
             )
 
     for msg in warnings:

@@ -101,6 +101,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <unordered_set>
 #include <vector>
 
 #include "common/timer.h"
@@ -774,9 +775,15 @@ int Live(const Args& args) {
   for (TermId t = 0; t < std::min(vocabulary.num_terms(), 64u); ++t) {
     terms.push_back(vocabulary.TermString(t));
   }
-  std::vector<ObjectId> live_ids(dataset->size());
-  for (size_t i = 0; i < live_ids.size(); ++i) {
-    live_ids[i] = static_cast<ObjectId>(i);
+  // Objects a why-not request names as missing are never mutation
+  // victims: deleting one would turn that request into INVALID_ARGUMENT.
+  std::unordered_set<ObjectId> named;
+  for (const ServeRequest& req : requests) {
+    named.insert(req.missing.begin(), req.missing.end());
+  }
+  std::vector<ObjectId> live_ids;
+  for (ObjectId id = 0; id < dataset->size(); ++id) {
+    if (named.count(id) == 0) live_ids.push_back(id);
   }
   std::mt19937_64 rng(static_cast<uint64_t>(args.GetLong("seed", 42)));
   std::uniform_real_distribution<double> coord(0.0, 1.0);
@@ -849,7 +856,8 @@ int Live(const Args& args) {
               static_cast<unsigned long long>(inserts),
               static_cast<unsigned long long>(updates),
               static_cast<unsigned long long>(deletes), queries, wall_s,
-              static_cast<unsigned long long>(version), live_ids.size());
+              static_cast<unsigned long long>(version),
+              static_cast<size_t>(engine->segment_counters().live_objects));
   for (const auto& [code, count] : by_code) {
     std::printf("  %-20s %llu\n", StatusCodeName(code),
                 static_cast<unsigned long long>(count));
