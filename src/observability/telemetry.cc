@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cinttypes>
-#include <cstring>
+#include <iterator>
 #include <utility>
 
 #if defined(__linux__)
@@ -41,15 +41,9 @@ uint64_t ProcessResidentBytes() {
 }
 
 const char* ProfileKindName(ProfileKind kind) {
-  switch (kind) {
-    case ProfileKind::kTopK:
-      return "topk";
-    case ProfileKind::kWhyNot:
-      return "whynot";
-    case ProfileKind::kBatch:
-      return "batch";
-  }
-  return "unknown";
+  constexpr const char* kNames[] = {"topk", "whynot", "batch"};
+  const size_t i = static_cast<size_t>(kind);
+  return i < std::size(kNames) ? kNames[i] : "unknown";
 }
 
 double QueryProfile::StageSumMs() const {
@@ -110,6 +104,21 @@ std::string QueryProfile::ToJson() const {
   return out;
 }
 
+void QueryProfile::Absorb(const TraceRecorder& trace) {
+  for (size_t i = 0; i < kNumTraceStages; ++i) {
+    stage_total_us[i] = trace.StageTotalUs(static_cast<TraceStage>(i));
+    stage_count[i] = trace.StageCount(static_cast<TraceStage>(i));
+  }
+  for (size_t i = 0; i < kNumTraceCounters; ++i) {
+    counters[i] = trace.counter(static_cast<TraceCounter>(i));
+  }
+  dropped_events = trace.dropped_events();
+  if (trace.event_capacity() > 0) {
+    sampled = true;
+    events = trace.Events();
+  }
+}
+
 std::string QueryProfile::ToChromeTraceJson() const {
   return ChromeTraceJsonFromEvents(events, counters, dropped_events);
 }
@@ -143,12 +152,8 @@ RollingWindows::Slot& RollingWindows::Claim(uint64_t now_s) {
     // winner finishes zeroing loses that increment — accepted slack.
     if (slot.second.compare_exchange_weak(tag, now_s,
                                           std::memory_order_relaxed)) {
-      slot.requests.store(0, std::memory_order_relaxed);
-      slot.ok.store(0, std::memory_order_relaxed);
       slot.shed.store(0, std::memory_order_relaxed);
       slot.cache_hits.store(0, std::memory_order_relaxed);
-      slot.lat_count.store(0, std::memory_order_relaxed);
-      slot.lat_sum_us.store(0, std::memory_order_relaxed);
       for (size_t i = 0; i < kLatencyBuckets; ++i) {
         slot.lat_buckets[i].store(0, std::memory_order_relaxed);
       }
@@ -158,17 +163,11 @@ RollingWindows::Slot& RollingWindows::Claim(uint64_t now_s) {
   return slot;
 }
 
-void RollingWindows::RecordRequest(bool ok, bool cache_hit, double wall_ms) {
+void RollingWindows::RecordRequest(bool cache_hit, double wall_ms) {
   Slot& slot = Claim(NowSeconds());
-  slot.requests.fetch_add(1, std::memory_order_relaxed);
-  if (ok) slot.ok.fetch_add(1, std::memory_order_relaxed);
   if (cache_hit) slot.cache_hits.fetch_add(1, std::memory_order_relaxed);
   slot.lat_buckets[LatencyBucketIndex(wall_ms)].fetch_add(
       1, std::memory_order_relaxed);
-  slot.lat_count.fetch_add(1, std::memory_order_relaxed);
-  const double us = wall_ms > 0.0 ? wall_ms * 1000.0 : 0.0;
-  slot.lat_sum_us.fetch_add(static_cast<uint64_t>(us),
-                            std::memory_order_relaxed);
 }
 
 void RollingWindows::RecordShed() {
@@ -182,18 +181,15 @@ RollingWindows::Snapshot RollingWindows::Take(uint64_t window_s) const {
   const uint64_t now_s = NowSeconds();
   const uint64_t oldest = now_s >= window_s - 1 ? now_s - (window_s - 1) : 0;
   uint64_t buckets[kLatencyBuckets] = {};
-  uint64_t lat_sum_us = 0;
   for (uint64_t s = oldest; s <= now_s; ++s) {
     const Slot& slot = slots_[s % kSlots];
     if (slot.second.load(std::memory_order_relaxed) != s) continue;
-    snap.requests += slot.requests.load(std::memory_order_relaxed);
-    snap.ok += slot.ok.load(std::memory_order_relaxed);
     snap.shed += slot.shed.load(std::memory_order_relaxed);
     snap.cache_hits += slot.cache_hits.load(std::memory_order_relaxed);
-    snap.latency_samples += slot.lat_count.load(std::memory_order_relaxed);
-    lat_sum_us += slot.lat_sum_us.load(std::memory_order_relaxed);
     for (size_t i = 0; i < kLatencyBuckets; ++i) {
-      buckets[i] += slot.lat_buckets[i].load(std::memory_order_relaxed);
+      const uint64_t n = slot.lat_buckets[i].load(std::memory_order_relaxed);
+      buckets[i] += n;
+      snap.requests += n;
     }
   }
   snap.qps =
@@ -206,12 +202,8 @@ RollingWindows::Snapshot RollingWindows::Take(uint64_t window_s) const {
   if (snap.requests > 0) {
     snap.hit_ratio = static_cast<double>(snap.cache_hits) /
                      static_cast<double>(snap.requests);
-  }
-  if (snap.latency_samples > 0) {
-    snap.mean_ms = static_cast<double>(lat_sum_us) / 1000.0 /
-                   static_cast<double>(snap.latency_samples);
-    snap.p50_ms = LatencyQuantileMs(buckets, snap.latency_samples, 0.50);
-    snap.p99_ms = LatencyQuantileMs(buckets, snap.latency_samples, 0.99);
+    snap.p50_ms = LatencyQuantileMs(buckets, snap.requests, 0.50);
+    snap.p99_ms = LatencyQuantileMs(buckets, snap.requests, 0.99);
   }
   return snap;
 }
@@ -242,7 +234,7 @@ void TelemetryHub::RefreshThreshold() {
   if (config_.slow_factor <= 0.0) return;  // fixed floor only
   const RollingWindows::Snapshot w = windows_.Take(60);
   double threshold_ms = config_.slow_min_ms;
-  if (w.latency_samples > 0) {
+  if (w.requests > 0) {
     threshold_ms = std::max(threshold_ms, config_.slow_factor * w.p99_ms);
   }
   slow_threshold_us_.store(
@@ -250,19 +242,14 @@ void TelemetryHub::RefreshThreshold() {
       std::memory_order_relaxed);
 }
 
-void TelemetryHub::Retain(std::vector<QueryProfile>* ring, size_t* next,
-                          size_t capacity, QueryProfile profile) {
+void TelemetryHub::Retain(std::deque<QueryProfile>* ring, size_t capacity,
+                          QueryProfile profile) {
   if (capacity == 0) return;
-  if (ring->size() < capacity) {
-    ring->push_back(std::move(profile));
-    *next = ring->size() % capacity;
-  } else {
-    (*ring)[*next] = std::move(profile);
-    *next = (*next + 1) % capacity;
-  }
+  if (ring->size() == capacity) ring->pop_front();
+  ring->push_back(std::move(profile));
 }
 
-void TelemetryHub::Report(QueryProfile profile, const TraceRecorder* trace) {
+void TelemetryHub::Report(QueryProfile profile) {
   profile.id = reports_.fetch_add(1, std::memory_order_relaxed) + 1;
   // Batch dispatches are background work covering many client requests
   // (each of which reports its own completion): they may be sampled into
@@ -271,22 +258,7 @@ void TelemetryHub::Report(QueryProfile profile, const TraceRecorder* trace) {
   const bool background = profile.kind == ProfileKind::kBatch;
   if (!background) {
     completions_.fetch_add(1, std::memory_order_relaxed);
-    windows_.RecordRequest(profile.ok, profile.cache_hit, profile.wall_ms);
-  }
-  if (trace != nullptr) {
-    for (size_t i = 0; i < kNumTraceStages; ++i) {
-      profile.stage_total_us[i] =
-          trace->StageTotalUs(static_cast<TraceStage>(i));
-      profile.stage_count[i] = trace->StageCount(static_cast<TraceStage>(i));
-    }
-    for (size_t i = 0; i < kNumTraceCounters; ++i) {
-      profile.counters[i] = trace->counter(static_cast<TraceCounter>(i));
-    }
-    profile.dropped_events = trace->dropped_events();
-    if (trace->event_capacity() > 0) {
-      profile.sampled = true;
-      profile.events = trace->Events();
-    }
+    windows_.RecordRequest(profile.cache_hit, profile.wall_ms);
   }
   const uint64_t threshold_us =
       slow_threshold_us_.load(std::memory_order_relaxed);
@@ -309,12 +281,10 @@ void TelemetryHub::Report(QueryProfile profile, const TraceRecorder* trace) {
       std::fputc('\n', slow_sink_);
       std::fflush(slow_sink_);
     }
-    Retain(&slow_ring_, &next_slow_, config_.slow_log_capacity,
-           std::move(record));
+    Retain(&slow_ring_, config_.slow_log_capacity, std::move(record));
   }
   if (profile.sampled) {
-    Retain(&reservoir_, &next_reservoir_, config_.profile_reservoir,
-           std::move(profile));
+    Retain(&reservoir_, config_.profile_reservoir, std::move(profile));
   }
 }
 
@@ -322,22 +292,12 @@ void TelemetryHub::ReportShed() { windows_.RecordShed(); }
 
 std::vector<QueryProfile> TelemetryHub::Profiles() const {
   std::lock_guard<std::mutex> lock(capture_mu_);
-  std::vector<QueryProfile> out;
-  out.reserve(reservoir_.size());
-  const size_t n = reservoir_.size();
-  const size_t start = n < config_.profile_reservoir ? 0 : next_reservoir_;
-  for (size_t i = 0; i < n; ++i) out.push_back(reservoir_[(start + i) % n]);
-  return out;
+  return {reservoir_.begin(), reservoir_.end()};
 }
 
 std::vector<QueryProfile> TelemetryHub::SlowQueries() const {
   std::lock_guard<std::mutex> lock(capture_mu_);
-  std::vector<QueryProfile> out;
-  out.reserve(slow_ring_.size());
-  const size_t n = slow_ring_.size();
-  const size_t start = n < config_.slow_log_capacity ? 0 : next_slow_;
-  for (size_t i = 0; i < n; ++i) out.push_back(slow_ring_[(start + i) % n]);
-  return out;
+  return {slow_ring_.begin(), slow_ring_.end()};
 }
 
 TelemetryStats TelemetryHub::stats() const {

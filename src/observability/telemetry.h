@@ -34,6 +34,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <deque>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -92,13 +93,18 @@ struct QueryProfile {
   uint64_t io_physical = 0;
   uint64_t io_mapped = 0;
   uint64_t io_cache_hits = 0;
-  // Copied from the request's recorder.
+  // Copied from the request's recorder by Absorb().
   uint64_t stage_total_us[kNumTraceStages] = {};
   uint64_t stage_count[kNumTraceStages] = {};
   uint64_t counters[kNumTraceCounters] = {};
   uint64_t dropped_events = 0;
   std::vector<TraceEvent> events;  // empty for aggregation-only recorders
 
+  // Copies a finished, quiescent recorder's stage totals, counters and
+  // dropped-event count, plus its events when it had an event buffer
+  // (which marks the profile sampled). The one place a request's recorder
+  // is read: every sink is then fed from the profile.
+  void Absorb(const TraceRecorder& trace);
   // Sum of all stage wall totals in milliseconds. Nested spans overlap
   // their parents, so this is >= the root span's coverage of wall_ms.
   double StageSumMs() const;
@@ -125,15 +131,12 @@ class RollingWindows {
 
   struct Snapshot {
     uint64_t window_s = 0;
-    uint64_t requests = 0;
-    uint64_t ok = 0;
+    uint64_t requests = 0;  // one latency sample each
     uint64_t shed = 0;
     uint64_t cache_hits = 0;
     double qps = 0.0;
     double shed_ratio = 0.0;   // shed / (requests + shed)
     double hit_ratio = 0.0;    // cache_hits / requests
-    uint64_t latency_samples = 0;
-    double mean_ms = 0.0;
     double p50_ms = 0.0;
     double p99_ms = 0.0;
   };
@@ -142,7 +145,7 @@ class RollingWindows {
 
   // One completed request (not shed). `wall_ms` feeds the window latency
   // quantiles.
-  void RecordRequest(bool ok, bool cache_hit, double wall_ms);
+  void RecordRequest(bool cache_hit, double wall_ms);
   // One admission rejection.
   void RecordShed();
 
@@ -153,12 +156,9 @@ class RollingWindows {
  private:
   struct Slot {
     std::atomic<uint64_t> second{UINT64_MAX};
-    std::atomic<uint64_t> requests{0};
-    std::atomic<uint64_t> ok{0};
     std::atomic<uint64_t> shed{0};
     std::atomic<uint64_t> cache_hits{0};
-    std::atomic<uint64_t> lat_count{0};
-    std::atomic<uint64_t> lat_sum_us{0};
+    // One sample per completed request: their sum is the request count.
     std::atomic<uint64_t> lat_buckets[kLatencyBuckets] = {};
   };
 
@@ -195,21 +195,18 @@ class TelemetryHub {
   TelemetryHub(const TelemetryHub&) = delete;
   TelemetryHub& operator=(const TelemetryHub&) = delete;
 
-  const TelemetryConfig& config() const { return config_; }
-
   // Sampling decision for one request about to execute: the event
   // capacity its TraceRecorder should be built with — the configured
   // profile capacity for every sample_every'th call, 0 (aggregation-only)
   // otherwise. One relaxed fetch_add.
   size_t NextEventCapacity();
 
-  // Completion report. `profile` carries the request metadata (wall,
-  // status, fingerprint, io); `trace` is the request's quiescent recorder
-  // or nullptr (cache hits, windows-only paths). The hub fills the
-  // recorder-derived fields, updates the windows, retains the profile when
-  // it was sampled or lands over the slow threshold, and appends slow
-  // records to the JSONL sink.
-  void Report(QueryProfile profile, const TraceRecorder* trace);
+  // Completion report of one finished profile (metadata, wall, status,
+  // io, and whatever its recorder held, see QueryProfile::Absorb). The hub
+  // numbers it, updates the windows, retains it when it was sampled or
+  // lands over the slow threshold, and appends slow records to the JSONL
+  // sink.
+  void Report(QueryProfile profile);
   // Admission rejection (windows only).
   void ReportShed();
 
@@ -231,7 +228,8 @@ class TelemetryHub {
   // Recomputes the slow threshold from the rolling 60 s p99; called every
   // kThresholdRefreshMask+1 reports (batch dispatches included).
   void RefreshThreshold();
-  void Retain(std::vector<QueryProfile>* ring, size_t* next, size_t capacity,
+  // Appends to a ring of the most recent `capacity`, dropping the oldest.
+  void Retain(std::deque<QueryProfile>* ring, size_t capacity,
               QueryProfile profile);
 
   static constexpr uint64_t kThresholdRefreshMask = 255;
@@ -246,10 +244,8 @@ class TelemetryHub {
   std::atomic<uint64_t> slow_threshold_us_;
 
   mutable std::mutex capture_mu_;  // reservoir, slow ring, sink
-  std::vector<QueryProfile> reservoir_;   // ring, next_reservoir_ is oldest
-  size_t next_reservoir_ = 0;
-  std::vector<QueryProfile> slow_ring_;   // ring, next_slow_ is oldest
-  size_t next_slow_ = 0;
+  std::deque<QueryProfile> reservoir_;  // oldest first
+  std::deque<QueryProfile> slow_ring_;  // oldest first
   std::FILE* slow_sink_ = nullptr;
 };
 

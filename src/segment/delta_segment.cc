@@ -18,7 +18,6 @@ uint32_t DeltaSegment::Add(SpatialObject object, uint64_t add_seq) {
   e.del_seq.store(0, std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> lock(map_mu_);
-    for (TermId t : e.object.doc) postings_[t].push_back(index);
     by_id_[e.object.id].push_back(index);
   }
   size_.store(index + 1, std::memory_order_release);
@@ -57,12 +56,6 @@ const SpatialObject* DeltaSegment::FindVisible(ObjectId id,
 uint32_t DeltaSegment::CountVisible(uint64_t seq) const {
   uint32_t count = 0;
   ForEachVisible(seq, [&count](const Entry&) { ++count; });
-  return count;
-}
-
-uint32_t DeltaSegment::VisibleDocFrequency(TermId term, uint64_t seq) const {
-  uint32_t count = 0;
-  ForEachVisibleWithTerm(term, seq, [&count](const Entry&) { ++count; });
   return count;
 }
 

@@ -93,44 +93,14 @@ class DeltaSegment {
 
   uint32_t CountVisible(uint64_t seq) const;
 
-  // --- inverted keyword map ---
-  //
-  // term -> indices of entries whose document contains the term (insertion
-  // order, duplicates impossible: each entry is indexed once at Add).
-  // Guarded by its own mutex so readers (df-reconciliation checks, term
-  // scans) can consult it while a writer appends.
-
-  // Invokes fn(const Entry&) for every *visible* entry containing `term`.
-  template <typename Fn>
-  void ForEachVisibleWithTerm(TermId term, uint64_t seq, Fn&& fn) const {
-    std::vector<uint32_t> indices;
-    {
-      std::lock_guard<std::mutex> lock(map_mu_);
-      auto it = postings_.find(term);
-      if (it == postings_.end()) return;
-      indices = it->second;
-    }
-    for (uint32_t i : indices) {
-      const Entry& e = entries_[i];
-      if (e.add_seq > seq) continue;
-      const uint64_t del = e.del_seq.load(std::memory_order_relaxed);
-      if (del != 0 && del <= seq) continue;
-      fn(e);
-    }
-  }
-
-  // Number of visible documents containing `term` (delta-side document
-  // frequency; the differential tests reconcile delta + frozen df against
-  // the vocabulary's live n_t).
-  uint32_t VisibleDocFrequency(TermId term, uint64_t seq) const;
-
  private:
   const uint32_t capacity_;
   std::unique_ptr<Entry[]> entries_;
   std::atomic<uint32_t> size_{0};
 
+  // id -> indices of the entries holding it, in insertion order. Guarded
+  // by its own mutex so FindLatest can consult it while a writer appends.
   mutable std::mutex map_mu_;
-  std::unordered_map<TermId, std::vector<uint32_t>> postings_;
   std::unordered_map<ObjectId, std::vector<uint32_t>> by_id_;
 };
 

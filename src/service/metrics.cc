@@ -70,14 +70,8 @@ std::vector<std::vector<const MetricRow*>> GroupRows(
 
 }  // namespace
 
-size_t LatencyHistogram::BucketFor(double ms) { return LatencyBucketIndex(ms); }
-
-double LatencyHistogram::BucketBoundMs(size_t i) {
-  return LatencyBucketBoundMs(i);
-}
-
 void LatencyHistogram::Record(double ms) {
-  buckets_[BucketFor(ms)].fetch_add(1, std::memory_order_relaxed);
+  buckets_[LatencyBucketIndex(ms)].fetch_add(1, std::memory_order_relaxed);
   const double us = ms > 0.0 ? ms * 1000.0 : 0.0;
   sum_us_.fetch_add(static_cast<uint64_t>(us), std::memory_order_relaxed);
   // Keep the true maximum (not the bucket bound). Lost CAS races only

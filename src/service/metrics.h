@@ -71,11 +71,9 @@ class LatencyHistogram {
   // Upper bound of bucket `i` in milliseconds (bucket i covers
   // (2^(i-1), 2^i] microseconds). Exposed for exporters that need the
   // boundary values, e.g. Prometheus `le` labels.
-  static double BucketBoundMs(size_t i);
+  static double BucketBoundMs(size_t i) { return LatencyBucketBoundMs(i); }
 
  private:
-  static size_t BucketFor(double ms);
-
   std::atomic<uint64_t> buckets_[kNumBuckets] = {};
   std::atomic<uint64_t> sum_us_{0};
   // True observed maximum, maintained with a relaxed CAS loop; a bucket

@@ -14,51 +14,59 @@
 
 namespace wsk {
 
+namespace {
+
+// Registry names of QueryService's counter and histogram slots, in slot
+// order.
+constexpr const char* kCounterNames[] = {
+    "requests.total", "requests.topk", "requests.whynot",
+    // ResponseSlot() order.
+    "responses.ok", "responses.rejected_overload", "responses.cancelled",
+    "responses.deadline_exceeded", "responses.error",
+    // kBackendIoFields order.
+    "io.setr.physical_reads", "io.kcr.physical_reads",
+    "io.setr.logical_reads", "io.kcr.logical_reads", "io.setr.mapped_reads",
+    "io.kcr.mapped_reads", "io.setr.node_cache_hits",
+    "io.kcr.node_cache_hits", "io.setr.node_cache_misses",
+    "io.kcr.node_cache_misses",
+    "mutations.insert", "mutations.update", "mutations.delete",
+    "mutations.failed",
+    "batch.batches", "batch.queries", "batch.dedup", "batch.fallback_solo",
+    "bg.collector.dispatches", "trace.dropped_events"};
+constexpr const char* kHistogramNames[] = {
+    "latency.topk.ms", "latency.whynot.ms", "bg.collector.exec.ms",
+    "latency.mutation.ms", "batch.occupancy", "batch.window_wait.ms"};
+
+// The responses.* slot of a terminal status: its index here, or the last
+// (responses.error) for any other code. RESOURCE_EXHAUSTED comes only from
+// admission control; the backends never return it.
+constexpr StatusCode kResponseCodes[] = {
+    StatusCode::kOk, StatusCode::kResourceExhausted, StatusCode::kCancelled,
+    StatusCode::kDeadlineExceeded};
+size_t ResponseSlot(StatusCode code) {
+  return std::find(std::begin(kResponseCodes), std::end(kResponseCodes),
+                   code) -
+         std::begin(kResponseCodes);
+}
+
+}  // namespace
+
 QueryService::QueryService(const QueryBackend* backend,
                            const QueryServiceConfig& config)
-    : backend_(backend),
-      config_(config),
-      cache_(config.cache_capacity),
-      requests_total_(metrics_.counter("requests.total")),
-      requests_topk_(metrics_.counter("requests.topk")),
-      requests_whynot_(metrics_.counter("requests.whynot")),
-      responses_ok_(metrics_.counter("responses.ok")),
-      responses_rejected_(metrics_.counter("responses.rejected_overload")),
-      responses_cancelled_(metrics_.counter("responses.cancelled")),
-      responses_deadline_(metrics_.counter("responses.deadline_exceeded")),
-      responses_error_(metrics_.counter("responses.error")),
-      io_setr_physical_(metrics_.counter("io.setr.physical_reads")),
-      io_kcr_physical_(metrics_.counter("io.kcr.physical_reads")),
-      io_setr_logical_(metrics_.counter("io.setr.logical_reads")),
-      io_kcr_logical_(metrics_.counter("io.kcr.logical_reads")),
-      io_setr_mapped_(metrics_.counter("io.setr.mapped_reads")),
-      io_kcr_mapped_(metrics_.counter("io.kcr.mapped_reads")),
-      io_setr_node_cache_hits_(metrics_.counter("io.setr.node_cache_hits")),
-      io_kcr_node_cache_hits_(metrics_.counter("io.kcr.node_cache_hits")),
-      io_setr_node_cache_misses_(
-          metrics_.counter("io.setr.node_cache_misses")),
-      io_kcr_node_cache_misses_(metrics_.counter("io.kcr.node_cache_misses")),
-      latency_topk_(metrics_.histogram("latency.topk.ms")),
-      latency_whynot_(metrics_.histogram("latency.whynot.ms")),
-      mutations_insert_(metrics_.counter("mutations.insert")),
-      mutations_update_(metrics_.counter("mutations.update")),
-      mutations_delete_(metrics_.counter("mutations.delete")),
-      mutations_failed_(metrics_.counter("mutations.failed")),
-      latency_mutation_(metrics_.histogram("latency.mutation.ms")),
-      batch_batches_(metrics_.counter("batch.batches")),
-      batch_queries_(metrics_.counter("batch.queries")),
-      batch_dedup_(metrics_.counter("batch.dedup")),
-      batch_fallback_solo_(metrics_.counter("batch.fallback_solo")),
-      batch_occupancy_(metrics_.histogram("batch.occupancy")),
-      batch_window_wait_(metrics_.histogram("batch.window_wait.ms")),
-      trace_dropped_(metrics_.counter("trace.dropped_events")),
-      bg_collector_dispatches_(metrics_.counter("bg.collector.dispatches")),
-      bg_collector_exec_(metrics_.histogram("bg.collector.exec.ms")) {
+    : backend_(backend), config_(config), cache_(config.cache_capacity) {
   WSK_CHECK_MSG(backend_ != nullptr, "QueryService requires a backend");
   WSK_CHECK_MSG(config_.num_workers >= 1,
                 "QueryService requires at least one worker (got %d)",
                 config_.num_workers);
   WSK_CHECK(config_.cache_location_quantum > 0.0);
+  static_assert(std::size(kCounterNames) == kNumCounterSlots);
+  static_assert(std::size(kHistogramNames) == kNumHistogramSlots);
+  for (size_t i = 0; i < kNumCounterSlots; ++i) {
+    counters_[i] = &metrics_.counter(kCounterNames[i]);
+  }
+  for (size_t i = 0; i < kNumHistogramSlots; ++i) {
+    histograms_[i] = &metrics_.histogram(kHistogramNames[i]);
+  }
   for (size_t i = 0; i < kNumTraceStages; ++i) {
     stage_hist_[i] = &metrics_.histogram(
         std::string("stage.") + TraceStageName(static_cast<TraceStage>(i)) +
@@ -94,96 +102,58 @@ QueryService::~QueryService() {
   pool_.reset();
 }
 
-void QueryService::AccountStatus(const Status& status) {
-  switch (status.code()) {
-    case StatusCode::kOk:
-      responses_ok_.Increment();
-      return;
-    case StatusCode::kCancelled:
-      responses_cancelled_.Increment();
-      return;
-    case StatusCode::kDeadlineExceeded:
-      responses_deadline_.Increment();
-      return;
-    default:
-      responses_error_.Increment();
-      return;
+void QueryService::Observe(QueryProfile profile, const Status& status) {
+  profile.status = StatusCodeName(status.code());
+  profile.ok = status.ok();
+  // A batch dispatch is background work: its members count the responses.
+  if (profile.kind != ProfileKind::kBatch) {
+    counters_[kResponses + ResponseSlot(status.code())]->Increment();
   }
-}
-
-void QueryService::AccountIo(const BackendIoSnapshot& before,
-                             QueryProfile* profile) {
-  const BackendIoSnapshot d = backend_->io_snapshot() - before;
-  io_setr_physical_.Increment(d.setr_physical);
-  io_kcr_physical_.Increment(d.kcr_physical);
-  io_setr_logical_.Increment(d.setr_logical);
-  io_kcr_logical_.Increment(d.kcr_logical);
-  io_setr_mapped_.Increment(d.setr_mapped);
-  io_kcr_mapped_.Increment(d.kcr_mapped);
-  io_setr_node_cache_hits_.Increment(d.setr_cache_hits);
-  io_kcr_node_cache_hits_.Increment(d.kcr_cache_hits);
-  io_setr_node_cache_misses_.Increment(d.setr_cache_misses);
-  io_kcr_node_cache_misses_.Increment(d.kcr_cache_misses);
-  profile->io_physical = d.setr_physical + d.kcr_physical;
-  profile->io_mapped = d.setr_mapped + d.kcr_mapped;
-  profile->io_cache_hits = d.setr_cache_hits + d.kcr_cache_hits;
-}
-
-void QueryService::AbsorbTrace(const TraceRecorder& trace) {
-  trace_dropped_.Increment(trace.dropped_events());
+  if (status.code() == StatusCode::kResourceExhausted) {
+    // Shed at admission: nothing ran and nothing waited.
+    if (telemetry_ != nullptr) telemetry_->ReportShed();
+    return;
+  }
+  histograms_[kLatency + static_cast<size_t>(profile.kind)]->Record(
+      profile.wall_ms + profile.queue_ms);
+  counters_[kTraceDropped]->Increment(profile.dropped_events);
   for (size_t i = 0; i < kNumTraceStages; ++i) {
-    if (trace.StageCount(static_cast<TraceStage>(i)) == 0) continue;
-    stage_hist_[i]->Record(
-        static_cast<double>(trace.StageTotalUs(static_cast<TraceStage>(i))) /
-        1000.0);
+    if (profile.stage_count[i] == 0) continue;
+    stage_hist_[i]->Record(static_cast<double>(profile.stage_total_us[i]) /
+                           1000.0);
   }
   for (size_t i = 0; i < kNumTraceCounters; ++i) {
-    const uint64_t v = trace.counter(static_cast<TraceCounter>(i));
-    if (v > 0) prune_counter_[i]->Increment(v);
+    if (profile.counters[i] > 0) {
+      prune_counter_[i]->Increment(profile.counters[i]);
+    }
   }
+  if (telemetry_ != nullptr) telemetry_->Report(std::move(profile));
 }
 
 template <typename Call>
 void QueryService::Finish(Request<Call>& request,
                           StatusOr<typename Call::Response> outcome,
-                          Execution* exec) {
+                          QueryProfile* executed) {
   const double latency_ms = request.timer.ElapsedMillis();
   if (outcome.ok()) outcome.value().latency_ms = latency_ms;
-  AccountStatus(outcome.status());
-  (Call::kKind == ProfileKind::kTopK ? latency_topk_ : latency_whynot_)
-      .Record(latency_ms);
-  if (telemetry_ != nullptr) {
-    // A request that executed nothing itself reports its end-to-end
-    // latency without a recorder; a batch member's stage breakdown lives
-    // in the shared batch profile.
-    QueryProfile profile;
-    if (exec != nullptr) profile = std::move(exec->profile);
-    profile.kind = Call::kKind;
-    profile.algorithm = request.call.Algorithm();
-    profile.fingerprint =
-        request.key.empty() ? 0 : std::hash<std::string>{}(request.key);
-    profile.status = StatusCodeName(outcome.status().code());
-    profile.ok = outcome.ok();
-    profile.cache_hit = outcome.ok() && outcome.value().cache_hit;
-    if (exec != nullptr) {
-      profile.queue_ms = std::max(0.0, latency_ms - profile.wall_ms);
-    } else {
-      profile.wall_ms = latency_ms;
-    }
-    telemetry_->Report(std::move(profile),
-                       exec != nullptr ? exec->trace : nullptr);
+  // A request that executed nothing itself reports its end-to-end latency
+  // as its wall time; a batch member's stage breakdown lives in the shared
+  // batch profile.
+  QueryProfile profile;
+  if (executed != nullptr) {
+    profile = std::move(*executed);
+    profile.queue_ms = std::max(0.0, latency_ms - profile.wall_ms);
+  } else {
+    profile.wall_ms = latency_ms;
   }
+  profile.kind = Call::kKind;
+  profile.algorithm = request.call.Algorithm();
+  profile.fingerprint =
+      request.key.empty() ? 0 : std::hash<std::string>{}(request.key);
+  profile.cache_hit = outcome.ok() && outcome.value().cache_hit;
+  Observe(std::move(profile), outcome.status());
   inflight_.fetch_sub(1, std::memory_order_relaxed);
   request.promise.set_value(std::move(outcome));
-}
-
-template <typename Call>
-void QueryService::Shed(Request<Call>& request, const char* reason) {
-  inflight_.fetch_sub(1, std::memory_order_relaxed);
-  responses_rejected_.Increment();
-  if (telemetry_ != nullptr) telemetry_->ReportShed();
-  request.promise.set_value(Status::ResourceExhausted(
-      std::string("query service overloaded: ") + reason));
 }
 
 template <typename Call, typename Value>
@@ -198,13 +168,19 @@ void QueryService::Remember(const std::string& key, const Value& value,
 }
 
 template <typename Fn>
-auto QueryService::Execute(TraceRecorder& trace, Execution* exec, Fn&& run)
-    -> decltype(run()) {
+auto QueryService::Execute(bool sample, QueryProfile* profile, Fn&& run)
+    -> decltype(run(nullptr)) {
+  // The sampling decision is drawn only here, by work about to execute:
+  // every sample_every'th gets an event-capacity recorder, the rest the
+  // capacity-0 aggregation recorder.
+  TraceRecorder trace(sample && telemetry_ != nullptr
+                          ? telemetry_->NextEventCapacity()
+                          : 0);
   const BackendIoSnapshot before = backend_->io_snapshot();
   const Timer timer;
-  auto result = [&]() -> decltype(run()) {
+  auto result = [&]() -> decltype(run(nullptr)) {
     try {
-      return run();
+      return run(&trace);
     } catch (const std::exception& e) {
       return Status::Internal(std::string("query execution threw: ") +
                               e.what());
@@ -212,10 +188,15 @@ auto QueryService::Execute(TraceRecorder& trace, Execution* exec, Fn&& run)
       return Status::Internal("query execution threw a non-std exception");
     }
   }();
-  exec->profile.wall_ms = timer.ElapsedMillis();
-  exec->trace = &trace;
-  AbsorbTrace(trace);
-  AccountIo(before, &exec->profile);
+  profile->wall_ms = timer.ElapsedMillis();
+  profile->Absorb(trace);
+  const BackendIoSnapshot io = backend_->io_snapshot() - before;
+  for (size_t i = 0; i < std::size(kBackendIoFields); ++i) {
+    counters_[kIo + i]->Increment(io.*kBackendIoFields[i]);
+  }
+  profile->io_physical = io.setr_physical + io.kcr_physical;
+  profile->io_mapped = io.setr_mapped + io.kcr_mapped;
+  profile->io_cache_hits = io.setr_cache_hits + io.kcr_cache_hits;
   return result;
 }
 
@@ -231,24 +212,20 @@ void QueryService::ExecuteSolo(Request<Call>& request) {
   // makes the entry look staler than it is, never fresher.
   std::vector<uint64_t> versions;
   if (!request.key.empty()) versions = backend_->version_vector();
-  // The sampling decision is drawn only here, by a request about to
-  // execute: every sample_every'th gets an event-capacity recorder, the
-  // rest the capacity-0 aggregation recorder.
-  TraceRecorder trace(request.call.ServiceTraced() && telemetry_ != nullptr
-                          ? telemetry_->NextEventCapacity()
-                          : 0);
-  Execution exec;
-  auto result = Execute(trace, &exec, [&] {
-    return request.call.Run(*backend_, &request.token, &trace);
-  });
+  QueryProfile profile;
+  auto result = Execute(request.call.ServiceTraced(), &profile,
+                        [&](TraceRecorder* trace) {
+                          return request.call.Run(*backend_, &request.token,
+                                                  trace);
+                        });
   if (!result.ok()) {
-    Finish(request, result.status(), &exec);
+    Finish(request, result.status(), &profile);
     return;
   }
   Remember<Call>(request.key, result.value(), std::move(versions));
   typename Call::Response response;
   response.*Call::kResult = std::move(result).value();
-  Finish(request, std::move(response), &exec);
+  Finish(request, std::move(response), &profile);
 }
 
 template <typename Call>
@@ -258,11 +235,15 @@ std::future<StatusOr<typename Call::Response>> QueryService::Submit(
   request->call = std::move(call);
   std::future<StatusOr<typename Call::Response>> future =
       request->promise.get_future();
-  requests_total_.Increment();
+  counters_[kRequestsTotal]->Increment();
+  counters_[kRequests + static_cast<size_t>(Call::kKind)]->Increment();
   const int64_t admitted = inflight_.fetch_add(1, std::memory_order_relaxed);
   if (config_.max_inflight > 0 &&
       admitted >= static_cast<int64_t>(config_.max_inflight)) {
-    Shed(*request, "max_inflight reached");
+    Finish(*request,
+           Status::ResourceExhausted(
+               "query service overloaded: max_inflight reached"),
+           nullptr);
     return future;
   }
   // The token observes the client's token (if any) AND the deadline; a
@@ -308,14 +289,16 @@ std::future<StatusOr<typename Call::Response>> QueryService::Submit(
     }
   }
   if (!pool_->TrySubmit([this, request] { ExecuteSolo(*request); })) {
-    Shed(*request, "worker queue full");
+    Finish(*request,
+           Status::ResourceExhausted(
+               "query service overloaded: worker queue full"),
+           nullptr);
   }
   return future;
 }
 
 std::future<StatusOr<QueryService::TopKResponse>> QueryService::SubmitTopK(
     const SpatialKeywordQuery& query, const RequestOptions& opts) {
-  requests_topk_.Increment();
   return Submit(TopKCall{query}, opts);
 }
 
@@ -323,7 +306,6 @@ std::future<StatusOr<QueryService::WhyNotResponse>> QueryService::SubmitWhyNot(
     WhyNotAlgorithm algorithm, const SpatialKeywordQuery& query,
     const std::vector<ObjectId>& missing, const WhyNotOptions& options,
     const RequestOptions& opts) {
-  requests_whynot_.Increment();
   return Submit(WhyNotCall{algorithm, query, missing, options}, opts);
 }
 
@@ -355,13 +337,13 @@ void QueryService::BatchCollectorLoop() {
       batch_queue_.pop_front();
     }
     lock.unlock();
-    batch_window_wait_.Record(wait_timer.ElapsedMillis());
-    batch_occupancy_.Record(static_cast<double>(batch->size()));
+    histograms_[kBatchWindowWait]->Record(wait_timer.ElapsedMillis());
+    histograms_[kBatchOccupancy]->Record(static_cast<double>(batch->size()));
     // Execution runs on the worker pool so the collector can keep forming
     // batches while earlier ones are still walking the index. Submit (not
     // TrySubmit): every request in the batch was already admitted.
     pool_->Submit([this, batch] { ExecuteTopKBatch(std::move(*batch)); });
-    bg_collector_dispatches_.Increment();
+    counters_[kCollectorDispatches]->Increment();
     lock.lock();
   }
 }
@@ -392,7 +374,7 @@ void QueryService::ExecuteTopKBatch(
         auto [it, inserted] = by_key.emplace(live[i]->key, members.size());
         if (!inserted) {
           members[it->second].push_back(i);
-          batch_dedup_.Increment();
+          counters_[kBatchDedup]->Increment();
           continue;
         }
       }
@@ -412,16 +394,15 @@ void QueryService::ExecuteTopKBatch(
     items[g].query = &live[reps[g]]->call.query;
     items[g].cancel = &live[reps[g]]->token;
   }
-  // The dispatch itself is background work: one sampled batch profile
-  // covers the shared traversal, while each member request reports its
-  // own completion through Finish.
-  TraceRecorder trace(telemetry_ != nullptr ? telemetry_->NextEventCapacity()
-                                            : 0);
-  Execution exec;
-  StatusOr<std::vector<BackendBatchResult>> ran = Execute(trace, &exec, [&] {
-    return StatusOr<std::vector<BackendBatchResult>>(
-        backend_->TopKBatch(items, &trace));
-  });
+  // The dispatch itself is background work: one batch profile covers the
+  // shared traversal, while each member request reports its own
+  // completion through Finish.
+  QueryProfile profile;
+  StatusOr<std::vector<BackendBatchResult>> ran =
+      Execute(true, &profile, [&](TraceRecorder* trace) {
+        return StatusOr<std::vector<BackendBatchResult>>(
+            backend_->TopKBatch(items, trace));
+      });
   std::vector<BackendBatchResult> results;
   if (ran.ok()) results = std::move(ran).value();
   results.resize(
@@ -430,16 +411,11 @@ void QueryService::ExecuteTopKBatch(
           ran.ok() ? Status::Internal("backend returned a short batch result")
                    : ran.status(),
           {}});
-  bg_collector_exec_.Record(exec.profile.wall_ms);
-  batch_batches_.Increment();
-  batch_queries_.Increment(live.size());
-  if (telemetry_ != nullptr) {
-    exec.profile.kind = ProfileKind::kBatch;
-    exec.profile.algorithm = "batch";
-    exec.profile.status = StatusCodeName(StatusCode::kOk);
-    exec.profile.ok = true;
-    telemetry_->Report(std::move(exec.profile), &trace);
-  }
+  counters_[kBatchBatches]->Increment();
+  counters_[kBatchQueries]->Increment(live.size());
+  profile.kind = ProfileKind::kBatch;
+  profile.algorithm = "batch";
+  Observe(std::move(profile), ran.status());
 
   for (size_t g = 0; g < reps.size(); ++g) {
     const BackendBatchResult& r = results[g];
@@ -461,7 +437,7 @@ void QueryService::ExecuteTopKBatch(
         // client's cancellation never cancels another client's request.
         // The failed representative inserted nothing, so the step's insert
         // is the only one for this key.
-        batch_fallback_solo_.Increment();
+        counters_[kBatchFallbackSolo]->Increment();
         ExecuteSolo(item);
       } else {
         Finish(item, r.status, nullptr);
@@ -471,13 +447,14 @@ void QueryService::ExecuteTopKBatch(
 }
 
 StatusOr<QueryService::MutationResponse> QueryService::FinishMutation(
-    StatusOr<ObjectId> outcome, Counter& kind_counter, double latency_ms) {
-  latency_mutation_.Record(latency_ms);
+    const Timer& timer, StatusOr<ObjectId> outcome, size_t kind) {
+  const double latency_ms = timer.ElapsedMillis();
+  histograms_[kMutationLatency]->Record(latency_ms);
   if (!outcome.ok()) {
-    mutations_failed_.Increment();
+    counters_[kMutationsFailed]->Increment();
     return outcome.status();
   }
-  kind_counter.Increment();
+  counters_[kind]->Increment();
   MutationResponse response;
   response.id = outcome.value();
   response.dataset_version = backend_->dataset_version();
@@ -488,30 +465,23 @@ StatusOr<QueryService::MutationResponse> QueryService::FinishMutation(
 StatusOr<QueryService::MutationResponse> QueryService::Insert(
     Point location, const std::vector<std::string>& keywords) {
   const Timer timer;
-  StatusOr<ObjectId> id = backend_->Insert(location, keywords);
-  return FinishMutation(std::move(id), mutations_insert_,
-                        timer.ElapsedMillis());
+  return FinishMutation(timer, backend_->Insert(location, keywords),
+                        kMutationsInsert);
 }
 
 StatusOr<QueryService::MutationResponse> QueryService::Update(
     ObjectId id, Point location, const std::vector<std::string>& keywords) {
   const Timer timer;
-  StatusOr<ObjectId> outcome = id;
-  if (Status status = backend_->Update(id, location, keywords); !status.ok()) {
-    outcome = status;
-  }
-  return FinishMutation(std::move(outcome), mutations_update_,
-                        timer.ElapsedMillis());
+  const Status status = backend_->Update(id, location, keywords);
+  return FinishMutation(timer, status.ok() ? StatusOr<ObjectId>(id) : status,
+                        kMutationsUpdate);
 }
 
 StatusOr<QueryService::MutationResponse> QueryService::Delete(ObjectId id) {
   const Timer timer;
-  StatusOr<ObjectId> outcome = id;
-  if (Status status = backend_->Delete(id); !status.ok()) {
-    outcome = status;
-  }
-  return FinishMutation(std::move(outcome), mutations_delete_,
-                        timer.ElapsedMillis());
+  const Status status = backend_->Delete(id);
+  return FinishMutation(timer, status.ok() ? StatusOr<ObjectId>(id) : status,
+                        kMutationsDelete);
 }
 
 MetricsSnapshot QueryService::Snapshot() const {

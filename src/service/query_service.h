@@ -29,10 +29,11 @@
 // with the request deadline; the engine's algorithms observe the token at
 // node-visit / candidate granularity, so a timed-out query returns
 // kDeadlineExceeded within one unit of work. Successful answers land in a
-// shared LRU ResultCache keyed on a canonical query fingerprint, and every
-// request is accounted in the MetricsRegistry (status counters, latency
-// histograms, and, for every executed request, I/O counter deltas from
-// storage/io_stats.h).
+// shared LRU ResultCache keyed on a canonical query fingerprint. Every
+// finished request (and every batch dispatch) becomes one QueryProfile,
+// and Observe feeds the MetricsRegistry (status counters, latency and stage
+// histograms, pruning counters) and the telemetry hub from it; executed
+// work also adds its I/O counter deltas (storage/io_stats.h).
 //
 // Thread safety: all public methods may be called concurrently. The
 // service relies on the backend's documented contract that const query
@@ -46,6 +47,7 @@
 #include <condition_variable>
 #include <deque>
 #include <future>
+#include <iterator>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -62,6 +64,7 @@
 #include "observability/trace.h"
 #include "service/metrics.h"
 #include "service/result_cache.h"
+#include "storage/io_stats.h"
 
 namespace wsk {
 
@@ -266,29 +269,18 @@ class QueryService {
   };
   using TopKRequest = Request<TopKCall>;
 
-  // What one execute step (a solo request or a whole batch) measured:
-  // the wall time around the backend call and the io_* reads, in the
-  // profile the request will report, plus the recorder it ran under.
-  struct Execution {
-    QueryProfile profile;
-    const TraceRecorder* trace = nullptr;
-  };
-
-  // Classifies a terminal status into the response counters.
-  void AccountStatus(const Status& status);
-  // Adds the I/O since `before` to the io.* counters and to `profile`
-  // (summed across the SETR and KcR trees). Attribution is approximate
-  // under concurrency (the counters are shared; overlapping queries see
-  // each other's reads) — the engine_io rows of Snapshot() are the exact
-  // total.
-  void AccountIo(const BackendIoSnapshot& before, QueryProfile* profile);
-  // Folds a finished request's stage totals and pruning counters into the
-  // interned stage.* histograms / prune.* counters.
-  void AbsorbTrace(const TraceRecorder& trace);
-  // Shared tail of the three mutation entry points.
-  StatusOr<MutationResponse> FinishMutation(StatusOr<ObjectId> outcome,
-                                            Counter& kind_counter,
-                                            double latency_ms);
+  // Shared tail of the three mutation entry points, timed from `timer`;
+  // `kind` is the kMutationsInsert/Update/Delete slot.
+  StatusOr<MutationResponse> FinishMutation(const Timer& timer,
+                                            StatusOr<ObjectId> outcome,
+                                            size_t kind);
+  // Writes one finished unit of work — a solo request, a batch dispatch, a
+  // request that executed nothing itself (cache hit, fail fast, batch
+  // member), or an admission rejection — into every sink: responses.*,
+  // the latency histogram of its kind, stage.*, prune.* and
+  // trace.dropped_events from its recorder's copy, and the telemetry hub.
+  // `status` is its terminal status, stamped into the profile here.
+  void Observe(QueryProfile profile, const Status& status);
 
   // The request pipeline (docs/SERVICE.md "Life of a request"). Submit
   // admits (max_inflight), validates, fails fast, looks the answer up in
@@ -301,28 +293,29 @@ class QueryService {
   // the answer into the cache, Finish.
   template <typename Call>
   void ExecuteSolo(Request<Call>& request);
-  // Runs one backend call under `trace`: I/O snapshot, wall timer, trace
-  // absorption and I/O accounting on every outcome, so reads by a request
-  // that ends in an error still count. An escaping exception becomes
-  // kInternal.
+  // Runs `run(TraceRecorder*)` under a fresh recorder (event capacity per
+  // the sampling decision when `sample`), fills `profile` with the wall
+  // time, the recorder's contents and the io_* reads, and adds the I/O to
+  // the io.* counters — on every outcome, so reads by a request that ends
+  // in an error still count. An escaping exception becomes kInternal. I/O
+  // attribution is approximate under concurrency (overlapping queries see
+  // each other's reads); the engine_io rows of Snapshot() are exact.
   template <typename Fn>
-  auto Execute(TraceRecorder& trace, Execution* exec, Fn&& run)
-      -> decltype(run());
+  auto Execute(bool sample, QueryProfile* profile, Fn&& run)
+      -> decltype(run(nullptr));
   // The one cache insertion: a computed answer under `key` (no-op when
   // empty), stamped with the versions captured before it ran.
   template <typename Call, typename Value>
   void Remember(const std::string& key, const Value& value,
                 std::vector<uint64_t> versions);
-  // Accounts a request's terminal outcome — status counters, latency
-  // histogram, telemetry profile, inflight slot — and fulfils its
-  // promise. `exec` is null when the request itself executed nothing
-  // (cache hit, fail-fast, answered by a batch).
+  // A request's terminal outcome: completes its profile (`executed` is
+  // null when the request itself executed nothing — cache hit, fail fast,
+  // admission rejection, answered by a batch), observes it, frees the
+  // inflight slot and fulfils the promise.
   template <typename Call>
   void Finish(Request<Call>& request,
-              StatusOr<typename Call::Response> outcome, Execution* exec);
-  // Admission rejection: kResourceExhausted without executing.
-  template <typename Call>
-  void Shed(Request<Call>& request, const char* reason);
+              StatusOr<typename Call::Response> outcome,
+              QueryProfile* executed);
 
   // Collector thread body: waits for pending requests, holds the batch
   // open for up to batch_window_ms (or until batch_max_size), then hands
@@ -339,53 +332,36 @@ class QueryService {
   ResultCache cache_;
   std::atomic<int64_t> inflight_{0};
 
-  // Hot-path metrics, interned once at construction (registry lookups take
-  // the registry mutex; the request path must not).
-  Counter& requests_total_;
-  Counter& requests_topk_;
-  Counter& requests_whynot_;
-  Counter& responses_ok_;
-  Counter& responses_rejected_;
-  Counter& responses_cancelled_;
-  Counter& responses_deadline_;
-  Counter& responses_error_;
-  Counter& io_setr_physical_;
-  Counter& io_kcr_physical_;
-  Counter& io_setr_logical_;
-  Counter& io_kcr_logical_;
-  Counter& io_setr_mapped_;
-  Counter& io_kcr_mapped_;
-  Counter& io_setr_node_cache_hits_;
-  Counter& io_kcr_node_cache_hits_;
-  Counter& io_setr_node_cache_misses_;
-  Counter& io_kcr_node_cache_misses_;
-  LatencyHistogram& latency_topk_;
-  LatencyHistogram& latency_whynot_;
-  Counter& mutations_insert_;
-  Counter& mutations_update_;
-  Counter& mutations_delete_;
-  Counter& mutations_failed_;
-  LatencyHistogram& latency_mutation_;
-  // Batched-execution metrics (docs/BATCHING.md): batches dispatched,
-  // requests routed through them, duplicates answered by a shared
-  // execution, solo re-runs after a representative's cancellation, batch
-  // size at dispatch, and how long the collection window held each batch.
-  Counter& batch_batches_;
-  Counter& batch_queries_;
-  Counter& batch_dedup_;
-  Counter& batch_fallback_solo_;
-  LatencyHistogram& batch_occupancy_;
-  LatencyHistogram& batch_window_wait_;
-  // Events the bounded trace buffers had to discard (satellite of the
-  // telemetry pipeline: sampling must be observable itself).
-  Counter& trace_dropped_;
-  // Background-task visibility for the batch collector: batches handed to
-  // the pool and the wall time each dispatch spent in TopKBatch.
-  Counter& bg_collector_dispatches_;
-  LatencyHistogram& bg_collector_exec_;
-  // Per-stage wall-time histograms and pruning counters, interned at
-  // construction (indexed by TraceStage / TraceCounter) so AbsorbTrace
-  // never takes the registry mutex.
+  // Hot-path metrics, interned once at construction from the name tables
+  // in query_service.cc (registry lookups take the registry mutex; the
+  // request path must not). A run of slots is indexed by ProfileKind
+  // (requests, latencies; a batch dispatch's latency is
+  // bg.collector.exec.ms), ResponseSlot() or kBackendIoFields. Batching
+  // (docs/BATCHING.md) counts batches dispatched, requests routed through
+  // them, duplicates answered by a shared execution, solo re-runs after a
+  // representative's cancellation, and batches handed to the pool; it
+  // records each batch's size and how long its window held it.
+  enum CounterSlot : size_t {
+    kRequestsTotal,
+    kRequests,  // + ProfileKind (topk, whynot)
+    kResponses = kRequests + 2,
+    kIo = kResponses + 5,
+    kMutationsInsert = kIo + std::size(kBackendIoFields),
+    kMutationsUpdate, kMutationsDelete, kMutationsFailed,
+    kBatchBatches, kBatchQueries, kBatchDedup, kBatchFallbackSolo,
+    kCollectorDispatches,
+    kTraceDropped,  // events the bounded trace buffers had to discard
+    kNumCounterSlots
+  };
+  enum HistogramSlot : size_t {
+    kLatency,  // + ProfileKind (topk, whynot, batch)
+    kMutationLatency = kLatency + 3,
+    kBatchOccupancy, kBatchWindowWait,
+    kNumHistogramSlots
+  };
+  Counter* counters_[kNumCounterSlots] = {};
+  LatencyHistogram* histograms_[kNumHistogramSlots] = {};
+  // Indexed by TraceStage / TraceCounter.
   LatencyHistogram* stage_hist_[kNumTraceStages] = {};
   Counter* prune_counter_[kNumTraceCounters] = {};
   // Constructed iff config.telemetry.enabled. Declared before pool_ so

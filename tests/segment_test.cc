@@ -60,17 +60,6 @@ TEST(DeltaSegmentTest, SupersededVersionResolution) {
   EXPECT_EQ(delta.CountVisible(2), 1u);  // never two versions at once
 }
 
-TEST(DeltaSegmentTest, TermPostings) {
-  DeltaSegment delta(8);
-  delta.Add(MakeObject(1, 0, 0, {3}), 1);
-  const uint32_t b = delta.Add(MakeObject(2, 1, 1, {3, 4}), 2);
-  EXPECT_EQ(delta.VisibleDocFrequency(3, 2), 2u);
-  EXPECT_EQ(delta.VisibleDocFrequency(4, 2), 1u);
-  EXPECT_EQ(delta.VisibleDocFrequency(9, 2), 0u);
-  delta.MarkDeleted(b, 3);
-  EXPECT_EQ(delta.VisibleDocFrequency(3, 3), 1u);
-}
-
 TEST(FrozenSegmentTest, ShadowSemantics) {
   std::vector<SpatialObject> objects = {
       MakeObject(0, 0, 0, {0}),

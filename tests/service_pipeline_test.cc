@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -174,6 +175,47 @@ TEST_F(ServicePipelineTest, CachedTopKIsAnsweredWhileThePoolIsFull) {
   EXPECT_EQ(queued.get().status().code(), StatusCode::kDeadlineExceeded);
   EXPECT_EQ(service.metrics().counter("responses.rejected_overload").value(),
             0u);
+}
+
+// A backend whose every top-k throws; the batch dispatch that runs it must
+// report the failure, not a hard-coded OK.
+class ThrowingBackend : public QueryBackend {
+ public:
+  StatusOr<std::vector<ScoredObject>> TopK(const SpatialKeywordQuery&,
+                                           const CancelToken*,
+                                           TraceRecorder*) const override {
+    throw std::runtime_error("backend failure");
+  }
+  StatusOr<WhyNotResult> Answer(WhyNotAlgorithm, const SpatialKeywordQuery&,
+                                const std::vector<ObjectId>&,
+                                const WhyNotOptions&) const override {
+    return Status::Internal("unused");
+  }
+  BackendIoSnapshot io_snapshot() const override { return {}; }
+};
+
+TEST(ServicePipelineBatchTest, FailedBatchProfileCarriesTheBatchStatus) {
+  ThrowingBackend backend;
+  QueryServiceConfig config;
+  config.batch_max_size = 2;
+  config.telemetry.sample_every = 1;
+  QueryService service(&backend, config);
+  SpatialKeywordQuery query;
+  query.loc = Point{0.5, 0.5};
+  query.doc = KeywordSet({1, 2});
+  query.k = 3;
+  query.alpha = 0.5;
+  const auto result = service.TopK(query);
+  ASSERT_EQ(result.status().code(), StatusCode::kInternal);
+
+  bool saw_batch = false;
+  for (const QueryProfile& p : service.telemetry()->Profiles()) {
+    if (p.kind != ProfileKind::kBatch) continue;
+    saw_batch = true;
+    EXPECT_EQ(p.status, "INTERNAL") << p.Summary();
+    EXPECT_FALSE(p.ok);
+  }
+  EXPECT_TRUE(saw_batch);
 }
 
 }  // namespace

@@ -182,6 +182,13 @@ TEST_F(ServiceStressTest, MixedWorkloadUnderContention) {
             kTotal);
   EXPECT_EQ(service.metrics().counter("responses.error").value(), 0u);
   EXPECT_EQ(service.inflight(), 0);
+  // Every sink counts each finished request exactly once: the telemetry
+  // hub and the two request-latency histograms agree with requests.total.
+  EXPECT_EQ(service.telemetry()->stats().requests_observed, kTotal);
+  EXPECT_EQ(
+      service.metrics().histogram("latency.topk.ms").TakeSnapshot().count +
+          service.metrics().histogram("latency.whynot.ms").TakeSnapshot().count,
+      kTotal);
 
   // The repeated queries hit the shared cache (the workload has only a
   // handful of distinct fingerprints).
