@@ -423,9 +423,9 @@ void RunBatch(benchmark::State& state, size_t batch_n) {
 // Always-on telemetry cost (docs/OBSERVABILITY.md "Continuous
 // telemetry"): the same saturated solo top-k workload through a service
 // with the hub disabled and with the shipped default config (sampling at
-// 1/1024, rolling windows, slow classification), timed back-to-back in one
-// process like BM_TraceOverhead. `sampling_overhead` (enabled time /
-// disabled time) is a machine-relative ratio the regression checker caps
+// 1/1024, rolling windows, slow classification), timed in alternating
+// back-to-back rounds in one process. `sampling_overhead` (the median over
+// rounds of enabled time / disabled time) is a machine-relative ratio the regression checker caps
 // hard (--max-sampling-overhead): the pipeline must stay affordable
 // enough to leave on in production. Cache off so every request takes the
 // fully instrumented execution path.
@@ -455,10 +455,16 @@ double RunTelemetryLeg(bool enabled, int reps) {
   return wall.ElapsedSeconds();
 }
 
+double Median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  return values[values.size() / 2];
+}
+
 void BM_SamplingOverhead(benchmark::State& state) {
   const size_t num_queries = SharedWorkload().topk.size();
-  double off_s = 0.0;
-  double on_s = 0.0;
+  // Odd, so the median is one round's own ratio.
+  constexpr int kRounds = 9;
+  std::vector<double> off_s, on_s, ratios;
   int reps = 1;
   for (auto _ : state) {
     // Calibrate the leg length so each timed leg runs long enough (at the
@@ -469,22 +475,30 @@ void BM_SamplingOverhead(benchmark::State& state) {
       reps = static_cast<int>(0.15 / once_s) + 1;
       reps = std::min(reps, 64);
     }
-    // Warm both paths (page cache, node cache, allocator), then alternate
-    // legs and keep each side's best so scheduler noise cannot manufacture
-    // an overhead that is not there.
+    // Warm both paths (page cache, node cache, allocator). Then each round
+    // times one disabled and one enabled leg back to back, flipping which
+    // goes first, so machine-speed drift hits both legs of a round alike
+    // and order effects cancel; the median of the per-round ratios ignores
+    // the rounds a scheduler hiccup hit.
     (void)RunTelemetryLeg(true, reps);
-    off_s = RunTelemetryLeg(false, reps);
-    on_s = RunTelemetryLeg(true, reps);
-    for (int round = 0; round < 3; ++round) {
-      off_s = std::min(off_s, RunTelemetryLeg(false, reps));
-      on_s = std::min(on_s, RunTelemetryLeg(true, reps));
+    (void)RunTelemetryLeg(false, reps);
+    for (int round = 0; round < kRounds; ++round) {
+      const bool on_first = round % 2 == 1;
+      const double first = RunTelemetryLeg(on_first, reps);
+      const double second = RunTelemetryLeg(!on_first, reps);
+      const double off = on_first ? second : first;
+      const double on = on_first ? first : second;
+      off_s.push_back(off);
+      on_s.push_back(on);
+      ratios.push_back(off > 0.0 ? on / off : 1.0);
     }
   }
-  state.counters["disabled_ms"] = off_s * 1e3;
-  state.counters["enabled_ms"] = on_s * 1e3;
-  state.counters["sampling_overhead"] = off_s > 0.0 ? on_s / off_s : 1.0;
-  state.counters["qps"] = static_cast<double>(num_queries * reps) /
-                          (on_s > 0.0 ? on_s : 1e-9);
+  const double on = Median(on_s);
+  state.counters["disabled_ms"] = Median(off_s) * 1e3;
+  state.counters["enabled_ms"] = on * 1e3;
+  state.counters["sampling_overhead"] = Median(ratios);
+  state.counters["qps"] =
+      static_cast<double>(num_queries * reps) / (on > 0.0 ? on : 1e-9);
 }
 
 }  // namespace

@@ -1,12 +1,15 @@
 #include "core/planned_backend.h"
 
+#include "common/timer.h"
 #include "core/whynot_bs.h"
-#include "core/whynot_common.h"
 #include "core/whynot_kcr.h"
 
 namespace wsk {
 
 namespace {
+
+using internal::MissingSet;
+using internal::WhyNotScorer;
 
 const TopKSource& Tree(const PlanSegment& segment, bool kcr) {
   if (kcr) return segment.index->kcr();
@@ -43,47 +46,95 @@ StatusOr<WhyNotResult> PlannedBackend::Answer(
   // Root span: encloses the whole invocation so every stage span nests
   // inside it (the coverage property the trace tests assert).
   TraceSpan root_span(options.trace, TraceStage::kQuery);
-  const WhyNotPlan plan = PlanWhyNot();
+  // What the algorithm decides: its candidate search, its tree family
+  // (KcRBased ranks over the KcR-trees it traverses, so R(M, q') and the
+  // dominator bounds agree on what exists) and, for BS, the optimisation
+  // switches forced off.
+  WhyNotOptions opts = options;
+  internal::CandidateSearch search = internal::SearchByRankQueries;
   const bool kcr = algorithm == WhyNotAlgorithm::kKcrBased;
-  // KcRBased ranks over the KcR-trees it traverses, so R(M, q') and the
-  // dominator bounds agree on what exists.
+  if (algorithm == WhyNotAlgorithm::kBasic) {
+    opts.opt_early_stop = false;
+    opts.opt_enumeration_order = false;
+    opts.opt_keyword_filtering = false;
+  } else if (kcr) {
+    if (query.model != SimilarityModel::kJaccard) {
+      return Status::InvalidArgument(
+          "the KcR-based algorithm requires the Jaccard similarity model");
+    }
+    search = internal::SearchByKcrBatches;
+  }
+  const WhyNotPlan plan = PlanWhyNot();
   std::optional<MergedTopKSource> merged;
   const TopKSource& source = plan.Source(kcr, options.trace, &merged);
   const BackendIoSnapshot before = io_snapshot();
 
-  StatusOr<WhyNotResult> result = Status::Internal("unreachable");
-  switch (algorithm) {
-    case WhyNotAlgorithm::kBasic: {
-      WhyNotOptions plain = options;
-      plain.opt_early_stop = false;
-      plain.opt_enumeration_order = false;
-      plain.opt_keyword_filtering = false;
-      result = AnswerWhyNotBasic(*plan.store, source, plan.diagonal, query,
-                                 missing, plain);
-      break;
+  // Algorithm 4's frame, one copy for all three algorithms.
+  Timer timer;
+  WSK_RETURN_IF_ERROR(internal::ValidateWhyNotInput(
+      query, missing, opts, plan.store->num_objects()));
+  StatusOr<MissingSet> built = MissingSet::Build(*plan.store, missing);
+  if (!built.ok()) return built.status();
+  const MissingSet missing_set = std::move(built).value();
+  WhyNotResult result;
+
+  // Algorithm 4, line 1: R(M, q) under the original query.
+  bool exceeded = false;
+  StatusOr<uint32_t> initial_rank = Status::Internal("unreachable");
+  {
+    TraceSpan span(opts.trace, TraceStage::kInitialRank);
+    initial_rank = internal::RankFromIndex(
+        source, query, missing_set.MinScore(query, plan.diagonal),
+        /*limit=*/0, &exceeded, nullptr, opts.cancel, opts.use_node_cache,
+        opts.trace, &result.stats.nodes_expanded);
+  }
+  if (!initial_rank.ok()) return initial_rank.status();
+  const uint32_t r0 = initial_rank.value();
+  result.stats.initial_rank = r0;
+  if (r0 <= query.k) {
+    result.already_in_result = true;
+    result.refined.doc = query.doc;
+    result.refined.k = query.k;
+    result.refined.rank = r0;
+  } else {
+    // The candidates over doc0 ∪ M.doc, and the basic refinement as the
+    // best answer to beat. The one branch on the algorithm: KcRBased's
+    // batches need the canonical order whatever opt_enumeration_order says.
+    const uint64_t enum_start_us =
+        opts.trace != nullptr ? opts.trace->NowUs() : 0;
+    CandidateEnumerator enumerator(query.doc, missing_set.docs,
+                                   plan.store->vocabulary());
+    const PenaltyModel pm(opts.lambda, query.k, r0,
+                          enumerator.universe_size());
+    const WhyNotScorer scorer(*plan.store, missing_set, query, plan.diagonal,
+                              enumerator.universe(), opts.use_score_kernel);
+    internal::BestRefinement best(query.doc, query.k, r0, opts.lambda);
+    const std::vector<Candidate> candidates =
+        opts.sample_size > 0 ? enumerator.SampleByBenefit(opts.sample_size)
+        : (kcr || opts.opt_enumeration_order) ? enumerator.ordered()
+                                               : enumerator.UnorderedCopy();
+    result.stats.candidates_total = candidates.size();
+    if (opts.trace != nullptr) {
+      opts.trace->RecordSpan(TraceStage::kEnumeration, enum_start_us,
+                             opts.trace->NowUs());
     }
-    case WhyNotAlgorithm::kAdvanced:
-      result = AnswerWhyNotBasic(*plan.store, source, plan.diagonal, query,
-                                 missing, options);
-      break;
-    case WhyNotAlgorithm::kKcrBased: {
-      KcrMultiSource kcr_source;
-      for (const PlanSegment& segment : plan.segments) {
-        kcr_source.segments.push_back(KcrSegmentSource{
-            &segment.index->kcr(), segment.visibility, segment.shadow_count});
-      }
-      kcr_source.extras = plan.extras;
-      kcr_source.rank_source = &source;
-      kcr_source.diagonal = plan.diagonal;
-      result = AnswerWhyNotKcr(*plan.store, kcr_source, query, missing,
-                               options);
-      break;
+    WSK_RETURN_IF_ERROR(search({plan, source, query, opts, missing_set, scorer,
+                                pm, candidates, &best, &result.stats}));
+    result.refined = best.best();
+    if (opts.trace != nullptr) {
+      TraceRecorder& t = *opts.trace;
+      t.Add(TraceCounter::kCandidatesEnumerated,
+            result.stats.candidates_total);
+      t.Add(TraceCounter::kCandidatesKept, result.stats.candidates_evaluated);
+      t.Add(TraceCounter::kCandidatesPrunedEarlyStop,
+            result.stats.candidates_pruned_bounds +
+                result.stats.candidates_skipped_order);
+      t.Add(TraceCounter::kCandidatesPrunedDominator,
+            result.stats.candidates_filtered);
     }
   }
-  if (result.ok()) {
-    result.value().stats.io_reads =
-        (io_snapshot() - before).page_reads(kcr);
-  }
+  result.stats.elapsed_ms = timer.ElapsedMillis();
+  result.stats.io_reads = (io_snapshot() - before).page_reads(kcr);
   return result;
 }
 

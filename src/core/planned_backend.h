@@ -5,9 +5,12 @@
 // visibility filter), the in-memory delta objects that no tree indexes,
 // and whatever must stay alive while the query runs. The dispatcher owns
 // everything else — the cancel check, the root trace span, forcing BS's
-// optimisation switches off, building the top-k sources and io_reads — so
+// optimisation switches off, building the top-k sources, io_reads and the
+// search frame all three algorithms share (validation, R(M, q), the
+// candidate list, the best refinement, the stats and the trace flush) — so
 // the frozen engine, the live engine and the shard coordinator answer
-// through the same code. The coordinator's plan is its shards' plans
+// through the same code, and an algorithm is only its candidate search
+// (whynot_bs.h, whynot_kcr.h). The coordinator's plan is its shards' plans
 // concatenated (docs/SHARDING.md).
 #ifndef WSK_CORE_PLANNED_BACKEND_H_
 #define WSK_CORE_PLANNED_BACKEND_H_
@@ -58,8 +61,9 @@ class PlannedBackend : public QueryBackend {
  public:
   // Answers the keyword-adapted why-not query (Definition 2) over
   // PlanWhyNot(). BS and AdvancedBS rank over the SetR-trees, KcRBased
-  // traverses the KcR-trees. For kBasic the optimisation switches in
-  // `options` are forced off, so it reproduces the paper's unoptimised BS.
+  // traverses the KcR-trees and requires the Jaccard model. For kBasic the
+  // optimisation switches in `options` are forced off, so it reproduces the
+  // paper's unoptimised BS.
   // options.cancel aborts with kCancelled / kDeadlineExceeded.
   // stats.io_reads is the before/after delta of io_snapshot().page_reads
   // for the algorithm's tree family, so under concurrent queries it

@@ -126,6 +126,56 @@ Status ValidateWhyNotInput(const SpatialKeywordQuery& original,
   return Status::Ok();
 }
 
+BestRefinement::BestRefinement(const KeywordSet& doc0, uint32_t k0,
+                               uint32_t initial_rank, double lambda)
+    : k0_(k0), threshold_(lambda) {
+  best_.doc = doc0;
+  best_.k = initial_rank;
+  best_.rank = initial_rank;
+  best_.penalty = lambda;
+}
+
+double BestRefinement::Threshold() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return threshold_;
+}
+
+void BestRefinement::Tighten(double pen_hi) {
+  std::lock_guard<std::mutex> lock(mu_);
+  threshold_ = std::min(threshold_, pen_hi);
+}
+
+bool BestRefinement::WinsTie(const Candidate& cand, double penalty) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return WinsTieLocked(cand, penalty);
+}
+
+bool BestRefinement::WinsTieLocked(const Candidate& cand,
+                                   double penalty) const {
+  return penalty == best_.penalty && !best_is_seed_ &&
+         CanonicalOrderLess(cand, best_cand_);
+}
+
+void BestRefinement::Offer(const Candidate& cand, uint32_t rank,
+                           double penalty) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (penalty < best_.penalty || WinsTieLocked(cand, penalty)) {
+    best_.doc = cand.doc;
+    best_.rank = rank;
+    best_.k = std::max(k0_, rank);
+    best_.edit_distance = cand.edit_distance;
+    best_.penalty = penalty;
+    best_is_seed_ = false;
+    best_cand_ = cand;
+  }
+  threshold_ = std::min(threshold_, penalty);
+}
+
+RefinedQuery BestRefinement::best() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return best_;
+}
+
 StatusOr<uint32_t> RankFromIndex(const TopKSource& tree,
                                  const SpatialKeywordQuery& query,
                                  double min_score, int64_t limit,

@@ -1,4 +1,6 @@
-// Internal helpers shared by the why-not algorithm implementations.
+// Internal helpers shared by the why-not algorithm implementations, and
+// the interface between the shared search frame (PlannedBackend::Answer)
+// and the two candidate searches (whynot_bs.h, whynot_kcr.h).
 #ifndef WSK_CORE_WHYNOT_COMMON_H_
 #define WSK_CORE_WHYNOT_COMMON_H_
 
@@ -7,6 +9,9 @@
 #include <vector>
 
 #include "common/status.h"
+#include "core/candidates.h"
+#include "core/penalty.h"
+#include "core/planned_backend.h"
 #include "core/whynot.h"
 #include "data/dataset.h"
 #include "data/query.h"
@@ -113,6 +118,57 @@ StatusOr<uint32_t> RankFromIndex(const TopKSource& tree,
                                  bool use_cache = true,
                                  TraceRecorder* trace = nullptr,
                                  uint64_t* nodes_expanded = nullptr);
+
+// The best refined query found so far and the pruning threshold p_c,
+// shared by every search worker (Sections IV-C4 and VII-B7). It starts as
+// the basic refinement: keep doc0, k' = R(M, q), penalty lambda. Ties go to
+// that seed, then to the canonically-first candidate, so the winner does
+// not depend on the thread schedule or the batch chunking.
+class BestRefinement {
+ public:
+  BestRefinement(const KeywordSet& doc0, uint32_t k0, uint32_t initial_rank,
+                 double lambda);
+
+  // p_c: the best exact penalty, or a lower proven penalty upper bound.
+  double Threshold() const;
+  // Records a penalty upper bound proven for some candidate.
+  void Tighten(double pen_hi);
+  // True when `cand` at exactly the incumbent's `penalty` would replace it.
+  bool WinsTie(const Candidate& cand, double penalty) const;
+  // Accepts `cand`'s exact rank R(M, q') and Eqn 4 penalty.
+  void Offer(const Candidate& cand, uint32_t rank, double penalty);
+  RefinedQuery best() const;
+
+ private:
+  bool WinsTieLocked(const Candidate& cand, double penalty) const;
+
+  const uint32_t k0_;
+  mutable std::mutex mu_;
+  double threshold_;
+  RefinedQuery best_;
+  bool best_is_seed_ = true;
+  Candidate best_cand_;  // tie-break key, valid once !best_is_seed_
+};
+
+// What the frame hands a candidate search: the plan, the ranked stream over
+// the search's tree family, what Algorithm 4's preamble built once, and the
+// candidate list. A search finds the candidates' ranks, offers exact
+// penalties to `best`, and adds its candidate dispositions and
+// nodes_expanded to `stats`.
+struct SearchFrame {
+  const WhyNotPlan& plan;
+  const TopKSource& source;
+  const SpatialKeywordQuery& original;
+  const WhyNotOptions& options;
+  const MissingSet& missing;
+  const WhyNotScorer& scorer;
+  const PenaltyModel& pm;
+  const std::vector<Candidate>& candidates;
+  BestRefinement* best;
+  WhyNotStats* stats;
+};
+
+using CandidateSearch = Status (*)(const SearchFrame& frame);
 
 }  // namespace wsk::internal
 

@@ -2,23 +2,14 @@
 
 #include <algorithm>
 #include <bit>
-#include <mutex>
 
 #include "common/thread_pool.h"
-#include "common/timer.h"
-#include "core/candidates.h"
-#include "core/penalty.h"
-#include "core/whynot_common.h"
 #include "index/dom_bounds.h"
 #include "observability/trace.h"
 
-namespace wsk {
+namespace wsk::internal {
 
 namespace {
-
-using internal::MissingSet;
-using internal::RankFromIndex;
-using internal::WhyNotScorer;
 
 // Per-candidate search state during one Algorithm 3 batch. The frontier
 // dominator sums are kept per missing object; the rank bound of the set M
@@ -73,97 +64,37 @@ int64_t ClampLo(int64_t lo, uint32_t shadow) {
   return std::max<int64_t>(0, lo - static_cast<int64_t>(shadow));
 }
 
-// The currently best refined query and pruning threshold p_c, shared (and
-// synchronized) across parallel batch workers as in Section VII-B7.
-class BestTracker {
- public:
-  double Threshold() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return pruning_threshold_;
-  }
-
-  // Records a penalty *upper bound* seen for some candidate.
-  void Tighten(double pen_hi) {
-    std::lock_guard<std::mutex> lock(mu_);
-    pruning_threshold_ = std::min(pruning_threshold_, pen_hi);
-  }
-
-  // Accepts an exactly-known candidate penalty. Ties go to the basic
-  // refinement (the seed), then to the canonically-first candidate, so the
-  // winner is independent of batch chunking and thread schedule.
-  void OfferExact(const Candidate& cand, uint32_t rank, uint32_t k0,
-                  double penalty) {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (penalty < best_.penalty ||
-        (penalty == best_.penalty && !best_is_seed_ &&
-         CanonicalOrderLess(cand, best_cand_))) {
-      best_.doc = cand.doc;
-      best_.rank = rank;
-      best_.k = std::max(k0, rank);
-      best_.edit_distance = cand.edit_distance;
-      best_.penalty = penalty;
-      best_is_seed_ = false;
-      best_cand_ = cand;
-    }
-    pruning_threshold_ = std::min(pruning_threshold_, penalty);
-  }
-
-  void SeedBasic(const KeywordSet& doc0, uint32_t initial_rank,
-                 double lambda) {
-    best_.doc = doc0;
-    best_.k = initial_rank;
-    best_.rank = initial_rank;
-    best_.edit_distance = 0;
-    best_.penalty = lambda;
-    pruning_threshold_ = lambda;
-  }
-
-  RefinedQuery best() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return best_;
-  }
-
- private:
-  mutable std::mutex mu_;
-  double pruning_threshold_ = 1.0;
-  RefinedQuery best_;
-  bool best_is_seed_ = true;
-  Candidate best_cand_;  // tie-break key, valid once !best_is_seed_
-};
-
 class KcrBatchRunner {
  public:
-  KcrBatchRunner(const KcrMultiSource& src,
-                 const SpatialKeywordQuery& original,
-                 const MissingSet& missing, const WhyNotScorer& scorer,
-                 const PenaltyModel& pm, WhyNotStats* stats,
-                 const CancelToken* cancel, bool use_node_cache,
-                 TraceRecorder* trace)
-      : src_(src),
-        original_(original),
-        missing_(missing),
-        scorer_(scorer),
-        pm_(pm),
+  // Algorithm 3 over every segment of the frame's plan at once plus its
+  // extras; `stats` receives this runner's candidate dispositions.
+  KcrBatchRunner(const SearchFrame& frame, WhyNotStats* stats)
+      : plan_(frame.plan),
+        original_(frame.original),
+        missing_(frame.missing),
+        scorer_(frame.scorer),
+        pm_(frame.pm),
+        best_(frame.best),
         stats_(stats),
-        cancel_(cancel),
-        use_node_cache_(use_node_cache),
-        trace_(trace) {
-    dom_ctx_.reserve(missing.size());
-    for (size_t i = 0; i < missing.size(); ++i) {
+        cancel_(frame.options.cancel),
+        use_node_cache_(frame.options.use_node_cache),
+        trace_(frame.options.trace) {
+    const double diagonal = plan_.diagonal;
+    dom_ctx_.reserve(missing_.size());
+    for (size_t i = 0; i < missing_.size(); ++i) {
       DomContext ctx;
-      ctx.query_loc = original.loc;
-      ctx.alpha = original.alpha;
-      ctx.diagonal = src.diagonal;
+      ctx.query_loc = original_.loc;
+      ctx.alpha = original_.alpha;
+      ctx.diagonal = diagonal;
       ctx.missing_sdist =
-          Distance(missing.locs[i], original.loc) / src.diagonal;
+          Distance(missing_.locs[i], original_.loc) / diagonal;
       dom_ctx_.push_back(ctx);
     }
   }
 
   // Runs Algorithm 3 on the candidate batch [begin, end) of the ordered
   // candidate list.
-  Status RunBatch(const Candidate* begin, const Candidate* end,
-                  BestTracker* tracker);
+  Status RunBatch(const Candidate* begin, const Candidate* end);
 
  private:
   // Evaluates the node-level bounds for one candidate, one missing object.
@@ -188,7 +119,7 @@ class KcrBatchRunner {
 
   // Re-derives penalty bounds for `cand` and applies pruning / threshold
   // tightening. Returns false when the candidate was pruned.
-  bool Reassess(CandState* cand, BestTracker* tracker) {
+  bool Reassess(CandState* cand) {
     if (!cand->alive) return false;
     const double pen_hi =
         pm_.Penalty(static_cast<uint64_t>(cand->RankHi()),
@@ -196,8 +127,8 @@ class KcrBatchRunner {
     const double pen_lo =
         pm_.Penalty(static_cast<uint64_t>(cand->RankLo()),
                     cand->cand->edit_distance);
-    tracker->Tighten(pen_hi);
-    if (pen_lo > tracker->Threshold()) {
+    best_->Tighten(pen_hi);
+    if (pen_lo > best_->Threshold()) {
       cand->alive = false;
       ++stats_->candidates_pruned_bounds;
       return false;
@@ -205,11 +136,12 @@ class KcrBatchRunner {
     return true;
   }
 
-  const KcrMultiSource& src_;
+  const WhyNotPlan& plan_;
   const SpatialKeywordQuery& original_;
   const MissingSet& missing_;
   const WhyNotScorer& scorer_;
   const PenaltyModel& pm_;
+  BestRefinement* const best_;
   WhyNotStats* stats_;
   const CancelToken* cancel_;
   const bool use_node_cache_;
@@ -217,8 +149,8 @@ class KcrBatchRunner {
   std::vector<DomContext> dom_ctx_;
 };
 
-Status KcrBatchRunner::RunBatch(const Candidate* begin, const Candidate* end,
-                                BestTracker* tracker) {
+Status KcrBatchRunner::RunBatch(const Candidate* begin,
+                                const Candidate* end) {
   const size_t num_cands = static_cast<size_t>(end - begin);
   const size_t num_missing = missing_.size();
   if (num_cands == 0) return Status::Ok();
@@ -268,35 +200,53 @@ Status KcrBatchRunner::RunBatch(const Candidate* begin, const Candidate* end,
     }
   }
 
+  // Exact 0/1 domination of one object over each missing object, added to
+  // `counts` ([candidate][missing]) for every alive candidate. With the
+  // kernel on, one footprint per object scores the whole batch
+  // (ScoreAllCandidates) instead of one sorted merge per (object,
+  // candidate) pair.
+  const size_t width = num_cands * num_missing;
+  std::vector<int64_t> total_hi(width);
+  std::vector<int64_t> total_lo(width);
+  std::vector<double> batch_tsim;
+  const auto count_dominance = [&](Point loc, const KeywordSet& doc,
+                                   int64_t* counts) {
+    const double sdist = Distance(loc, original_.loc) / plan_.diagonal;
+    if (kernel) {
+      ScoreAllCandidates(scorer_.universe().FootprintOf(doc), batch_masks,
+                         original_.model, &batch_tsim);
+    }
+    for (size_t c = 0; c < num_cands; ++c) {
+      if (!cands[c].alive) continue;
+      const double tsim =
+          kernel ? batch_tsim[c]
+                 : TextualSimilarity(doc, cands[c].cand->doc,
+                                     original_.model);
+      const double score =
+          original_.alpha * (1.0 - sdist) + (1.0 - original_.alpha) * tsim;
+      for (size_t i = 0; i < num_missing; ++i) {
+        counts[c * num_missing + i] +=
+            score > cands[c].missing_score[i] ? 1 : 0;
+      }
+    }
+  };
+
   // Delta extras: exactly-scored objects outside any tree. Their dominate
   // counts are final, so they enter both bound sums up front and never
   // appear in the frontier.
-  if (!src_.extras.empty()) {
+  if (!plan_.extras.empty()) {
     TraceSpan extras_span(trace_, TraceStage::kLeafScoring);
-    leaf_objects_scored += src_.extras.size();
+    leaf_objects_scored += plan_.extras.size();
     if (trace_ != nullptr && kernel) {
-      trace_->Add(TraceCounter::kKernelInvocations, src_.extras.size());
+      trace_->Add(TraceCounter::kKernelInvocations, plan_.extras.size());
     }
-    std::vector<double> batch_tsim;
-    for (const SpatialObject* o : src_.extras) {
-      const double sdist = Distance(o->loc, original_.loc) / src_.diagonal;
-      if (kernel) {
-        const Footprint fp = scorer_.universe().FootprintOf(o->doc);
-        ScoreAllCandidates(fp, batch_masks, original_.model, &batch_tsim);
-      }
-      for (size_t c = 0; c < num_cands; ++c) {
-        const double tsim = kernel ? batch_tsim[c]
-                                   : TextualSimilarity(o->doc,
-                                                       cands[c].cand->doc,
-                                                       original_.model);
-        const double score = original_.alpha * (1.0 - sdist) +
-                             (1.0 - original_.alpha) * tsim;
-        for (size_t i = 0; i < num_missing; ++i) {
-          const int64_t dominates =
-              score > cands[c].missing_score[i] ? 1 : 0;
-          cands[c].sum_hi[i] += dominates;
-          cands[c].sum_lo[i] += dominates;
-        }
+    for (const SpatialObject* o : plan_.extras) {
+      count_dominance(o->loc, o->doc, total_hi.data());
+    }
+    for (size_t c = 0; c < num_cands; ++c) {
+      for (size_t i = 0; i < num_missing; ++i) {
+        cands[c].sum_hi[i] += total_hi[c * num_missing + i];
+        cands[c].sum_lo[i] += total_hi[c * num_missing + i];
       }
     }
   }
@@ -304,19 +254,20 @@ Status KcrBatchRunner::RunBatch(const Candidate* begin, const Candidate* end,
   // Algorithm 3 lines 2-6: bound every candidate using each segment's root
   // summary; the per-object sums accumulate across segments (and extras).
   std::vector<QueueNode> root_entries;
-  root_entries.reserve(src_.segments.size());
-  for (uint32_t s = 0; s < src_.segments.size(); ++s) {
-    const KcrSegmentSource& seg = src_.segments[s];
-    StatusOr<KeywordCountMap> root_kcm = seg.tree->ReadRootKcm();
+  root_entries.reserve(plan_.segments.size());
+  for (uint32_t s = 0; s < plan_.segments.size(); ++s) {
+    const PlanSegment& seg = plan_.segments[s];
+    const KcrTree& tree = seg.index->kcr();
+    StatusOr<KeywordCountMap> root_kcm = tree.ReadRootKcm();
     if (!root_kcm.ok()) return root_kcm.status();
-    const NodeDomStats root_stats(&root_kcm.value(), seg.tree->root_cnt(),
-                                  seg.tree->root_mbr());
+    const NodeDomStats root_stats(&root_kcm.value(), tree.root_cnt(),
+                                  tree.root_mbr());
     NodeUniverseCounts root_uc;
     if (kernel) {
       root_uc = NodeUniverseCounts::Build(root_stats, scorer_.universe());
     }
     QueueNode root_entry;
-    root_entry.page = seg.tree->SearchRoot();
+    root_entry.page = tree.SearchRoot();
     root_entry.source = s;
     ++nodes_seen;  // the root was bounded even if never expanded
     root_entry.hi.assign(num_cands * num_missing, 0);
@@ -337,7 +288,7 @@ Status KcrBatchRunner::RunBatch(const Candidate* begin, const Candidate* end,
   }
   size_t num_alive = 0;
   for (size_t c = 0; c < num_cands; ++c) {
-    if (Reassess(&cands[c], tracker)) ++num_alive;
+    if (Reassess(&cands[c])) ++num_alive;
   }
 
   // The frontier is a max-heap under QueueNodeLess kept in a plain vector
@@ -354,12 +305,8 @@ Status KcrBatchRunner::RunBatch(const Candidate* begin, const Candidate* end,
   // Scratch reused across visits. `total_hi/lo` sum the expanded node's
   // children's bounds per (candidate, missing); inner nodes also keep each
   // child's bounds in `child_hi/lo`, one row of `width` per child.
-  const size_t width = num_cands * num_missing;
-  std::vector<int64_t> total_hi(width);
-  std::vector<int64_t> total_lo(width);
   std::vector<int64_t> child_hi;
   std::vector<int64_t> child_lo;
-  std::vector<double> batch_tsim;
 
   while (!queue.empty() && num_alive > 0) {
     // Node-visit granularity cancellation (Algorithm 3's unit of work).
@@ -367,12 +314,12 @@ Status KcrBatchRunner::RunBatch(const Candidate* begin, const Candidate* end,
     std::pop_heap(queue.begin(), queue.end(), QueueNodeLess());
     const QueueNode entry = std::move(queue.back());
     queue.pop_back();
-    const KcrSegmentSource& seg = src_.segments[entry.source];
+    const PlanSegment& seg = plan_.segments[entry.source];
     // Decoded read: entry payloads are already materialized (and, for
     // inner nodes, the per-child NodeDomStats precomputed) — either shared
     // from the engine cache or built fresh for this visit.
     StatusOr<std::shared_ptr<const KcrTree::DecodedNode>> read =
-        seg.tree->ReadDecodedNode(entry.page, use_node_cache_);
+        seg.index->kcr().ReadDecodedNode(entry.page, use_node_cache_);
     if (!read.ok()) return read.status();
     const KcrTree::DecodedNode& decoded = *read.value();
     const KcrTree::Node& node = decoded.node;
@@ -384,11 +331,9 @@ Status KcrBatchRunner::RunBatch(const Candidate* begin, const Candidate* end,
     std::fill(total_lo.begin(), total_lo.end(), 0);
 
     if (node.is_leaf) {
-      // Children are objects: evaluate domination exactly and add each
-      // object's 0/1 straight into the totals. One footprint per object
-      // scores the whole candidate batch (ScoreAllCandidates) instead of
-      // one sorted merge per (object, candidate) pair. Tombstoned objects
-      // contribute nothing.
+      // Children are objects: their exact 0/1 dominations go straight into
+      // the totals, where both bounds agree. Tombstoned objects contribute
+      // nothing.
       TraceSpan leaf_span(trace_, TraceStage::kLeafScoring);
       uint64_t scored = 0;
       for (size_t j = 0; j < num_children; ++j) {
@@ -397,29 +342,9 @@ Status KcrBatchRunner::RunBatch(const Candidate* begin, const Candidate* end,
           continue;
         }
         ++scored;
-        const KeywordSet& doc = decoded.leaf_docs[j];
-        const double sdist = Distance(e.loc, original_.loc) / src_.diagonal;
-        if (kernel) {
-          const Footprint fp = scorer_.universe().FootprintOf(doc);
-          ScoreAllCandidates(fp, batch_masks, original_.model, &batch_tsim);
-        }
-        for (size_t c = 0; c < num_cands; ++c) {
-          if (!cands[c].alive) continue;
-          const double tsim = kernel
-                                  ? batch_tsim[c]
-                                  : TextualSimilarity(doc,
-                                                      cands[c].cand->doc,
-                                                      original_.model);
-          const double score = original_.alpha * (1.0 - sdist) +
-                               (1.0 - original_.alpha) * tsim;
-          for (size_t i = 0; i < num_missing; ++i) {
-            const int64_t dominates =
-                score > cands[c].missing_score[i] ? 1 : 0;
-            total_hi[c * num_missing + i] += dominates;
-            total_lo[c * num_missing + i] += dominates;
-          }
-        }
+        count_dominance(e.loc, decoded.leaf_docs[j], total_hi.data());
       }
+      total_lo = total_hi;
       leaf_objects_scored += scored;
       if (trace_ != nullptr && kernel) {
         trace_->Add(TraceCounter::kKernelInvocations, scored);
@@ -465,7 +390,7 @@ Status KcrBatchRunner::RunBatch(const Candidate* begin, const Candidate* end,
         cands[c].sum_hi[i] += total_hi[at] - entry.hi[at];
         cands[c].sum_lo[i] += total_lo[at] - entry.lo[at];
       }
-      if (Reassess(&cands[c], tracker)) ++num_alive;
+      if (Reassess(&cands[c])) ++num_alive;
     }
 
     // Enqueue children that can still tighten some alive candidate
@@ -504,7 +429,7 @@ Status KcrBatchRunner::RunBatch(const Candidate* begin, const Candidate* end,
     ++stats_->candidates_evaluated;
     const uint32_t rank = static_cast<uint32_t>(cand.RankHi());
     const double penalty = pm_.Penalty(rank, cand.cand->edit_distance);
-    tracker->OfferExact(*cand.cand, rank, original_.k, penalty);
+    best_->Offer(*cand.cand, rank, penalty);
   }
   if (trace_ != nullptr) {
     trace_->Add(TraceCounter::kNodesSeen, nodes_seen);
@@ -517,83 +442,13 @@ Status KcrBatchRunner::RunBatch(const Candidate* begin, const Candidate* end,
 
 }  // namespace
 
-StatusOr<WhyNotResult> AnswerWhyNotKcr(const ObjectStore& store,
-                                       const KcrMultiSource& source,
-                                       const SpatialKeywordQuery& original,
-                                       const std::vector<ObjectId>& missing,
-                                       const WhyNotOptions& options) {
-  Timer timer;
-  WSK_RETURN_IF_ERROR(internal::ValidateWhyNotInput(original, missing, options,
-                                                    store.num_objects()));
-  if (original.model != SimilarityModel::kJaccard) {
-    return Status::InvalidArgument(
-        "the KcR-based algorithm requires the Jaccard similarity model");
-  }
-  if (source.rank_source == nullptr || source.segments.empty()) {
-    return Status::InvalidArgument("KcR source has no segments");
-  }
-  for (const KcrSegmentSource& seg : source.segments) {
-    if (seg.tree == nullptr) {
-      return Status::InvalidArgument("KcR segment has no tree");
-    }
-  }
-  StatusOr<MissingSet> built = MissingSet::Build(store, missing);
-  if (!built.ok()) return built.status();
-  const MissingSet missing_set = std::move(built).value();
-
-  WhyNotResult result;
-
-  // Algorithm 4 line 1: R(M, q).
-  const double initial_min_score =
-      missing_set.MinScore(original, source.diagonal);
-  bool exceeded = false;
-  StatusOr<uint32_t> initial_rank = Status::Internal("unreachable");
-  {
-    TraceSpan span(options.trace, TraceStage::kInitialRank);
-    initial_rank = RankFromIndex(*source.rank_source, original,
-                                 initial_min_score,
-                                 /*limit=*/0, &exceeded, nullptr,
-                                 options.cancel, options.use_node_cache,
-                                 options.trace,
-                                 &result.stats.nodes_expanded);
-  }
-  if (!initial_rank.ok()) return initial_rank.status();
-  result.stats.initial_rank = initial_rank.value();
-
-  if (initial_rank.value() <= original.k) {
-    result.already_in_result = true;
-    result.refined.doc = original.doc;
-    result.refined.k = original.k;
-    result.refined.rank = initial_rank.value();
-    result.stats.elapsed_ms = timer.ElapsedMillis();
-    return result;
-  }
-
-  const uint64_t enum_start_us =
-      options.trace != nullptr ? options.trace->NowUs() : 0;
-  CandidateEnumerator enumerator(original.doc, missing_set.docs,
-                                 store.vocabulary());
-  const PenaltyModel pm(options.lambda, original.k, initial_rank.value(),
-                        enumerator.universe_size());
-  const WhyNotScorer scorer(store, missing_set, original, source.diagonal,
-                            enumerator.universe(), options.use_score_kernel);
-
-  BestTracker tracker;
-  tracker.SeedBasic(original.doc, initial_rank.value(), options.lambda);
-
-  const std::vector<Candidate> candidates =
-      options.sample_size > 0 ? enumerator.SampleByBenefit(options.sample_size)
-                              : enumerator.ordered();
-  result.stats.candidates_total = candidates.size();
-  if (options.trace != nullptr) {
-    options.trace->RecordSpan(TraceStage::kEnumeration, enum_start_us,
-                              options.trace->NowUs());
-  }
-
+Status SearchByKcrBatches(const SearchFrame& frame) {
+  const std::vector<Candidate>& candidates = frame.candidates;
+  const WhyNotOptions& options = frame.options;
   // Algorithm 4 lines 3-7: batches in ascending edit distance, stopping
   // when the keyword penalty alone reaches the best penalty. With
   // num_threads > 0 each batch is divided among workers that share the
-  // tracker (Section VII-B7). With kcr_single_batch the whole candidate
+  // best refinement (Section VII-B7). With kcr_single_batch the whole candidate
   // set goes through one traversal (the Section V-D strawman).
   size_t start = 0;
   while (start < candidates.size()) {
@@ -609,9 +464,9 @@ StatusOr<WhyNotResult> AnswerWhyNotKcr(const ObjectStore& store,
                  candidates[start].edit_distance) {
         ++end;
       }
-      if (pm.DocPenalty(candidates[start].edit_distance) >=
-          tracker.Threshold()) {
-        result.stats.candidates_skipped_order += candidates.size() - start;
+      if (frame.pm.DocPenalty(candidates[start].edit_distance) >=
+          frame.best->Threshold()) {
+        frame.stats->candidates_skipped_order += candidates.size() - start;
         break;
       }
     }
@@ -628,12 +483,9 @@ StatusOr<WhyNotResult> AnswerWhyNotKcr(const ObjectStore& store,
       const size_t chunk_end =
           start + (chunk + 1) * batch_size / num_chunks;
       if (chunk_begin >= chunk_end) return;
-      KcrBatchRunner runner(source, original, missing_set, scorer,
-                            pm, &chunk_stats[chunk], options.cancel,
-                            options.use_node_cache, options.trace);
+      KcrBatchRunner runner(frame, &chunk_stats[chunk]);
       chunk_status[chunk] = runner.RunBatch(candidates.data() + chunk_begin,
-                                            candidates.data() + chunk_end,
-                                            &tracker);
+                                            candidates.data() + chunk_end);
     };
     if (num_chunks > 1) {
       ThreadPool pool(options.num_threads);
@@ -646,31 +498,18 @@ StatusOr<WhyNotResult> AnswerWhyNotKcr(const ObjectStore& store,
     }
     for (size_t chunk = 0; chunk < num_chunks; ++chunk) {
       WSK_RETURN_IF_ERROR(chunk_status[chunk]);
-      result.stats.nodes_expanded += chunk_stats[chunk].nodes_expanded;
-      result.stats.candidates_pruned_bounds +=
+      frame.stats->nodes_expanded += chunk_stats[chunk].nodes_expanded;
+      frame.stats->candidates_pruned_bounds +=
           chunk_stats[chunk].candidates_pruned_bounds;
       // Evaluated = converged to an exact penalty; batch candidates pruned
       // by the penalty bounds are accounted separately, so the candidate
       // dispositions partition the batch.
-      result.stats.candidates_evaluated +=
+      frame.stats->candidates_evaluated +=
           chunk_stats[chunk].candidates_evaluated;
     }
     start = end;
   }
-
-  result.refined = tracker.best();
-  result.stats.elapsed_ms = timer.ElapsedMillis();
-  if (options.trace != nullptr) {
-    TraceRecorder& t = *options.trace;
-    t.Add(TraceCounter::kCandidatesEnumerated, result.stats.candidates_total);
-    t.Add(TraceCounter::kCandidatesKept, result.stats.candidates_evaluated);
-    t.Add(TraceCounter::kCandidatesPrunedEarlyStop,
-          result.stats.candidates_pruned_bounds +
-              result.stats.candidates_skipped_order);
-    t.Add(TraceCounter::kCandidatesPrunedDominator,
-          result.stats.candidates_filtered);
-  }
-  return result;
+  return Status::Ok();
 }
 
-}  // namespace wsk
+}  // namespace wsk::internal

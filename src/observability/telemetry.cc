@@ -163,10 +163,10 @@ RollingWindows::Slot& RollingWindows::Claim(uint64_t now_s) {
   return slot;
 }
 
-void RollingWindows::RecordRequest(bool cache_hit, double wall_ms) {
+void RollingWindows::RecordRequest(bool cache_hit, double latency_ms) {
   Slot& slot = Claim(NowSeconds());
   if (cache_hit) slot.cache_hits.fetch_add(1, std::memory_order_relaxed);
-  slot.lat_buckets[LatencyBucketIndex(wall_ms)].fetch_add(
+  slot.lat_buckets[LatencyBucketIndex(latency_ms)].fetch_add(
       1, std::memory_order_relaxed);
 }
 
@@ -254,17 +254,20 @@ void TelemetryHub::Report(QueryProfile profile) {
   // Batch dispatches are background work covering many client requests
   // (each of which reports its own completion): they may be sampled into
   // the reservoir but never count as observed requests, feed the
-  // per-request windows or the slow classification.
+  // per-request windows or the slow classification. Those read end-to-end
+  // latency, as the latency.* histograms do: an executed request's wall
+  // plus its queue wait (a request that executed nothing carries it all as
+  // wall_ms).
   const bool background = profile.kind == ProfileKind::kBatch;
+  const double latency_ms = profile.wall_ms + profile.queue_ms;
   if (!background) {
     completions_.fetch_add(1, std::memory_order_relaxed);
-    windows_.RecordRequest(profile.cache_hit, profile.wall_ms);
+    windows_.RecordRequest(profile.cache_hit, latency_ms);
   }
   const uint64_t threshold_us =
       slow_threshold_us_.load(std::memory_order_relaxed);
   profile.slow = !background &&
-                 profile.wall_ms * 1000.0 >=
-                     static_cast<double>(threshold_us) &&
+                 latency_ms * 1000.0 >= static_cast<double>(threshold_us) &&
                  threshold_us > 0;
   if (profile.sampled) profiles_sampled_.fetch_add(1, std::memory_order_relaxed);
   if (profile.slow) slow_queries_.fetch_add(1, std::memory_order_relaxed);

@@ -11,13 +11,13 @@
 //     request already gets. Completed profiles land in a fixed-size ring
 //     reservoir, queryable via `wsk_cli profiles` and dumpable as Chrome
 //     trace-event JSON.
-//   - Tail capture. Every completed request compares its execution wall
-//     time against a rolling threshold max(slow_min_ms, slow_factor x
-//     rolling-60s p99); requests over it are appended to a bounded
-//     slow-query ring as structured records (fingerprint, algorithm,
-//     per-stage wall breakdown, pruning counters, io disposition) and
-//     streamed as JSONL when a sink path is configured — the replayable
-//     workload feed the ROADMAP's tuner item asks for.
+//   - Tail capture. Every completed request compares its end-to-end
+//     latency (execution wall plus queue wait) against a rolling threshold
+//     max(slow_min_ms, slow_factor x rolling-60s p99); requests over it
+//     are appended to a bounded slow-query ring as structured records
+//     (fingerprint, algorithm, per-stage wall breakdown, pruning counters,
+//     io disposition) and streamed as JSONL when a sink path is configured
+//     — the replayable workload feed the ROADMAP's tuner item asks for.
 //   - Rolling windows. A ring of per-second slots aggregates request /
 //     shed / cache-hit counts and latency buckets; 1s/10s/60s snapshots
 //     export as wsk_window_* gauges and drive `wsk_cli statsz --top`.
@@ -58,7 +58,7 @@ struct TelemetryConfig {
   size_t profile_reservoir = 32;
   // Slow-query records retained in memory (ring of the most recent).
   size_t slow_log_capacity = 256;
-  // A request is slow when its execution wall time reaches
+  // A request is slow when its end-to-end latency reaches
   // max(slow_min_ms, slow_factor * rolling-60s p99). slow_factor <= 0
   // disables the p99 term (the floor alone decides).
   double slow_factor = 2.0;
@@ -143,9 +143,9 @@ class RollingWindows {
 
   RollingWindows();
 
-  // One completed request (not shed). `wall_ms` feeds the window latency
-  // quantiles.
-  void RecordRequest(bool cache_hit, double wall_ms);
+  // One completed request (not shed). `latency_ms` (end to end, queue wait
+  // included) feeds the window latency quantiles.
+  void RecordRequest(bool cache_hit, double latency_ms);
   // One admission rejection.
   void RecordShed();
 

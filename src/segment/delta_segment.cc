@@ -53,10 +53,4 @@ const SpatialObject* DeltaSegment::FindVisible(ObjectId id,
   return index == kNotFound ? nullptr : &entries_[index].object;
 }
 
-uint32_t DeltaSegment::CountVisible(uint64_t seq) const {
-  uint32_t count = 0;
-  ForEachVisible(seq, [&count](const Entry&) { ++count; });
-  return count;
-}
-
 }  // namespace wsk

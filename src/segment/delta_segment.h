@@ -91,8 +91,6 @@ class DeltaSegment {
     }
   }
 
-  uint32_t CountVisible(uint64_t seq) const;
-
  private:
   const uint32_t capacity_;
   std::unique_ptr<Entry[]> entries_;

@@ -70,14 +70,4 @@ void FrozenSegment::FoldIntoRetired() {
   folded_ = now;
 }
 
-uint32_t FrozenSegment::ShadowedAt(uint64_t seq) const {
-  uint32_t count = 0;
-  const size_t n = objects_.size();
-  for (size_t i = 0; i < n; ++i) {
-    const uint64_t del = shadow_[i].load(std::memory_order_relaxed);
-    if (del != 0 && del <= seq) ++count;
-  }
-  return count;
-}
-
 }  // namespace wsk

@@ -94,10 +94,6 @@ class FrozenSegment {
     return shadow_total_.load(std::memory_order_relaxed);
   }
 
-  // Objects hidden at snapshot `seq` (exact; scans the shadow array, safe
-  // against concurrent tombstoning).
-  uint32_t ShadowedAt(uint64_t seq) const;
-
   // Folds counter growth since the last fold into the retired accumulator
   // (no double counting: a baseline tracks what was already folded). The
   // manager calls this when the segment leaves the published view, so the

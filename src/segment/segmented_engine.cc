@@ -10,17 +10,11 @@
 namespace wsk {
 
 SnapshotStore::SnapshotStore(const Vocabulary* vocabulary,
-                             SegmentManager::Snapshot snapshot)
-    : vocabulary_(vocabulary), snapshot_(std::move(snapshot)) {
-  const SegmentManager::SegmentView& view = *snapshot_.view;
-  const uint64_t seq = snapshot_.seq;
-  size_t count = view.active->CountVisible(seq);
-  for (const auto& sealed : view.sealed) count += sealed->CountVisible(seq);
-  for (const auto& frozen : view.frozen) {
-    count += frozen->num_objects() - frozen->ShadowedAt(seq);
-  }
-  num_objects_ = count;
-}
+                             SegmentManager::Snapshot snapshot,
+                             size_t num_objects)
+    : vocabulary_(vocabulary),
+      snapshot_(std::move(snapshot)),
+      num_objects_(num_objects) {}
 
 const SpatialObject* SnapshotStore::FindObject(ObjectId id) const {
   const SegmentManager::SegmentView& view = *snapshot_.view;
@@ -64,7 +58,7 @@ StatusOr<std::unique_ptr<SegmentedEngine>> SegmentedEngine::Build(
 
 SegmentedEngine::~SegmentedEngine() = default;
 
-WhyNotPlan SegmentedEngine::MakePlan(bool with_store) const {
+WhyNotPlan SegmentedEngine::PlanWhyNot() const {
   const SegmentManager::Snapshot snapshot = manager_->GetSnapshot();
   const SegmentManager::SegmentView& view = *snapshot.view;
   const uint64_t seq = snapshot.seq;
@@ -88,18 +82,14 @@ WhyNotPlan SegmentedEngine::MakePlan(bool with_store) const {
   };
   for (const auto& sealed : view.sealed) sealed->ForEachVisible(seq, collect);
   view.active->ForEachVisible(seq, collect);
-  if (with_store) {
-    auto store = std::make_shared<SnapshotStore>(vocab(), snapshot);
-    plan.store = store.get();
-    plan.keep_alive.push_back(std::move(store));
-  } else {
-    plan.keep_alive.push_back(snapshot.view);
-  }
+  // The live count is read after the snapshot, so it may include
+  // mutations that race it; it only feeds the "more missing objects than
+  // data objects" guard.
+  auto store = std::make_shared<SnapshotStore>(vocab(), snapshot,
+                                               manager_->live_objects());
+  plan.store = store.get();
+  plan.keep_alive.push_back(std::move(store));
   return plan;
-}
-
-WhyNotPlan SegmentedEngine::PlanWhyNot() const {
-  return MakePlan(/*with_store=*/true);
 }
 
 StatusOr<std::vector<ScoredObject>> SegmentedEngine::TopK(
@@ -109,7 +99,7 @@ StatusOr<std::vector<ScoredObject>> SegmentedEngine::TopK(
   // an alpha outside (0, 1).
   WSK_RETURN_IF_ERROR(ValidateTopKQuery(query));
   TraceSpan root_span(trace, TraceStage::kQuery);
-  const WhyNotPlan plan = MakePlan(/*with_store=*/false);
+  const WhyNotPlan plan = PlanWhyNot();
   MergedTopKSource source(plan.Trees(/*kcr=*/false), plan.extras,
                           plan.diagonal, trace);
   return IndexTopK(source, query, cancel, /*use_cache=*/true, trace);
@@ -121,7 +111,7 @@ std::vector<BackendBatchResult> SegmentedEngine::TopKBatch(
   // One snapshot for the whole batch: every item answers against the same
   // point-in-time view, exactly what solo execution at batch-formation time
   // would have seen.
-  const WhyNotPlan plan = MakePlan(/*with_store=*/false);
+  const WhyNotPlan plan = PlanWhyNot();
   MergedTopKSource source(plan.Trees(/*kcr=*/false), plan.extras,
                           plan.diagonal, trace);
   return BatchedIndexTopK(source, items, /*use_cache=*/true, trace);

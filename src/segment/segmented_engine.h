@@ -28,11 +28,13 @@ namespace wsk {
 // ObjectStore over one snapshot: id lookups resolve newest-first across
 // active / sealed / frozen segments under the snapshot's visibility rule.
 // The snapshot's shared_ptr keeps every segment alive, so returned object
-// pointers stay valid for the store's lifetime.
+// pointers stay valid for the store's lifetime. num_objects() reports the
+// count the caller passes in (the engine passes the manager's live count;
+// constructing the store never scans the segments).
 class SnapshotStore : public ObjectStore {
  public:
   SnapshotStore(const Vocabulary* vocabulary,
-                SegmentManager::Snapshot snapshot);
+                SegmentManager::Snapshot snapshot, size_t num_objects);
 
   const SpatialObject* FindObject(ObjectId id) const override;
   size_t num_objects() const override { return num_objects_; }
@@ -121,10 +123,6 @@ class SegmentedEngine : public PlannedBackend {
 
  private:
   SegmentedEngine() = default;
-
-  // The snapshot's sources; the SnapshotStore (an O(objects) tombstone
-  // count) only when `with_store` — top-k needs no id lookups.
-  WhyNotPlan MakePlan(bool with_store) const;
 
   // The interning vocabulary: shared (coordinator-owned) or this engine's
   // own copy of the seed's.

@@ -646,10 +646,11 @@ MetricsSnapshot QueryService::Snapshot() const {
                  "Result-cache hits over completions in the window.",
                  w.hit_ratio, window);
       s.AddGauge("window", "p50_s", "wsk_window_latency_p50_seconds",
-                 "Median request execution wall time in the window.",
+                 "Median request latency (queue wait included) in the window.",
                  w.p50_ms / 1e3, window);
       s.AddGauge("window", "p99_s", "wsk_window_latency_p99_seconds",
-                 "99th-percentile request execution wall time in the window.",
+                 "99th-percentile request latency (queue wait included) in "
+                 "the window.",
                  w.p99_ms / 1e3, window);
     }
   }

@@ -20,8 +20,8 @@
 //
 // Why-not never re-implements the algorithms: its plan concatenates the
 // shards' plans (frozen and live alike) and PlannedBackend answers over
-// one cross-shard MergedTopKSource / KcrMultiSource (exactly how
-// SegmentedEngine merges its own segments), so per-shard MaxDom/MinDom
+// that one cross-shard plan (exactly how SegmentedEngine merges its own
+// segments), so per-shard MaxDom/MinDom
 // bounds aggregate inside the one keyword-adaption search and answers are
 // bit-identical to an unsharded engine.
 //

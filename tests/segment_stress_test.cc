@@ -158,7 +158,7 @@ TEST(SegmentStressTest, ConcurrentIngestQueriesAndMerge) {
         // Seed ids below the writers' range are never mutated: always
         // resolvable in any snapshot.
         const SnapshotStore store(&engine->vocabulary(),
-                                  engine->GetSnapshot());
+                                  engine->GetSnapshot(), 0);
         const ObjectId probe =
             static_cast<ObjectId>(rng.Next() % kSeedObjects);
         if (store.FindObject(probe) == nullptr) {

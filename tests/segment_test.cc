@@ -36,13 +36,13 @@ TEST(DeltaSegmentTest, VisibilityRule) {
 
   EXPECT_EQ(delta.FindVisible(1, 0), nullptr);  // not yet added at seq 0
   ASSERT_NE(delta.FindVisible(1, 1), nullptr);
-  EXPECT_EQ(delta.CountVisible(1), 1u);
-  EXPECT_EQ(delta.CountVisible(2), 2u);
+  EXPECT_EQ(delta.FindVisible(2, 1), nullptr);
+  EXPECT_NE(delta.FindVisible(2, 2), nullptr);
 
   delta.MarkDeleted(a, /*del_seq=*/3);
   ASSERT_NE(delta.FindVisible(1, 2), nullptr);  // old snapshots keep seeing it
   EXPECT_EQ(delta.FindVisible(1, 3), nullptr);
-  EXPECT_EQ(delta.CountVisible(3), 1u);
+  EXPECT_NE(delta.FindVisible(2, 3), nullptr);
 }
 
 TEST(DeltaSegmentTest, SupersededVersionResolution) {
@@ -57,7 +57,11 @@ TEST(DeltaSegmentTest, SupersededVersionResolution) {
   const SpatialObject* new_version = delta.FindVisible(7, 2);
   ASSERT_NE(new_version, nullptr);
   EXPECT_EQ(new_version->loc.x, 5.0);
-  EXPECT_EQ(delta.CountVisible(2), 1u);  // never two versions at once
+  size_t visible = 0;  // never two versions at once
+  delta.ForEachVisible(2, [&visible](const DeltaSegment::Entry&) {
+    ++visible;
+  });
+  EXPECT_EQ(visible, 1u);
 }
 
 TEST(FrozenSegmentTest, ShadowSemantics) {
@@ -84,8 +88,8 @@ TEST(FrozenSegmentTest, ShadowSemantics) {
 
   EXPECT_TRUE(segment->VisibleAt(1, 4));   // before the tombstone
   EXPECT_FALSE(segment->VisibleAt(1, 5));  // at and after
-  EXPECT_EQ(segment->ShadowedAt(4), 0u);
-  EXPECT_EQ(segment->ShadowedAt(5), 1u);
+  EXPECT_TRUE(segment->VisibleAt(0, 5));   // the others stay visible
+  EXPECT_TRUE(segment->VisibleAt(2, 5));
 
   // Retirement folds I/O into the accumulator exactly once.
   segment.reset();
@@ -128,7 +132,6 @@ struct LiveFixture {
     reference.vocabulary() = engine->vocabulary().CloneDictionary();
     reference.OverrideDiagonal(engine->diagonal());
     SegmentManager::Snapshot snap = engine->GetSnapshot();
-    const SnapshotStore store(&engine->vocabulary(), snap);
     // Collect ids from all layers, then add in ascending id order.
     std::vector<const SpatialObject*> objects;
     for (const auto& frozen : snap.view->frozen) {
@@ -237,21 +240,22 @@ TEST(SegmentedEngineTest, RankMatchesBruteForceAcrossMutationsAndMerge) {
 TEST(SegmentedEngineTest, SnapshotIsolation) {
   LiveFixture fx;
   SegmentManager::Snapshot before = fx.engine->GetSnapshot();
-  const SnapshotStore store_before(&fx.engine->vocabulary(), before);
-  const size_t count_before = store_before.num_objects();
+  const size_t count_before = fx.engine->manager()->live_objects();
 
-  ASSERT_TRUE(fx.engine->Insert(Point{0.5, 0.5}, {"base"}).ok());
+  StatusOr<ObjectId> inserted = fx.engine->Insert(Point{0.5, 0.5}, {"base"});
+  ASSERT_TRUE(inserted.ok());
   ASSERT_TRUE(fx.engine->Delete(0).ok());
 
   // The old snapshot is immune to both mutations.
-  const SnapshotStore store_again(&fx.engine->vocabulary(), before);
-  EXPECT_EQ(store_again.num_objects(), count_before);
+  const SnapshotStore store_again(&fx.engine->vocabulary(), before, 0);
   EXPECT_NE(store_again.FindObject(0), nullptr);
+  EXPECT_EQ(store_again.FindObject(inserted.value()), nullptr);
 
   SegmentManager::Snapshot after = fx.engine->GetSnapshot();
-  const SnapshotStore store_after(&fx.engine->vocabulary(), after);
-  EXPECT_EQ(store_after.num_objects(), count_before);  // +1 -1
+  const SnapshotStore store_after(&fx.engine->vocabulary(), after, 0);
   EXPECT_EQ(store_after.FindObject(0), nullptr);
+  EXPECT_NE(store_after.FindObject(inserted.value()), nullptr);
+  EXPECT_EQ(fx.engine->manager()->live_objects(), count_before);  // +1 -1
 }
 
 TEST(SegmentedEngineTest, ForceMergeCompactsAndPreservesAnswers) {

@@ -2,17 +2,21 @@
 // (docs/OBSERVABILITY.md "Continuous telemetry"): sampled profiles whose
 // stage breakdown covers the recorded wall time, forced-slow capture with
 // the JSONL stream, rolling-window accounting for completions / cache hits
-// / shed requests, background batch-dispatch profiles, and the master
-// switch that removes the hub entirely.
+// / shed requests, queue wait counted in the windows and the slow test,
+// background batch-dispatch profiles, and the master switch that removes
+// the hub entirely.
 #include "service/query_service.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <future>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "data/generator.h"
@@ -203,6 +207,81 @@ TEST_F(ServiceTelemetryTest, ShedRequestsLandInTheWindows) {
   const RollingWindows::Snapshot w = service.telemetry()->Window(60);
   EXPECT_EQ(w.shed, static_cast<uint64_t>(shed));
   EXPECT_GT(w.shed_ratio, 0.0);
+}
+
+// Delegates to an engine; the first top-k blocks until Release(), holding
+// a one-worker service's only worker.
+class GatedBackend : public QueryBackend {
+ public:
+  explicit GatedBackend(const QueryBackend* inner) : inner_(inner) {}
+
+  StatusOr<std::vector<ScoredObject>> TopK(
+      const SpatialKeywordQuery& query, const CancelToken* cancel,
+      TraceRecorder* trace) const override {
+    if (!held_.exchange(true)) {
+      entered_.set_value();
+      release_.wait();
+    }
+    return inner_->TopK(query, cancel, trace);
+  }
+  StatusOr<WhyNotResult> Answer(WhyNotAlgorithm algorithm,
+                                const SpatialKeywordQuery& query,
+                                const std::vector<ObjectId>& missing,
+                                const WhyNotOptions& options) const override {
+    return inner_->Answer(algorithm, query, missing, options);
+  }
+  BackendIoSnapshot io_snapshot() const override {
+    return inner_->io_snapshot();
+  }
+
+  void WaitEntered() { entered_future_.wait(); }
+  void Release() { release_promise_.set_value(); }
+
+ private:
+  const QueryBackend* inner_;
+  mutable std::atomic<bool> held_{false};
+  mutable std::promise<void> entered_;
+  std::future<void> entered_future_ = entered_.get_future();
+  std::promise<void> release_promise_;
+  std::shared_future<void> release_ = release_promise_.get_future().share();
+};
+
+TEST_F(ServiceTelemetryTest, QueueWaitCountsInWindowsAndSlowCapture) {
+  constexpr double kHoldMs = 100.0;
+  GatedBackend backend(engine_.get());
+  QueryServiceConfig config;
+  config.num_workers = 1;
+  config.cache_capacity = 0;
+  config.telemetry.sample_every = 0;
+  config.telemetry.slow_factor = 0.0;  // fixed threshold: half the hold
+  config.telemetry.slow_min_ms = kHoldMs / 2;
+  QueryService service(&backend, config);
+
+  // One request holds the worker; four more queue behind it and then
+  // execute in well under a millisecond each.
+  auto held = service.SubmitTopK(Query(12));
+  backend.WaitEntered();
+  std::vector<std::future<StatusOr<QueryService::TopKResponse>>> queued;
+  for (size_t i = 0; i < 4; ++i) {
+    queued.push_back(service.SubmitTopK(Query(13 + i)));
+  }
+  std::this_thread::sleep_for(
+      std::chrono::milliseconds(static_cast<int>(kHoldMs)));
+  backend.Release();
+  ASSERT_TRUE(held.get().ok());
+  for (auto& f : queued) ASSERT_TRUE(f.get().ok());
+
+  // Every completion waited out the hold, in execution or in the queue, so
+  // the windows and the slow test see it for all five.
+  const RollingWindows::Snapshot w = service.telemetry()->Window(60);
+  EXPECT_EQ(w.requests, 5u);
+  EXPECT_GE(w.p50_ms, kHoldMs / 2);
+  EXPECT_GE(w.p99_ms, kHoldMs / 2);
+  const std::vector<QueryProfile> slow = service.telemetry()->SlowQueries();
+  EXPECT_EQ(slow.size(), 5u);
+  for (const QueryProfile& p : slow) {
+    EXPECT_GE(p.wall_ms + p.queue_ms, kHoldMs / 2) << p.Summary();
+  }
 }
 
 TEST_F(ServiceTelemetryTest, BatchDispatchesProfileAsBackgroundWork) {

@@ -4,9 +4,9 @@
 // why-not algorithms are compared bit for bit against one unsharded
 // WhyNotEngine over the same dataset — identical scores and ids under the
 // canonical (score desc, id asc) order, identical refined queries and
-// penalties. The cross-shard bound pruning and the concatenated
-// MergedTopKSource / KcrMultiSource why-not path therefore may reorder
-// work, never answers.
+// penalties. The cross-shard bound pruning and the concatenated why-not
+// plan (one MergedTopKSource, one KcR traversal over every shard's trees)
+// therefore may reorder work, never answers.
 //
 // The mutation-interleaved suite drives a *live* sharded coordinator
 // (SegmentedEngine per tile, routed mutations, coordinator-allocated ids)
