@@ -30,6 +30,8 @@
 //   shards_visited        shard top-k probes actually executed
 //   shards_pruned         shards skipped by the cross-shard bound
 //   pruned_rate           shards_pruned / (visited + pruned)
+#include <time.h>
+
 #include <algorithm>
 #include <string>
 #include <vector>
@@ -427,9 +429,23 @@ void RunBatch(benchmark::State& state, size_t batch_n) {
 // back-to-back rounds in one process. `sampling_overhead` (the median over
 // rounds of enabled time / disabled time) is a machine-relative ratio the regression checker caps
 // hard (--max-sampling-overhead): the pipeline must stay affordable
-// enough to leave on in production. Cache off so every request takes the
-// fully instrumented execution path.
-double RunTelemetryLeg(bool enabled, int reps) {
+// enough to leave on in production. `sampling_overhead_cpu` is the same
+// median over the legs' process CPU time (user + sys of every thread),
+// which a descheduled or stolen vCPU does not inflate; it is reported,
+// not gated. Cache off so every request takes the fully instrumented
+// execution path.
+struct LegTime {
+  double wall_s = 0.0;
+  double cpu_s = 0.0;
+};
+
+double ProcessCpuSeconds() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) + ts.tv_nsec * 1e-9;
+}
+
+LegTime RunTelemetryLeg(bool enabled, int reps) {
   WhyNotEngine& engine = SharedEngine();
   const MixedWorkload& workload = SharedWorkload();
   QueryServiceConfig config;
@@ -442,6 +458,7 @@ double RunTelemetryLeg(bool enabled, int reps) {
   std::vector<std::future<StatusOr<QueryService::TopKResponse>>> tf;
   tf.reserve(workload.topk.size());
   Timer wall;
+  const double cpu_start = ProcessCpuSeconds();
   for (int rep = 0; rep < reps; ++rep) {
     tf.clear();
     for (const SpatialKeywordQuery& q : workload.topk) {
@@ -452,7 +469,7 @@ double RunTelemetryLeg(bool enabled, int reps) {
       WSK_CHECK_MSG(r.ok(), "%s", r.status().ToString().c_str());
     }
   }
-  return wall.ElapsedSeconds();
+  return LegTime{wall.ElapsedSeconds(), ProcessCpuSeconds() - cpu_start};
 }
 
 double Median(std::vector<double> values) {
@@ -464,13 +481,13 @@ void BM_SamplingOverhead(benchmark::State& state) {
   const size_t num_queries = SharedWorkload().topk.size();
   // Odd, so the median is one round's own ratio.
   constexpr int kRounds = 9;
-  std::vector<double> off_s, on_s, ratios;
+  std::vector<double> off_s, on_s, ratios, cpu_ratios;
   int reps = 1;
   for (auto _ : state) {
     // Calibrate the leg length so each timed leg runs long enough (at the
     // CI scale a single pass is ~20 ms) that scheduler jitter stays well
     // under the 5% overhead budget the checker enforces.
-    const double once_s = RunTelemetryLeg(false, 1);
+    const double once_s = RunTelemetryLeg(false, 1).wall_s;
     if (once_s > 0.0) {
       reps = static_cast<int>(0.15 / once_s) + 1;
       reps = std::min(reps, 64);
@@ -484,19 +501,21 @@ void BM_SamplingOverhead(benchmark::State& state) {
     (void)RunTelemetryLeg(false, reps);
     for (int round = 0; round < kRounds; ++round) {
       const bool on_first = round % 2 == 1;
-      const double first = RunTelemetryLeg(on_first, reps);
-      const double second = RunTelemetryLeg(!on_first, reps);
-      const double off = on_first ? second : first;
-      const double on = on_first ? first : second;
-      off_s.push_back(off);
-      on_s.push_back(on);
-      ratios.push_back(off > 0.0 ? on / off : 1.0);
+      const LegTime first = RunTelemetryLeg(on_first, reps);
+      const LegTime second = RunTelemetryLeg(!on_first, reps);
+      const LegTime& off = on_first ? second : first;
+      const LegTime& on = on_first ? first : second;
+      off_s.push_back(off.wall_s);
+      on_s.push_back(on.wall_s);
+      ratios.push_back(off.wall_s > 0.0 ? on.wall_s / off.wall_s : 1.0);
+      cpu_ratios.push_back(off.cpu_s > 0.0 ? on.cpu_s / off.cpu_s : 1.0);
     }
   }
   const double on = Median(on_s);
   state.counters["disabled_ms"] = Median(off_s) * 1e3;
   state.counters["enabled_ms"] = on * 1e3;
   state.counters["sampling_overhead"] = Median(ratios);
+  state.counters["sampling_overhead_cpu"] = Median(cpu_ratios);
   state.counters["qps"] =
       static_cast<double>(num_queries * reps) / (on > 0.0 ? on : 1e-9);
 }

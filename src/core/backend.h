@@ -3,8 +3,9 @@
 // Three implementations exist: WhyNotEngine (a frozen dataset, bulk-loaded
 // trees, no mutations), SegmentedEngine (src/segment/: a live dataset with
 // a mutable delta segment and background merge) and ShardCoordinator
-// (src/shard/: one of those per spatial tile). All three answer why-not
-// queries through PlannedBackend (planned_backend.h). QueryService talks
+// (src/shard/: one of those per spatial tile). All three answer top-k and
+// why-not queries through PlannedBackend (planned_backend.h); only the
+// coordinator overrides solo TopK, with its shard fan-out. QueryService talks
 // only to this interface, so the same front end serves all of them
 // (docs/SERVICE.md, docs/SEGMENTS.md, docs/SHARDING.md).
 #ifndef WSK_CORE_BACKEND_H_
@@ -56,7 +57,8 @@ struct SegmentCountersSnapshot {
 };
 
 // Scatter-gather counters for sharded backends; `valid` is false on
-// unsharded backends (the shard.* metrics lines are omitted).
+// unsharded backends (the shard.* metrics lines are omitted). The query
+// counters count solo TopK calls only: a TopKBatch does not scatter.
 struct ShardCountersSnapshot {
   bool valid = false;
   uint64_t num_shards = 0;       // gauge
@@ -89,7 +91,8 @@ class QueryBackend {
   // supports it; results[i] corresponds to items[i] and each slot is
   // bit-identical to TopK(*items[i].query, items[i].cancel). The default
   // runs the items solo in order, so every backend accepts a batch;
-  // engines override it with the amortized walk (docs/BATCHING.md).
+  // PlannedBackend overrides it with the amortized walk over its plan
+  // (docs/BATCHING.md).
   // `trace` (optional, borrowed) receives the whole batch's spans/counters.
   virtual std::vector<BackendBatchResult> TopKBatch(
       const std::vector<BackendBatchItem>& items,

@@ -2,9 +2,7 @@
 
 #include <optional>
 
-#include "index/batch_topk.h"
 #include "index/topk.h"
-#include "observability/trace.h"
 
 namespace wsk {
 
@@ -54,22 +52,6 @@ WhyNotPlan WhyNotEngine::PlanWhyNot() const {
   plan.diagonal = index_->setr().diagonal();
   plan.keep_alive.push_back(std::make_shared<QueryScope>(this));
   return plan;
-}
-
-StatusOr<std::vector<ScoredObject>> WhyNotEngine::TopK(
-    const SpatialKeywordQuery& query, const CancelToken* cancel,
-    TraceRecorder* trace) const {
-  WSK_RETURN_IF_ERROR(ValidateTopKQuery(query));
-  QueryScope scope(this);
-  TraceSpan root_span(trace, TraceStage::kQuery);
-  return IndexTopK(index_->setr(), query, cancel, /*use_cache=*/true, trace);
-}
-
-std::vector<BackendBatchResult> WhyNotEngine::TopKBatch(
-    const std::vector<BackendBatchItem>& items, TraceRecorder* trace) const {
-  QueryScope scope(this);
-  TraceSpan root_span(trace, TraceStage::kQuery);
-  return BatchedIndexTopK(index_->setr(), items, /*use_cache=*/true, trace);
 }
 
 StatusOr<ObjectId> WhyNotEngine::ObjectAtPosition(

@@ -2,8 +2,8 @@
 //
 // Owns the disk-resident SetR-tree and KcR-tree built over a dataset (one
 // IndexPair: each tree in its own paged file with its own 4 MiB LRU
-// buffer, as in the paper's setup), answers spatial keyword top-k queries,
-// and answers why-not queries through PlannedBackend's dispatcher with the
+// buffer, as in the paper's setup), and answers spatial keyword top-k and
+// why-not queries through PlannedBackend's dispatcher, the latter with the
 // three algorithms:
 //   kBasic      — BS        (Section IV-B; no optimizations, SetR-tree)
 //   kAdvanced   — AdvancedBS (Section IV-C optimizations, SetR-tree)
@@ -67,8 +67,8 @@ class WhyNotEngine : public PlannedBackend {
   // DropCaches() and ResetIoStats() mutate shared state and require
   // exclusive access: they must not run while any query is in flight.
   // That contract is enforced — both WSK_CHECK that no query is active
-  // (tracked by an inflight counter the query methods maintain; Answer()
-  // and Rank() hold it through the plan).
+  // (tracked by an inflight counter the query methods maintain; Answer(),
+  // Rank(), TopK() and TopKBatch() hold it through the plan).
   //
   // Note: WhyNotResult.stats.io_reads counts the pages of the algorithm's
   // tree (physical + mapped reads; mapped stays 0 without mmap_reads) as a
@@ -76,22 +76,10 @@ class WhyNotEngine : public PlannedBackend {
   // it attributes overlapping I/O to every query that was in flight; treat
   // it as exact only for sequential use (aggregate counters stay exact).
 
-  // Answer() and Rank() come from PlannedBackend over this plan: the
-  // engine's dataset and its one index pair, unfiltered.
+  // Answer(), Rank(), TopK() and TopKBatch() come from PlannedBackend
+  // over this plan: the engine's dataset and its one index pair,
+  // unfiltered, so top-k walks the SetR-tree directly.
   WhyNotPlan PlanWhyNot() const override;
-
-  // Spatial keyword top-k over the SetR-tree. `cancel` (optional,
-  // borrowed) aborts the traversal at node-visit granularity; `trace`
-  // (optional, borrowed) records the traversal span and node counters.
-  StatusOr<std::vector<ScoredObject>> TopK(
-      const SpatialKeywordQuery& query, const CancelToken* cancel = nullptr,
-      TraceRecorder* trace = nullptr) const override;
-
-  // One shared SetR-tree walk for all items; per-item results bit-identical
-  // to TopK (docs/BATCHING.md).
-  std::vector<BackendBatchResult> TopKBatch(
-      const std::vector<BackendBatchItem>& items,
-      TraceRecorder* trace = nullptr) const override;
 
   // The object at the given 1-based position of the ranked stream (used by
   // the experiments to pick "the object ranked 5*k0+1").

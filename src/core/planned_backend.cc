@@ -3,6 +3,7 @@
 #include "common/timer.h"
 #include "core/whynot_bs.h"
 #include "core/whynot_kcr.h"
+#include "index/batch_topk.h"
 
 namespace wsk {
 
@@ -18,15 +19,6 @@ const TopKSource& Tree(const PlanSegment& segment, bool kcr) {
 
 }  // namespace
 
-std::vector<MergedSegment> WhyNotPlan::Trees(bool kcr) const {
-  std::vector<MergedSegment> trees;
-  trees.reserve(segments.size());
-  for (const PlanSegment& segment : segments) {
-    trees.push_back(MergedSegment{&Tree(segment, kcr), segment.visibility});
-  }
-  return trees;
-}
-
 const TopKSource& WhyNotPlan::Source(
     bool kcr, TraceRecorder* trace,
     std::optional<MergedTopKSource>* merged) const {
@@ -34,7 +26,34 @@ const TopKSource& WhyNotPlan::Source(
       extras.empty()) {
     return Tree(segments[0], kcr);
   }
-  return merged->emplace(Trees(kcr), extras, diagonal, trace);
+  std::vector<MergedSegment> trees;
+  trees.reserve(segments.size());
+  for (const PlanSegment& segment : segments) {
+    trees.push_back(MergedSegment{&Tree(segment, kcr), segment.visibility});
+  }
+  return merged->emplace(std::move(trees), extras, diagonal, trace);
+}
+
+StatusOr<std::vector<ScoredObject>> PlannedBackend::TopK(
+    const SpatialKeywordQuery& query, const CancelToken* cancel,
+    TraceRecorder* trace) const {
+  TraceSpan root_span(trace, TraceStage::kQuery);
+  const WhyNotPlan plan = PlanWhyNot();
+  std::optional<MergedTopKSource> merged;
+  return IndexTopK(plan.Source(/*kcr=*/false, trace, &merged), query, cancel,
+                   /*use_cache=*/true, trace);
+}
+
+std::vector<BackendBatchResult> PlannedBackend::TopKBatch(
+    const std::vector<BackendBatchItem>& items, TraceRecorder* trace) const {
+  TraceSpan root_span(trace, TraceStage::kQuery);
+  // One snapshot for the whole batch: every item answers against the same
+  // point-in-time view, exactly what solo execution at batch-formation time
+  // would have seen.
+  const WhyNotPlan plan = PlanWhyNot();
+  std::optional<MergedTopKSource> merged;
+  return BatchedIndexTopK(plan.Source(/*kcr=*/false, trace, &merged), items,
+                          /*use_cache=*/true, trace);
 }
 
 StatusOr<WhyNotResult> PlannedBackend::Answer(

@@ -1,4 +1,4 @@
-// PlannedBackend: the one why-not dispatcher every backend shares.
+// PlannedBackend: the one query dispatcher every backend shares.
 //
 // A backend describes what a query runs over as a WhyNotPlan: an object
 // store, the index pairs (one per frozen table, each with its snapshot
@@ -10,8 +10,10 @@
 // candidate list, the best refinement, the stats and the trace flush) — so
 // the frozen engine, the live engine and the shard coordinator answer
 // through the same code, and an algorithm is only its candidate search
-// (whynot_bs.h, whynot_kcr.h). The coordinator's plan is its shards' plans
-// concatenated (docs/SHARDING.md).
+// (whynot_bs.h, whynot_kcr.h). Top-k, solo and batched, is one best-first
+// walk over the same plan's SetR-tree source. The coordinator's plan is
+// its shards' plans concatenated (docs/SHARDING.md); it keeps its own solo
+// TopK, a bound-ranked parallel fan-out over the shards.
 #ifndef WSK_CORE_PLANNED_BACKEND_H_
 #define WSK_CORE_PLANNED_BACKEND_H_
 
@@ -46,9 +48,6 @@ struct WhyNotPlan {
   // stores) plus any in-flight guard the backend holds for the query.
   std::vector<std::shared_ptr<const void>> keep_alive;
 
-  // The plan's trees of one family as merged-traversal segments.
-  std::vector<MergedSegment> Trees(bool kcr) const;
-
   // The ranked stream over one tree family. One unfiltered tree with no
   // extras streams that tree directly (the frozen engine's paper setup);
   // every other plan goes through one MergedTopKSource, emplaced into
@@ -59,6 +58,19 @@ struct WhyNotPlan {
 
 class PlannedBackend : public QueryBackend {
  public:
+  // Spatial keyword top-k over one PlanWhyNot() snapshot's SetR-tree
+  // source, the one Answer and Rank use; the plan's keep_alive holds the
+  // backend's in-flight guard. A malformed query fails the index walk.
+  StatusOr<std::vector<ScoredObject>> TopK(
+      const SpatialKeywordQuery& query, const CancelToken* cancel = nullptr,
+      TraceRecorder* trace = nullptr) const override;
+
+  // One snapshot and one shared walk over that source for every item
+  // (docs/BATCHING.md), each slot bit-identical to TopK on the snapshot.
+  std::vector<BackendBatchResult> TopKBatch(
+      const std::vector<BackendBatchItem>& items,
+      TraceRecorder* trace = nullptr) const override;
+
   // Answers the keyword-adapted why-not query (Definition 2) over
   // PlanWhyNot(). BS and AdvancedBS rank over the SetR-trees, KcRBased
   // traverses the KcR-trees and requires the Jaccard model. For kBasic the

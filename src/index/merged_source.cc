@@ -13,7 +13,8 @@ MergedTopKSource::MergedTopKSource(std::vector<MergedSegment> segments,
       extras_(std::move(extras)),
       diagonal_(diagonal),
       trace_(trace) {
-  WSK_CHECK_MSG(segments_.size() < 64, "too many segments for one snapshot");
+  WSK_CHECK_MSG(segments_.size() <= kMaxSegments,
+                "too many segments for one snapshot");
   for (const MergedSegment& seg : segments_) WSK_CHECK(seg.source != nullptr);
 }
 

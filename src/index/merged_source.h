@@ -54,10 +54,15 @@ struct MergedSegment {
 
 class MergedTopKSource : public TopKSource {
  public:
-  // 64 segment namespaces of 2^26 local pages each; kVirtualRoot sits just
-  // below kInvalidPageId, outside every namespace.
+  // Segment i owns the namespace (i + 1) << 26 of 2^26 local pages;
+  // kVirtualRoot sits just below kInvalidPageId, outside every namespace.
   static constexpr PageId kVirtualRoot = 0xfffffffeu;
   static constexpr uint32_t kSegmentShift = 26;
+  // The most segments a 32-bit PageId namespaces: 63. It bounds every plan,
+  // since a shard adds at most one segment (a merge replaces all frozen and
+  // sealed inputs with one) and ShardCoordinator::Build caps the shards.
+  static constexpr size_t kMaxSegments =
+      (size_t{1} << (32 - kSegmentShift)) - 1;
 
   // `extras` are borrowed pointers into delta-segment entries (stable for
   // the snapshot's lifetime); callers pass only visible objects. `trace`

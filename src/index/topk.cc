@@ -27,6 +27,8 @@ TopKIterator::TopKIterator(const TopKSource* source, SpatialKeywordQuery query,
       trace_(trace),
       floor_(floor),
       floored_(floor > -std::numeric_limits<double>::infinity()) {
+  status_ = ValidateTopKQuery(query_);
+  if (!status_.ok()) return;
   const PageId root = source_->SearchRoot();
   if (root != kInvalidPageId) {
     // The root has no parent entry to bound it; expand it unconditionally.
@@ -50,6 +52,7 @@ TopKIterator::~TopKIterator() {
 
 Status TopKIterator::Next(std::optional<ScoredObject>* out) {
   out->reset();
+  if (!status_.ok()) return status_;
   while (!heap_.empty()) {
     const SearchEntry top = heap_.top();
     heap_.pop();
@@ -78,6 +81,7 @@ StatusOr<std::vector<ScoredObject>> IndexTopK(
     const CancelToken* cancel, bool use_cache, TraceRecorder* trace) {
   TraceSpan span(trace, TraceStage::kTopK);
   TopKIterator it(&source, query, cancel, use_cache, trace);
+  WSK_RETURN_IF_ERROR(it.status());
   // No reserve(k): k comes from outside and may far exceed the index.
   std::vector<ScoredObject> result;
   std::optional<ScoredObject> next;

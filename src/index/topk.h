@@ -89,6 +89,8 @@ class TopKIterator {
   // are never enqueued (a dropped node counts as seen and pruned), so the
   // iterator emits exactly the objects of the unfloored stream that score
   // above the floor, in the same order. The default -inf drops nothing.
+  // A query failing ValidateTopKQuery expands nothing; status() and every
+  // Next() return its kInvalidArgument.
   TopKIterator(const TopKSource* source, SpatialKeywordQuery query,
                const CancelToken* cancel = nullptr, bool use_cache = true,
                TraceRecorder* trace = nullptr,
@@ -102,6 +104,9 @@ class TopKIterator {
   // Returns kCancelled / kDeadlineExceeded when the cancel token fired.
   Status Next(std::optional<ScoredObject>* out);
 
+  // The construction-time query check.
+  const Status& status() const { return status_; }
+
   // Objects emitted so far.
   size_t num_emitted() const { return num_emitted_; }
 
@@ -112,6 +117,7 @@ class TopKIterator {
  private:
   const TopKSource* source_;
   SpatialKeywordQuery query_;
+  Status status_;
   const CancelToken* cancel_ = nullptr;
   bool use_cache_ = true;
   TraceRecorder* trace_ = nullptr;
@@ -130,7 +136,7 @@ class TopKIterator {
 
 // Convenience wrappers over the iterator.
 
-// The k best objects.
+// The k best objects; kInvalidArgument for a malformed query, any k.
 StatusOr<std::vector<ScoredObject>> IndexTopK(
     const TopKSource& source, const SpatialKeywordQuery& query,
     const CancelToken* cancel = nullptr, bool use_cache = true,

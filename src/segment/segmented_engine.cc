@@ -3,9 +3,6 @@
 #include <utility>
 
 #include "common/macros.h"
-#include "index/batch_topk.h"
-#include "index/topk.h"
-#include "observability/trace.h"
 
 namespace wsk {
 
@@ -90,31 +87,6 @@ WhyNotPlan SegmentedEngine::PlanWhyNot() const {
   plan.store = store.get();
   plan.keep_alive.push_back(std::move(store));
   return plan;
-}
-
-StatusOr<std::vector<ScoredObject>> SegmentedEngine::TopK(
-    const SpatialKeywordQuery& query, const CancelToken* cancel,
-    TraceRecorder* trace) const {
-  // Before any scoring: delta objects go through Score(), which aborts on
-  // an alpha outside (0, 1).
-  WSK_RETURN_IF_ERROR(ValidateTopKQuery(query));
-  TraceSpan root_span(trace, TraceStage::kQuery);
-  const WhyNotPlan plan = PlanWhyNot();
-  MergedTopKSource source(plan.Trees(/*kcr=*/false), plan.extras,
-                          plan.diagonal, trace);
-  return IndexTopK(source, query, cancel, /*use_cache=*/true, trace);
-}
-
-std::vector<BackendBatchResult> SegmentedEngine::TopKBatch(
-    const std::vector<BackendBatchItem>& items, TraceRecorder* trace) const {
-  TraceSpan root_span(trace, TraceStage::kQuery);
-  // One snapshot for the whole batch: every item answers against the same
-  // point-in-time view, exactly what solo execution at batch-formation time
-  // would have seen.
-  const WhyNotPlan plan = PlanWhyNot();
-  MergedTopKSource source(plan.Trees(/*kcr=*/false), plan.extras,
-                          plan.diagonal, trace);
-  return BatchedIndexTopK(source, items, /*use_cache=*/true, trace);
 }
 
 BackendIoSnapshot SegmentedEngine::io_snapshot() const {

@@ -1,11 +1,11 @@
 // SegmentedEngine: the live-dataset QueryBackend (docs/SEGMENTS.md).
 //
-// Wraps a SegmentManager and answers the full query surface over
-// point-in-time snapshots: top-k runs on a MergedTopKSource over the
-// frozen SetR-trees plus the delta objects; why-not queries go through
-// PlannedBackend over the same snapshot, where the KcR-based algorithm
-// traverses every frozen KcR-tree at once with per-segment tombstone
-// masks and the delta objects as exactly-scored extras (whynot_kcr.h). The SDist normalizer is pinned to the seed
+// Wraps a SegmentManager and answers the full query surface through
+// PlannedBackend over point-in-time snapshots: top-k walks the frozen
+// SetR-trees plus the delta objects as one MergedTopKSource, and the
+// KcR-based why-not algorithm traverses every frozen KcR-tree at once with
+// per-segment tombstone masks and the delta objects as exactly-scored
+// extras (whynot_kcr.h). The SDist normalizer is pinned to the seed
 // dataset's diagonal at build time, so scores stay comparable across
 // segments and across the dataset's whole lifetime.
 //
@@ -77,17 +77,10 @@ class SegmentedEngine : public PlannedBackend {
 
   // --- QueryBackend query surface (thread-safe) ---
 
-  StatusOr<std::vector<ScoredObject>> TopK(
-      const SpatialKeywordQuery& query, const CancelToken* cancel = nullptr,
-      TraceRecorder* trace = nullptr) const override;
-  // One snapshot + one shared merged-source walk for all items; per-item
-  // results bit-identical to TopK against that snapshot (docs/BATCHING.md).
-  std::vector<BackendBatchResult> TopKBatch(
-      const std::vector<BackendBatchItem>& items,
-      TraceRecorder* trace = nullptr) const override;
-  // Answer() and Rank() (R(object, query), Eqn 3) come from
-  // PlannedBackend over one snapshot: the frozen segments' index pairs
-  // with their tombstone filters, and the visible delta objects as extras.
+  // TopK(), TopKBatch() (one snapshot for the whole batch), Answer() and
+  // Rank() (R(object, query), Eqn 3) come from PlannedBackend over one
+  // snapshot: the frozen segments' index pairs with their tombstone
+  // filters, and the visible delta objects as extras.
   WhyNotPlan PlanWhyNot() const override;
 
   BackendIoSnapshot io_snapshot() const override;

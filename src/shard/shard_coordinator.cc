@@ -6,10 +6,9 @@
 #include <exception>
 #include <limits>
 #include <mutex>
-#include <unordered_map>
+#include <string>
 #include <utility>
 
-#include "common/macros.h"
 #include "common/timer.h"
 #include "shard/shard_partition.h"
 
@@ -92,7 +91,13 @@ uint64_t FnvMixDouble(uint64_t hash, double value) {
 
 StatusOr<std::unique_ptr<ShardCoordinator>> ShardCoordinator::Build(
     const Dataset& seed, const Config& config) {
-  WSK_CHECK_MSG(config.num_shards >= 1, "num_shards must be at least 1");
+  // The concatenated plan's merged walk takes one segment per shard.
+  if (config.num_shards < 1 ||
+      config.num_shards > MergedTopKSource::kMaxSegments) {
+    return Status::InvalidArgument(
+        "num_shards must lie in [1, " +
+        std::to_string(MergedTopKSource::kMaxSegments) + "]");
+  }
   std::unique_ptr<ShardCoordinator> c(new ShardCoordinator());
   c->config_ = config;
   c->diagonal_ = seed.diagonal();
@@ -312,123 +317,10 @@ StatusOr<std::vector<ScoredObject>> ShardCoordinator::TopK(
   return merged;
 }
 
-std::vector<BackendBatchResult> ShardCoordinator::TopKBatch(
-    const std::vector<BackendBatchItem>& items, TraceRecorder* trace) const {
-  TraceSpan root_span(trace, TraceStage::kQuery);
-  const ScatterBusyScope busy(&scatter_busy_us_);
-  queries_.fetch_add(items.size(), std::memory_order_relaxed);
-
-  // Per-item serial scatter-gather: the same RankShards order as TopK, the
-  // Theorem 1 cut re-applied before every visit, the same
-  // order-insensitive merge — so each item's result is bit-identical to
-  // TopK. The batching is per visited shard: items whose next unpruned
-  // shard coincides are answered by one sub-batch against that shard's
-  // backend, which amortizes the walk beneath it.
-  struct ItemState {
-    std::vector<RankedShard> order;
-    size_t next = 0;
-    std::vector<ScoredObject> merged;
-    Status status;
-    bool done = false;
-  };
-  std::vector<ItemState> states(items.size());
-  for (size_t i = 0; i < items.size(); ++i) {
-    // An invalid item fails alone; the rest of the batch still answers.
-    states[i].status = ValidateTopKQuery(*items[i].query);
-    if (states[i].status.ok()) {
-      states[i].order = RankShards(*items[i].query);
-    } else {
-      states[i].done = true;
-    }
-  }
-
-  std::vector<BackendBatchItem> sub_items;
-  for (;;) {
-    // Advance each item to its next shard visit, applying the prune rule.
-    std::unordered_map<uint32_t, size_t> group_of;
-    std::vector<uint32_t> group_shards;
-    std::vector<std::vector<size_t>> group_members;
-    for (size_t i = 0; i < states.size(); ++i) {
-      ItemState& s = states[i];
-      if (s.done) continue;
-      const SpatialKeywordQuery& query = *items[i].query;
-      if (s.next >= s.order.size()) {
-        s.done = true;
-        continue;
-      }
-      const RankedShard& entry = s.order[s.next];
-      if (CutsShard(entry.bound, s.merged, query.k)) {
-        for (size_t j = s.next; j < s.order.size(); ++j) {
-          shards_[s.order[j].shard]->pruned.fetch_add(
-              1, std::memory_order_relaxed);
-          if (trace != nullptr) trace->Add(TraceCounter::kShardsPruned);
-        }
-        s.done = true;
-        continue;
-      }
-      auto [it, inserted] = group_of.emplace(entry.shard, group_shards.size());
-      if (inserted) {
-        group_shards.push_back(entry.shard);
-        group_members.emplace_back();
-      }
-      group_members[it->second].push_back(i);
-    }
-    if (group_shards.empty()) break;
-
-    for (size_t g = 0; g < group_shards.size(); ++g) {
-      const Shard& shard = *shards_[group_shards[g]];
-      std::vector<size_t> live;
-      for (size_t i : group_members[g]) {
-        ItemState& s = states[i];
-        if (items[i].cancel != nullptr) {
-          const Status check = items[i].cancel->Check();
-          if (!check.ok()) {
-            s.status = check;
-            s.done = true;
-            continue;
-          }
-        }
-        live.push_back(i);
-      }
-      if (live.empty()) continue;
-      shard.visited.fetch_add(live.size(), std::memory_order_relaxed);
-      if (trace != nullptr) {
-        trace->Add(TraceCounter::kShardsVisited, live.size());
-        trace->Annotate(TraceStage::kShardVisit,
-                        "shard." + std::to_string(group_shards[g]),
-                        static_cast<int64_t>(group_shards[g]));
-      }
-      TraceSpan visit_span(trace, TraceStage::kShardVisit);
-      sub_items.clear();
-      for (size_t i : live) {
-        sub_items.push_back(BackendBatchItem{items[i].query, items[i].cancel});
-      }
-      std::vector<BackendBatchResult> partials =
-          shard.backend->TopKBatch(sub_items, trace);
-      for (size_t j = 0; j < live.size(); ++j) {
-        ItemState& s = states[live[j]];
-        if (!partials[j].status.ok()) {
-          s.status = std::move(partials[j].status);
-          s.done = true;
-          continue;
-        }
-        MergeInto(&s.merged, partials[j].topk, items[live[j]].query->k);
-        ++s.next;
-      }
-    }
-  }
-
-  std::vector<BackendBatchResult> results(states.size());
-  for (size_t i = 0; i < states.size(); ++i) {
-    results[i].status = std::move(states[i].status);
-    if (results[i].status.ok()) results[i].topk = std::move(states[i].merged);
-  }
-  return results;
-}
-
 WhyNotPlan ShardCoordinator::PlanWhyNot() const {
   // Every shard's sources side by side: one cross-shard merged traversal,
-  // whatever kind of backend each shard runs.
+  // whatever kind of backend each shard runs. Each shard adds at most one
+  // segment, so Build's shard cap keeps the walk within its capacity.
   WhyNotPlan plan;
   plan.diagonal = diagonal_;
   std::vector<const ObjectStore*> stores;

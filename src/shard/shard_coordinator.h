@@ -8,21 +8,23 @@
 // and composes admission control, deadlines, the result cache, and
 // metrics on top.
 //
-// Top-k ranks shards best-first by their Theorem 1 MaxScore upper bound
-// (shard_summary.h) and visits the best-bound shard on the calling thread.
-// It then cuts every shard whose bound is strictly below that shard's kth
-// score (the shards_pruned counter) and visits the rest concurrently: the
-// caller and a coordinator-owned pool of num_shards - 2 workers claim
-// shards from one per-call cursor, and all partials go through one
-// order-insensitive ScoreGreater merge. Answers are the same as with a
-// serial visit that re-applies the cut after every shard; the visited set
-// can only be larger.
+// Solo top-k ranks shards best-first by their Theorem 1 MaxScore upper
+// bound (shard_summary.h) and visits the best-bound shard on the calling
+// thread. It then cuts every shard whose bound is strictly below that
+// shard's kth score (the shards_pruned counter) and visits the rest
+// concurrently: the caller and a coordinator-owned pool of num_shards - 2
+// workers claim shards from one per-call cursor, and all partials go
+// through one order-insensitive ScoreGreater merge. Answers are the same
+// as with a serial visit that re-applies the cut after every shard; the
+// visited set can only be larger. It stays the one top-k override because
+// a solo merged walk, though it expands fewer nodes, loses the parallelism
+// (docs/SHARDING.md has the measurement).
 //
-// Why-not never re-implements the algorithms: its plan concatenates the
-// shards' plans (frozen and live alike) and PlannedBackend answers over
-// that one cross-shard plan (exactly how SegmentedEngine merges its own
-// segments), so per-shard MaxDom/MinDom
-// bounds aggregate inside the one keyword-adaption search and answers are
+// Everything else comes from PlannedBackend over the shards' plans
+// concatenated (frozen and live alike), exactly how SegmentedEngine merges
+// its own segments: a TopKBatch is one merged walk over every shard's
+// segments and deltas, and why-not aggregates the per-shard MaxDom/MinDom
+// bounds inside the one keyword-adaption search, so answers are
 // bit-identical to an unsharded engine.
 //
 // Mutations route by ownership: inserts to the shard whose summary MBR is
@@ -71,6 +73,7 @@ class ShardCoordinator : public PlannedBackend {
 
   // Tiles `seed` and builds one backend per tile. The actual shard count
   // is min(num_shards, populated tiles) — see shard_counters().num_shards.
+  // kInvalidArgument unless 1 <= num_shards <= MergedTopKSource::kMaxSegments.
   static StatusOr<std::unique_ptr<ShardCoordinator>> Build(
       const Dataset& seed, const Config& config);
 
@@ -80,19 +83,12 @@ class ShardCoordinator : public PlannedBackend {
 
   // --- QueryBackend query surface (thread-safe) ---
 
+  // The bound-ranked scatter-gather of the file comment.
   StatusOr<std::vector<ScoredObject>> TopK(
       const SpatialKeywordQuery& query, const CancelToken* cancel = nullptr,
       TraceRecorder* trace = nullptr) const override;
-  // Scatter-gather batching: each item visits its own solo shard order
-  // serially, re-applying the bound cut before every visit, but items
-  // whose next shard coincides are answered by one sub-batch per visited
-  // shard, amortizing the per-shard walk (docs/BATCHING.md). Per-item
-  // results are bit-identical to TopK.
-  std::vector<BackendBatchResult> TopKBatch(
-      const std::vector<BackendBatchItem>& items,
-      TraceRecorder* trace = nullptr) const override;
-  // Answer() comes from PlannedBackend over every shard's plan,
-  // concatenated.
+  // TopKBatch(), Answer() and Rank() come from PlannedBackend over every
+  // shard's plan, concatenated.
   WhyNotPlan PlanWhyNot() const override;
 
   BackendIoSnapshot io_snapshot() const override;
@@ -185,8 +181,8 @@ class ShardCoordinator : public PlannedBackend {
   mutable std::unordered_map<ObjectId, uint32_t> owner_;
 
   mutable std::atomic<uint64_t> queries_{0};
-  // Wall time spent inside scatter-gather TopK/TopKBatch (all exits),
-  // exported as wsk_bg_scatter_busy_seconds_total.
+  // Wall time spent inside scatter-gather TopK (all exits), exported as
+  // wsk_bg_scatter_busy_seconds_total.
   mutable std::atomic<uint64_t> scatter_busy_us_{0};
 
   // TopK's fan-out workers (null below 3 shards). Declared last so it is

@@ -2,11 +2,14 @@
 // scenarios, a pool of derived queries runs through QueryBackend::TopKBatch
 // at batch sizes {2, 4, 8} on all three backends — frozen WhyNotEngine,
 // live SegmentedEngine (with mutations applied so delta segments and
-// tombstones participate), and a 3-shard ShardCoordinator — and every
-// slot is compared bit for bit (ids and score doubles) against the same
-// backend's solo TopK. A second pass injects a pre-cancelled token and an
-// expired deadline mid-batch and checks the failed slots' statuses while
-// the surviving slots stay bit-exact.
+// tombstones participate), a frozen 3-shard ShardCoordinator, and a live
+// 3-shard one under the same mutations (its batch is one merged walk over
+// every shard's frozen segment, tombstones and deltas, its solo TopK the
+// parallel shard fan-out) — and every slot is compared bit for bit (ids
+// and score doubles) against the same backend's solo TopK. A second pass
+// injects a pre-cancelled token and an expired deadline mid-batch and
+// checks the failed slots' statuses while the surviving slots stay
+// bit-exact.
 //
 // Sharded like differential_oracle_test via GTEST_TOTAL_SHARDS (see
 // tests/CMakeLists.txt). Failures print the scenario seed.
@@ -123,6 +126,23 @@ void RunCancellationDifferential(
   }
 }
 
+// Mutations so the batch walks frozen pages, delta segments, and
+// tombstoned visibility at once: delete two seeded objects, re-insert
+// keyword sets sampled from the corpus at fresh locations.
+void ApplyMutations(const QueryBackend& backend, const Dataset& data) {
+  ASSERT_TRUE(backend.Delete(0).ok());
+  ASSERT_TRUE(backend.Delete(data.size() / 2).ok());
+  for (size_t i = 0; i < 3; ++i) {
+    const SpatialObject& donor = data.object((i * 7 + 1) % data.size());
+    std::vector<std::string> keywords;
+    for (TermId t : donor.doc) {
+      keywords.push_back(data.vocabulary().TermString(t));
+    }
+    const double frac = 0.2 + 0.2 * static_cast<double>(i);
+    ASSERT_TRUE(backend.Insert(Point{frac, 1.0 - frac}, keywords).ok());
+  }
+}
+
 class BatchDifferentialTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(BatchDifferentialTest, FrozenEngineBatchedMatchesSolo) {
@@ -162,22 +182,8 @@ TEST_P(BatchDifferentialTest, LiveEngineBatchedMatchesSolo) {
       SegmentedEngine::Build(scenario->dataset, config);
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
 
-  // Mutations so the batch walks frozen pages, delta segments, and
-  // tombstoned visibility at once: delete two seeded objects, re-insert
-  // keyword sets sampled from the corpus at fresh locations.
-  const Dataset& data = scenario->dataset;
-  ASSERT_TRUE(engine.value()->Delete(0).ok());
-  ASSERT_TRUE(engine.value()->Delete(data.size() / 2).ok());
-  for (size_t i = 0; i < 3; ++i) {
-    const SpatialObject& donor = data.object((i * 7 + 1) % data.size());
-    std::vector<std::string> keywords;
-    for (TermId t : donor.doc) {
-      keywords.push_back(data.vocabulary().TermString(t));
-    }
-    const double frac = 0.2 + 0.2 * static_cast<double>(i);
-    ASSERT_TRUE(
-        engine.value()->Insert(Point{frac, 1.0 - frac}, keywords).ok());
-  }
+  ApplyMutations(*engine.value(), scenario->dataset);
+  if (HasFatalFailure()) return;
 
   const std::vector<SpatialKeywordQuery> queries = DeriveQueries(*scenario);
   RunDifferential(*engine.value(), queries);
@@ -199,6 +205,32 @@ TEST_P(BatchDifferentialTest, ShardedBatchedMatchesSolo) {
   StatusOr<std::unique_ptr<ShardCoordinator>> coordinator =
       ShardCoordinator::Build(scenario->dataset, config);
   ASSERT_TRUE(coordinator.ok()) << coordinator.status().ToString();
+
+  const std::vector<SpatialKeywordQuery> queries = DeriveQueries(*scenario);
+  RunDifferential(*coordinator.value(), queries);
+  RunCancellationDifferential(*coordinator.value(), queries);
+}
+
+TEST_P(BatchDifferentialTest, LiveShardedBatchedMatchesSolo) {
+  const uint64_t seed = GetParam();
+  std::optional<testing::WhyNotScenario> scenario =
+      testing::MakeScenario(seed, testing::ScenarioOptions{});
+  if (!scenario.has_value()) {
+    GTEST_SKIP() << "seed " << seed << " yields no usable instance";
+  }
+  SCOPED_TRACE(scenario->Describe());
+
+  ShardCoordinator::Config config;
+  config.num_shards = 3;
+  config.live = true;
+  config.node_capacity = 16;
+  config.delta_capacity = 8;
+  config.auto_merge = false;
+  StatusOr<std::unique_ptr<ShardCoordinator>> coordinator =
+      ShardCoordinator::Build(scenario->dataset, config);
+  ASSERT_TRUE(coordinator.ok()) << coordinator.status().ToString();
+  ApplyMutations(*coordinator.value(), scenario->dataset);
+  if (HasFatalFailure()) return;
 
   const std::vector<SpatialKeywordQuery> queries = DeriveQueries(*scenario);
   RunDifferential(*coordinator.value(), queries);

@@ -124,6 +124,14 @@ if(NOT rc EQUAL 0 OR NOT out MATCHES "served" OR
    NOT out MATCHES "shards    count 2" OR NOT out MATCHES "shard.0")
   message(FATAL_ERROR "serve --shards failed: ${out}")
 endif()
+# A shard count above the merged walk's segment capacity is refused with a
+# message and exit 1, not a signal (RESULT_VARIABLE is then not a number).
+execute_process(COMMAND ${CLI} serve --data ${csv} --random 20 --seed 7
+                        --workers 1 --shards 70
+                RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 1 OR NOT err MATCHES "num_shards must lie in")
+  message(FATAL_ERROR "serve --shards 70 exited ${rc}: ${out}${err}")
+endif()
 # live: mutations stream through the segmented backend while queries run;
 # the final report must carry the segment counters and a dataset version.
 execute_process(COMMAND ${CLI} live --data ${csv} --random 30 --workers 2

@@ -2,9 +2,10 @@
 // tiling, sound per-shard Theorem 1 bounds, cross-shard pruning on
 // clustered data, routed mutations with coordinator-allocated ids, the
 // version vector / topology fingerprint the result cache keys off, the
-// shard-scoped cache validation predicate, k = 0 queries, and the
-// parallel fan-out's cancel and deadline paths. Bit-exactness against the
-// unsharded engine at scale lives in shard_differential_test.
+// shard-scoped cache validation predicate, k = 0 queries, the parallel
+// fan-out's cancel and deadline paths, and the shard-count cap.
+// Bit-exactness against the unsharded engine at scale lives in
+// shard_differential_test.
 #include "shard/shard_coordinator.h"
 
 #include <algorithm>
@@ -419,6 +420,46 @@ TEST(ShardCoordinatorTest, FanOutReturnsTheTokensStatus) {
   }
   EXPECT_GT(expired, 0);
   EXPECT_GT(answered, 0);
+}
+
+// A batch or why-not plan takes one merged-walk segment per shard, so the
+// shard count is capped by the walk's capacity: 0 and 64 shards fail with
+// kInvalidArgument instead of aborting, and a coordinator at the cap
+// answers a batch and a rank query through that one walk.
+TEST(ShardCoordinatorTest, ShardCountIsBoundedByTheMergedWalk) {
+  Dataset seed = UniformDataset(1000);
+  ShardCoordinator::Config config;
+  config.buffer_bytes = 64u << 10;
+  config.node_cache_bytes = 0;
+  for (uint32_t bad :
+       {0u, static_cast<uint32_t>(MergedTopKSource::kMaxSegments + 1)}) {
+    config.num_shards = bad;
+    const auto built = ShardCoordinator::Build(seed, config);
+    ASSERT_FALSE(built.ok()) << bad << " shards";
+    EXPECT_EQ(built.status().code(), StatusCode::kInvalidArgument)
+        << built.status().ToString();
+  }
+
+  config.num_shards = static_cast<uint32_t>(MergedTopKSource::kMaxSegments);
+  auto coordinator = ShardCoordinator::Build(seed, config).value();
+  ASSERT_GT(coordinator->num_shards(), 32u);
+  SpatialKeywordQuery query = QueryAt(
+      seed, Point{0.3, 0.6},
+      {seed.vocabulary().TermString(1), seed.vocabulary().TermString(2)}, 10);
+  SpatialKeywordQuery other = query;
+  other.alpha = 0.2;
+  const std::vector<BackendBatchItem> items = {{&query, nullptr},
+                                               {&other, nullptr}};
+  const std::vector<BackendBatchResult> batch = coordinator->TopKBatch(items);
+  ASSERT_EQ(batch.size(), 2u);
+  for (size_t i = 0; i < batch.size(); ++i) {
+    ASSERT_TRUE(batch[i].status.ok()) << batch[i].status.ToString();
+    ExpectSameTopK(batch[i].topk, BruteForceTopK(seed, *items[i].query));
+  }
+  const ObjectId target = seed.objects()[500].id;
+  const auto rank = coordinator->Rank(query, target);
+  ASSERT_TRUE(rank.ok()) << rank.status().ToString();
+  EXPECT_EQ(rank.value(), BruteForceRank(seed, query, target));
 }
 
 }  // namespace

@@ -2,7 +2,9 @@
 // (0, 1) or NaN, and a non-finite location, return kInvalidArgument from
 // TopK and from the offending TopKBatch slot, never abort, and leave the
 // backend answering the next valid query. The live backends run with an
-// inserted delta object, whose scoring path WSK_CHECKs alpha.
+// inserted delta object, whose scoring path WSK_CHECKs alpha. The index
+// entry points under them (IndexTopK, RankFromIndex, ObjectAtPosition)
+// reject the same inputs on their own.
 #include <gtest/gtest.h>
 
 #include <limits>
@@ -11,7 +13,9 @@
 #include <vector>
 
 #include "core/engine.h"
+#include "core/whynot_common.h"
 #include "data/generator.h"
+#include "index/merged_source.h"
 #include "segment/segmented_engine.h"
 #include "shard/shard_coordinator.h"
 
@@ -114,6 +118,46 @@ TEST_F(TopKValidationTest, FrozenShardCoordinator) {
   config.node_capacity = 16;
   auto coordinator = ShardCoordinator::Build(dataset_, config).value();
   ExpectRejectsMalformed(*coordinator);
+}
+
+// IndexTopK (any k, k = 0 included) and RankFromIndex over the SetR-tree
+// and over a merged source whose extra object would otherwise reach
+// Score()'s alpha check, and ObjectAtPosition, all answer a malformed
+// query with kInvalidArgument and still serve a valid one.
+TEST_F(TopKValidationTest, IndexEntryPoints) {
+  auto engine = WhyNotEngine::Build(&dataset_, {}).value();
+  const SpatialObject extra = dataset_.object(0);
+  const MergedTopKSource merged({MergedSegment{&engine->setr_tree(), nullptr}},
+                                {&extra}, dataset_.diagonal());
+  const std::vector<const TopKSource*> sources = {&engine->setr_tree(),
+                                                  &merged};
+  for (SpatialKeywordQuery q : Malformed()) {
+    for (uint32_t k : {0u, 5u}) {
+      q.k = k;
+      for (const TopKSource* source : sources) {
+        const auto topk = IndexTopK(*source, q);
+        ASSERT_FALSE(topk.ok());
+        EXPECT_EQ(topk.status().code(), StatusCode::kInvalidArgument)
+            << topk.status().ToString();
+        bool exceeded = false;
+        const auto rank = internal::RankFromIndex(*source, q, 0.5, 0,
+                                                  &exceeded, nullptr);
+        ASSERT_FALSE(rank.ok());
+        EXPECT_EQ(rank.status().code(), StatusCode::kInvalidArgument)
+            << rank.status().ToString();
+      }
+    }
+    const auto position = engine->ObjectAtPosition(q, 1);
+    ASSERT_FALSE(position.ok());
+    EXPECT_EQ(position.status().code(), StatusCode::kInvalidArgument)
+        << position.status().ToString();
+  }
+  for (const TopKSource* source : sources) {
+    const auto topk = IndexTopK(*source, Valid());
+    ASSERT_TRUE(topk.ok()) << topk.status().ToString();
+    EXPECT_EQ(topk.value().size(), Valid().k);
+  }
+  EXPECT_TRUE(engine->ObjectAtPosition(Valid(), 1).ok());
 }
 
 }  // namespace
