@@ -1,13 +1,15 @@
 // Substrate micro-benchmark (not a paper figure): raw spatial keyword
 // top-k latency and I/O on the SetR-tree vs the KcR-tree, for several k.
 // Useful to sanity-check that the shared substrate behaves before reading
-// the why-not figures.
+// the why-not figures. `nodes_expanded` counts tree nodes expanded per
+// query, the work the node bounds decide.
 #include "bench_common.h"
 
 #include <chrono>
 
 #include "common/rng.h"
 #include "index/topk.h"
+#include "observability/trace.h"
 #include "storage/node_codec_v2.h"
 
 namespace {
@@ -30,23 +32,33 @@ std::vector<wsk::SpatialKeywordQuery> MakeQueries(const wsk::Dataset& dataset,
   return queries;
 }
 
+// Each series starts from cold buffer pools and a cold node cache, so
+// `avg_io` counts the pages this series' queries read, not the pages an
+// earlier series happened to leave resident.
 void RunTopK(benchmark::State& state, const wsk::TopKSource& tree,
              wsk::IoStats& io, uint32_t k) {
   using namespace wsk;
   WhyNotEngine& engine = wsk::bench::SharedEngine();
   const std::vector<SpatialKeywordQuery> queries =
       MakeQueries(engine.dataset(), k);
+  WSK_CHECK(engine.DropCaches().ok());
+  TraceRecorder trace(/*event_capacity=*/0);  // counters only
   double total_io = 0;
   uint64_t runs = 0;
   for (auto _ : state) {
     for (const SpatialKeywordQuery& q : queries) {
       const uint64_t before = io.physical_reads();
-      benchmark::DoNotOptimize(IndexTopK(tree, q).value());
+      benchmark::DoNotOptimize(
+          IndexTopK(tree, q, /*cancel=*/nullptr, /*use_cache=*/true, &trace)
+              .value());
       total_io += static_cast<double>(io.physical_reads() - before);
       ++runs;
     }
   }
+  const double expanded =
+      static_cast<double>(trace.counter(TraceCounter::kNodesVisited));
   state.counters["avg_io"] = runs == 0 ? 0.0 : total_io / runs;
+  state.counters["nodes_expanded"] = runs == 0 ? 0.0 : expanded / runs;
   state.counters["queries"] = static_cast<double>(runs);
 }
 

@@ -1,5 +1,6 @@
 #include "index/verify.h"
 
+#include <algorithm>
 #include <string>
 
 namespace wsk {
@@ -27,6 +28,10 @@ const char* CheckEntry(const SetRTree::DecodedNode& decoded, size_t i,
   stats->blobs_read += 2;
   if (!(decoded.child_union[i] == child.summary.uni)) {
     return "entry union set differs from subtree";
+  }
+  if (!std::equal(child.summary.min_len.begin(), child.summary.min_len.end(),
+                  decoded.MinLengths(i))) {
+    return "entry length codes differ from subtree";
   }
   if (!(decoded.child_inter[i] == child.summary.inter)) {
     return "entry intersection set differs from subtree";

@@ -6,7 +6,8 @@
 //   * leaf depth uniform and equal to the recorded height;
 //   * every inner entry's MBR contains its subtree's points;
 //   * SetR: entry union/intersection sets equal the recomputed subtree
-//     union/intersection;
+//     union/intersection, and each union term's length code equals the
+//     recomputed code of the subtree's shortest document containing it;
 //   * KcR: entry cnt and keyword-count map equal the recomputed subtree
 //     aggregates, and the root summary in the metadata matches;
 //   * every referenced blob deserializes;

@@ -1,6 +1,7 @@
 #include "segment/segment_manager.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <utility>
 
 #include "common/macros.h"
@@ -189,10 +190,14 @@ void SegmentManager::MaybeScheduleMergeLocked() {
   if (!options_.auto_merge || shutdown_) return;
   if (current_->sealed.empty()) return;
   if (merge_running_) {
-    merge_pending_ = true;
+    // The running merge already folds the deltas it took: queue another
+    // pass for a newly sealed one, not for every write that lands in the
+    // active delta meanwhile.
+    if (current_->sealed.size() > merge_sealed_inputs_) merge_pending_ = true;
     return;
   }
   merge_running_ = true;
+  merge_sealed_inputs_ = SIZE_MAX;
   merge_pool_->Submit([this] { RunMerge(); });
 }
 
@@ -208,6 +213,7 @@ Status SegmentManager::ForceMerge() {
     merge_pending_ = true;
   } else if (dirty) {
     merge_running_ = true;
+    merge_sealed_inputs_ = SIZE_MAX;
     merge_pool_->Submit([this] { RunMerge(); });
   } else {
     return Status::Ok();
@@ -238,6 +244,7 @@ void SegmentManager::RunMerge() {
     watermark = next_seq_;
     in_frozen = current_->frozen;
     in_sealed = current_->sealed;
+    merge_sealed_inputs_ = in_sealed.size();
     hook = before_swap_hook_;
   }
 
@@ -344,6 +351,7 @@ void SegmentManager::RunMerge() {
     reschedule = merge_pending_;
     merge_pending_ = false;
     if (reschedule) {
+      merge_sealed_inputs_ = SIZE_MAX;
       merge_pool_->Submit([this] { RunMerge(); });
     } else {
       merge_running_ = false;

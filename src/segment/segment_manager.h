@@ -156,6 +156,10 @@ class SegmentManager {
   ObjectId next_id_ = 0;
   bool merge_running_ = false;
   bool merge_pending_ = false;
+  // How many sealed deltas, at the front of current_->sealed, the running
+  // merge folds: all of them until it takes its inputs, then its inputs.
+  // A write queues another pass only once a delta beyond them is sealed.
+  size_t merge_sealed_inputs_ = 0;
   bool shutdown_ = false;
   std::function<void()> before_swap_hook_;
 

@@ -7,6 +7,7 @@
 #include <limits>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <utility>
 
 #include "common/timer.h"
@@ -155,10 +156,13 @@ StatusOr<std::unique_ptr<ShardCoordinator>> ShardCoordinator::Build(
   c->next_insert_id_ = max_id;
   c->topology_ = topology;
   // The caller visits one shard itself, so num_shards - 2 workers cover
-  // every shard left after the first cut.
+  // every shard left after the first cut; more threads than cores only
+  // queue on them.
   if (c->shards_.size() >= 3) {
-    c->fanout_pool_ =
-        std::make_unique<ThreadPool>(static_cast<int>(c->shards_.size() - 2));
+    const size_t cores =
+        std::max<size_t>(1, std::thread::hardware_concurrency());
+    c->fanout_pool_ = std::make_unique<ThreadPool>(
+        static_cast<int>(std::min(c->shards_.size() - 2, cores)));
   }
   return c;
 }

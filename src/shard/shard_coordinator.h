@@ -13,12 +13,12 @@
 // thread. It then cuts every shard whose bound is strictly below that
 // shard's kth score (the shards_pruned counter) and visits the rest
 // concurrently: the caller and a coordinator-owned pool of num_shards - 2
-// workers claim shards from one per-call cursor, and all partials go
-// through one order-insensitive ScoreGreater merge. Answers are the same
-// as with a serial visit that re-applies the cut after every shard; the
-// visited set can only be larger. It stays the one top-k override because
-// a solo merged walk, though it expands fewer nodes, loses the parallelism
-// (docs/SHARDING.md has the measurement).
+// workers (at most one per core) claim shards from one per-call cursor,
+// and all partials go through one order-insensitive ScoreGreater merge.
+// Answers are the same as with a serial visit that re-applies the cut
+// after every shard; the visited set can only be larger. It stays the one
+// top-k override because a solo merged walk, though it expands fewer
+// nodes, loses the parallelism (docs/SHARDING.md has the measurement).
 //
 // Everything else comes from PlannedBackend over the shards' plans
 // concatenated (frozen and live alike), exactly how SegmentedEngine merges
@@ -126,6 +126,10 @@ class ShardCoordinator : public PlannedBackend {
   int OwnerShard(ObjectId id) const;
   // The shard's current Theorem 1 upper bound for `query`.
   double ShardBound(size_t shard, const SpatialKeywordQuery& query) const;
+  // Threads in the fan-out pool (0 below three shards).
+  int fanout_threads() const {
+    return fanout_pool_ != nullptr ? fanout_pool_->num_threads() : 0;
+  }
   const Vocabulary& vocabulary() const { return *vocabulary_; }
   double diagonal() const { return diagonal_; }
 

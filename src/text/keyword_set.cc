@@ -190,6 +190,14 @@ KeywordSet KeywordSet::Without(TermId t) const {
   return FromSorted(std::move(out));
 }
 
+std::pair<size_t, bool> KeywordSet::Insert(TermId t) {
+  auto it = std::lower_bound(terms_.begin(), terms_.end(), t);
+  const size_t index = static_cast<size_t>(it - terms_.begin());
+  if (it != terms_.end() && *it == t) return {index, false};
+  terms_.insert(it, t);
+  return {index, true};
+}
+
 void KeywordSet::Serialize(std::vector<uint8_t>* out) const {
   const size_t base = out->size();
   out->resize(base + SerializedSize());

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <initializer_list>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace wsk {
@@ -48,6 +49,9 @@ class KeywordSet {
   // Returns a copy with `t` added / removed.
   KeywordSet With(TermId t) const;
   KeywordSet Without(TermId t) const;
+
+  // Adds `t` in place; returns its index and whether it was new.
+  std::pair<size_t, bool> Insert(TermId t);
 
   // Serialization: little-endian u32 count followed by the sorted term ids.
   void Serialize(std::vector<uint8_t>* out) const;

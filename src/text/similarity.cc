@@ -68,4 +68,60 @@ double NodeSimilarityUpperBound(size_t union_inter_query,
   return 1.0;
 }
 
+void AddDocLengths(const KeywordSet& doc, KeywordSet* uni,
+                   std::vector<uint8_t>* min_len) {
+  const uint8_t code = LengthCode(doc.size());
+  for (TermId t : doc) {
+    const auto [index, added] = uni->Insert(t);
+    if (added) {
+      min_len->insert(min_len->begin() + index, code);
+    } else {
+      (*min_len)[index] = std::min((*min_len)[index], code);
+    }
+  }
+}
+
+double LengthAwareUpperBound(const LengthCounts& counts, size_t query_size,
+                             SimilarityModel model) {
+  if (model == SimilarityModel::kOverlap) return 1.0;
+  // Within one code the bound grows with j, so only the last j of each
+  // code can be the max.
+  double best = 0.0;
+  size_t j = 0;
+  for (size_t code = 0; code < counts.size(); ++code) {
+    if (counts[code] == 0) continue;
+    j += counts[code];
+    const size_t min_doc = std::max(j, code);
+    // The same integer ratios TextualSimilarity divides, with |o| replaced
+    // by its lower bound min_doc.
+    const double bound =
+        model == SimilarityModel::kJaccard
+            ? static_cast<double>(j) / (min_doc + query_size - j)
+            : 2.0 * j / (min_doc + query_size);
+    best = std::max(best, bound);
+  }
+  return std::min(1.0, best);
+}
+
+double NodeSimilarityUpperBound(const KeywordSet& uni, const uint8_t* min_len,
+                                const KeywordSet& inter,
+                                const KeywordSet& query,
+                                SimilarityModel model) {
+  LengthCounts counts{};
+  size_t matched = 0;
+  const std::vector<TermId>& terms = uni.terms();
+  auto from = terms.begin();
+  for (TermId t : query) {
+    from = std::lower_bound(from, terms.end(), t);
+    if (from == terms.end()) break;
+    if (*from == t) {
+      ++counts[min_len[from - terms.begin()]];
+      ++matched;
+    }
+  }
+  return std::min(NodeSimilarityUpperBound(matched, inter.UnionSize(query),
+                                           inter.size(), query.size(), model),
+                  LengthAwareUpperBound(counts, query.size(), model));
+}
+
 }  // namespace wsk

@@ -173,4 +173,22 @@ if(NOT rc EQUAL 0 OR NOT out MATCHES "setr: format v1" OR
    out MATCHES "\\[mmap\\]")
   message(FATAL_ERROR "inspect v1 failed: ${out}")
 endif()
+# inspect --index: a SetR and a KcR file of the current format, written
+# outside the CLI, are recognized by their meta-page magic and inspected.
+set(setr_idx "${WORK_DIR}/cli_e2e_setr.idx")
+set(kcr_idx "${WORK_DIR}/cli_e2e_kcr.idx")
+execute_process(COMMAND ${INDEX_WRITER} ${csv} ${setr_idx} ${kcr_idx}
+                RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "write_index_files failed: ${out}${err}")
+endif()
+foreach(kind setr kcr)
+  execute_process(COMMAND ${CLI} inspect --index ${${kind}_idx}
+                  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT rc EQUAL 0 OR NOT out MATCHES "${kind}: format v" OR
+     NOT out MATCHES "\\(leaf\\)")
+    message(FATAL_ERROR "inspect --index ${kind} exited ${rc}: ${out}${err}")
+  endif()
+endforeach()
+file(REMOVE ${setr_idx} ${kcr_idx})
 file(REMOVE ${csv})

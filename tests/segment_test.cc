@@ -2,9 +2,12 @@
 // visibility, FrozenSegment tombstones, SegmentManager snapshots and
 // compaction, and SegmentedEngine's query surface (docs/SEGMENTS.md).
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <initializer_list>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -315,6 +318,37 @@ TEST(SegmentedEngineTest, TombstoneOnlyStateStillCompacts) {
   // The rebuilt frozen segment excludes the deleted object physically.
   EXPECT_EQ(snap.view->frozen[0]->num_objects(), 29u);
   EXPECT_EQ(snap.view->frozen[0]->shadow_total(), 0u);
+}
+
+// Background compaction runs once per sealed delta: writes that land in
+// the active delta while a merge runs, fewer than fill it, do not queue a
+// second pass (which would rotate and rebuild the shard for a few objects).
+TEST(SegmentedEngineTest, AutoMergeRunsOncePerSealedDelta) {
+  LiveFixture fx(/*delta_capacity=*/4, /*auto_merge=*/true);
+  SegmentedEngine* engine = fx.engine.get();
+  std::atomic<int> passes{0};
+  engine->manager()->set_before_swap_hook([engine, &passes] {
+    if (passes.fetch_add(1) > 0) return;
+    for (int i = 0; i < 2; ++i) {
+      EXPECT_TRUE(engine->Insert(Point{3.0, 3.0 + 0.1 * i}, {"base"}).ok());
+    }
+  });
+  for (int i = 0; i < 5; ++i) {  // the fifth seals the full active delta
+    ASSERT_TRUE(engine->Insert(Point{1.0 + 0.1 * i, 2.0}, {"base"}).ok());
+  }
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (engine->segment_counters().merges == 0) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline);
+    std::this_thread::yield();
+  }
+  const SegmentCountersSnapshot counters = engine->segment_counters();
+  EXPECT_EQ(counters.frozen_segments, 1u);
+  EXPECT_EQ(counters.delta_objects, 2u);  // the hook's writes wait
+  EXPECT_EQ(counters.live_objects, 30u + 5u + 2u);
+  // A second pass would already be queued; the destructor waits for it.
+  fx.engine.reset();
+  EXPECT_EQ(passes.load(), 1);
 }
 
 TEST(SegmentedEngineTest, IoCountersMonotoneAcrossMerge) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <functional>
 #include <tuple>
 
 #include "common/rng.h"
@@ -348,6 +351,316 @@ TEST(SetRTreeTest, NodeAccessesAreCountedAsIo) {
   q.alpha = 0.5;
   (void)IndexTopK(*bundle.tree, q).value();
   EXPECT_GT(bundle.pager->io_stats().physical_reads(), 0u);
+}
+
+
+// --- Length codes (the length-aware Theorem 1 bound) ---
+
+// Every document under `page`, in entry order.
+void CollectDocs(const SetRTree& tree, PageId page,
+                 std::vector<KeywordSet>* docs) {
+  const auto decoded = tree.ReadDecodedNode(page, /*use_cache=*/false).value();
+  if (decoded->node.is_leaf) {
+    docs->insert(docs->end(), decoded->leaf_docs.begin(),
+                 decoded->leaf_docs.end());
+    return;
+  }
+  for (const SetRTree::InnerEntry& e : decoded->node.inner_entries) {
+    CollectDocs(tree, e.child, docs);
+  }
+}
+
+// Checks every inner entry's codes against a brute-force ℓ_t over its
+// subtree's documents; returns the number of codes checked.
+size_t CheckLengthCodes(const SetRTree& tree, PageId page) {
+  const auto decoded = tree.ReadDecodedNode(page, /*use_cache=*/false).value();
+  if (decoded->node.is_leaf) return 0;
+  size_t checked = 0;
+  for (size_t i = 0; i < decoded->node.inner_entries.size(); ++i) {
+    const PageId child = decoded->node.inner_entries[i].child;
+    std::vector<KeywordSet> docs;
+    CollectDocs(tree, child, &docs);
+    const KeywordSet& uni = decoded->child_union[i];
+    for (size_t t = 0; t < uni.size(); ++t) {
+      size_t shortest = SIZE_MAX;
+      for (const KeywordSet& doc : docs) {
+        if (doc.Contains(uni.terms()[t])) {
+          shortest = std::min(shortest, doc.size());
+        }
+      }
+      EXPECT_NE(shortest, SIZE_MAX);
+      EXPECT_EQ(decoded->MinLengths(i)[t], LengthCode(shortest))
+          << "page " << page << " entry " << i << " term " << t;
+      ++checked;
+    }
+    checked += CheckLengthCodes(tree, child);
+  }
+  return checked;
+}
+
+// A dataset whose documents run from 1 to 20 terms, so codes cover the
+// whole 1..15 range and the cap.
+Dataset VariedLengthDataset(uint32_t n, uint64_t seed) {
+  Rng rng(seed);
+  Dataset dataset;
+  for (uint32_t i = 0; i < n; ++i) {
+    std::vector<TermId> terms;
+    const uint64_t length = 1 + rng.NextUint64(20);
+    while (terms.size() < length) {
+      terms.push_back(static_cast<TermId>(rng.NextUint64(60)));
+      std::sort(terms.begin(), terms.end());
+      terms.erase(std::unique(terms.begin(), terms.end()), terms.end());
+    }
+    dataset.Add(Point{rng.NextDouble(), rng.NextDouble()},
+                KeywordSet(std::move(terms)));
+  }
+  return dataset;
+}
+
+// Builds a v1 or v2 tree of capacity 8 into `file`; returns its root.
+PageId BuildFile(const TempFile& file, const Dataset& dataset,
+                 uint8_t format) {
+  auto pager = Pager::Create(file.path()).value();
+  BufferPool pool(pager.get(), 4u << 20);
+  SetRTree::Options options;
+  options.capacity = 8;
+  options.format = format;
+  auto tree = SetRTree::BulkLoad(dataset, &pool, options).value();
+  EXPECT_TRUE(tree->Finalize().ok());
+  return tree->SearchRoot();
+}
+
+TEST(SetRTreeTest, LengthCodesRoundTripInBothFormats) {
+  const Dataset dataset = VariedLengthDataset(300, 5);
+  for (uint8_t format : {kNodeFormatV1, kNodeFormatV2}) {
+    SCOPED_TRACE("v" + std::to_string(format));
+    TempFile file("setr_codes");
+    BuildFile(file, dataset, format);
+    auto pager = Pager::Open(file.path()).value();
+    BufferPool pool(pager.get(), 4u << 20);
+    auto tree = SetRTree::Open(&pool).value();
+    ASSERT_GE(tree->height(), 3u);
+    EXPECT_GT(CheckLengthCodes(*tree, tree->SearchRoot()), 300u);
+  }
+}
+
+// Reopens `file` and decodes `page` uncached.
+Status DecodeAfterReopen(const TempFile& file, PageId page) {
+  auto pager = Pager::Open(file.path()).value();
+  BufferPool pool(pager.get(), 4u << 20);
+  auto tree = SetRTree::Open(&pool);
+  if (!tree.ok()) return tree.status();
+  return tree.value()->ReadDecodedNode(page, /*use_cache=*/false).status();
+}
+
+// Re-encodes the v2 record at `page` (checksum included) after `edit`
+// rewrites its body and entry count.
+void RewriteV2Record(
+    const TempFile& file, PageId page,
+    const std::function<void(std::vector<uint8_t>*, uint32_t*)>& edit) {
+  auto pager = Pager::Open(file.path()).value();
+  std::vector<uint8_t> body;
+  uint32_t count = 0;
+  bool is_leaf = false;
+  {
+    BufferPool pool(pager.get(), 4u << 20);
+    const NodeRecordV2 record = ReadNodeRecordV2(&pool, page).value();
+    body.assign(record.body(), record.body() + record.body_bytes());
+    count = record.count();
+    is_leaf = record.is_leaf();
+  }
+  edit(&body, &count);
+  std::vector<uint8_t> out;
+  ASSERT_TRUE(
+      EncodeNodeRecordV2(is_leaf, count, body, pager->page_size(), &out)
+          .ok());
+  for (size_t at = 0; at < out.size(); at += pager->page_size()) {
+    ASSERT_TRUE(pager
+                    ->WritePage(page + static_cast<PageId>(
+                                           at / pager->page_size()),
+                                out.data() + at)
+                    .ok());
+  }
+}
+
+// Byte offset of the first entry's length codes in an inner v2 body, and
+// its union's term count.
+size_t FirstCodeOffset(const std::vector<uint8_t>& body, size_t* terms) {
+  CheckedReader reader(body.data(), body.size());
+  uint64_t ref = 0;
+  Rect mbr;
+  KeywordSet uni;
+  EXPECT_TRUE(reader.GetVarint(&ref) && reader.GetRect(&mbr) &&
+              GetKeywordSetV2(&reader, &uni));
+  *terms = uni.size();
+  return body.size() - reader.remaining();
+}
+
+TEST(SetRTreeTest, V2ZeroOrTruncatedLengthCodeIsCorruption) {
+  const Dataset dataset = SmallDataset(300, 19);
+  {
+    TempFile file("setr_code_zero");
+    const PageId root = BuildFile(file, dataset, kNodeFormatV2);
+    RewriteV2Record(file, root, [](std::vector<uint8_t>* body, uint32_t*) {
+      size_t terms = 0;
+      (*body)[FirstCodeOffset(*body, &terms)] &= 0xf0;
+    });
+    const Status status = DecodeAfterReopen(file, root);
+    EXPECT_EQ(status.code(), StatusCode::kCorruption) << status.ToString();
+    EXPECT_NE(status.message().find("malformed length code"),
+              std::string::npos)
+        << status.ToString();
+  }
+  {
+    TempFile file("setr_code_cut");
+    const PageId root = BuildFile(file, dataset, kNodeFormatV2);
+    RewriteV2Record(file, root,
+                    [](std::vector<uint8_t>* body, uint32_t* count) {
+                      size_t terms = 0;
+                      const size_t at = FirstCodeOffset(*body, &terms);
+                      ASSERT_GT(terms, 0u);
+                      body->resize(at + (terms + 1) / 2 - 1);
+                      *count = 1;
+                    });
+    const Status status = DecodeAfterReopen(file, root);
+    EXPECT_EQ(status.code(), StatusCode::kCorruption) << status.ToString();
+    EXPECT_NE(status.message().find("truncated length codes"),
+              std::string::npos)
+        << status.ToString();
+  }
+}
+
+// Rewrites bytes of one page of `file` in place.
+void PatchPage(const TempFile& file, PageId page,
+               const std::function<void(uint8_t*)>& patch) {
+  auto pager = Pager::Open(file.path()).value();
+  std::vector<uint8_t> bytes(pager->page_size());
+  ASSERT_TRUE(pager->ReadPage(page, bytes.data()).ok());
+  patch(bytes.data());
+  ASSERT_TRUE(pager->WritePage(page, bytes.data()).ok());
+}
+
+TEST(SetRTreeTest, V1ZeroOrTruncatedLengthCodeIsCorruption) {
+  const Dataset dataset = SmallDataset(300, 29);
+  BlobRef uni;
+  {
+    TempFile file("setr_v1_code_zero");
+    const PageId root = BuildFile(file, dataset, kNodeFormatV1);
+    {
+      auto pager = Pager::Open(file.path()).value();
+      BufferPool pool(pager.get(), 4u << 20);
+      auto tree = SetRTree::Open(&pool).value();
+      uni = tree->ReadNode(root).value().inner_entries[0].union_set;
+    }
+    PatchPage(file, uni.page, [&uni](uint8_t* page) {
+      uint32_t count = 0;
+      std::memcpy(&count, page + uni.offset, 4);
+      page[uni.offset + 4 + 4 * count] &= 0xf0;
+    });
+    const Status status = DecodeAfterReopen(file, root);
+    EXPECT_EQ(status.code(), StatusCode::kCorruption) << status.ToString();
+    EXPECT_NE(status.message().find("malformed length code"),
+              std::string::npos)
+        << status.ToString();
+  }
+  {
+    // The union blob's length in the root's first entry, one byte short.
+    TempFile file("setr_v1_code_cut");
+    const PageId root = BuildFile(file, dataset, kNodeFormatV1);
+    PatchPage(file, root, [](uint8_t* page) {
+      uint32_t length = 0;
+      std::memcpy(&length, page + 8 + 4 + 32 + 8, 4);
+      --length;
+      std::memcpy(page + 8 + 4 + 32 + 8, &length, 4);
+    });
+    const Status status = DecodeAfterReopen(file, root);
+    EXPECT_EQ(status.code(), StatusCode::kCorruption) << status.ToString();
+    EXPECT_NE(status.message().find("union blob size"), std::string::npos)
+        << status.ToString();
+  }
+}
+
+// A file written before the length codes carries the old "WKRS" magic; it
+// must be refused, never misread as codes.
+TEST(SetRTreeTest, OpenRejectsFileWithoutLengthCodes) {
+  const Dataset dataset = SmallDataset(100, 31);
+  for (uint8_t format : {kNodeFormatV1, kNodeFormatV2}) {
+    TempFile file("setr_old_magic");
+    BuildFile(file, dataset, format);
+    PatchPage(file, 0, [](uint8_t* page) {
+      const uint32_t old_magic = 0x53524b57;
+      std::memcpy(page, &old_magic, 4);
+    });
+    auto pager = Pager::Open(file.path()).value();
+    BufferPool pool(pager.get(), 1u << 20);
+    const auto tree = SetRTree::Open(&pool);
+    ASSERT_FALSE(tree.ok());
+    EXPECT_EQ(tree.status().code(), StatusCode::kCorruption);
+  }
+}
+
+// Property: for random subtrees and queries, TextBound stays at or above
+// every object's exact similarity (with no tolerance: both are ratios of
+// integers) and at or below the Theorem 1 bound alone, in every model.
+// Subtrees mix documents longer than the 15 cap, and half of them give
+// every document one length, so the sorted ℓ_(j) tie.
+TEST(SetRTreeTest, TextBoundDominatesEveryObjectAndTightensTheorem1) {
+  Rng rng(77);
+  size_t tighter = 0;
+  for (int iter = 0; iter < 3000; ++iter) {
+    const bool tied = iter % 2 == 0;
+    const uint64_t tied_length = 1 + rng.NextUint64(20);
+    std::vector<KeywordSet> docs;
+    SetRPayload::Summary summary;
+    const uint64_t num_docs = 1 + rng.NextUint64(6);
+    for (uint64_t d = 0; d < num_docs; ++d) {
+      const uint64_t length = tied ? tied_length : 1 + rng.NextUint64(20);
+      std::vector<TermId> terms;
+      while (terms.size() < length) {
+        terms.push_back(static_cast<TermId>(rng.NextUint64(24)));
+        std::sort(terms.begin(), terms.end());
+        terms.erase(std::unique(terms.begin(), terms.end()), terms.end());
+      }
+      docs.emplace_back(std::move(terms));
+      summary.AddDoc(docs.back());
+    }
+    SetRPayload::Decoded decoded;
+    decoded.child_union.push_back(summary.uni);
+    decoded.child_inter.push_back(summary.inter);
+    decoded.min_len = summary.min_len;
+    decoded.min_len_begin.push_back(0);
+
+    SpatialKeywordQuery query;
+    std::vector<TermId> query_terms;
+    const uint64_t query_size = 1 + rng.NextUint64(6);
+    for (uint64_t t = 0; t < query_size; ++t) {
+      query_terms.push_back(static_cast<TermId>(rng.NextUint64(28)));
+    }
+    query.doc = KeywordSet(std::move(query_terms));
+    for (SimilarityModel model :
+         {SimilarityModel::kJaccard, SimilarityModel::kDice,
+          SimilarityModel::kOverlap}) {
+      query.model = model;
+      const double bound = SetRPayload::TextBound(decoded, 0, query);
+      const double theorem1 = NodeSimilarityUpperBound(
+          summary.uni.IntersectionSize(query.doc),
+          summary.inter.UnionSize(query.doc), summary.inter.size(),
+          query.doc.size(), model);
+      EXPECT_LE(bound, theorem1);
+      if (bound < theorem1) ++tighter;
+      for (const KeywordSet& doc : docs) {
+        EXPECT_GE(bound, TextualSimilarity(doc, query.doc, model))
+            << SimilarityModelName(model) << " doc " << doc.ToString()
+            << " query " << query.doc.ToString();
+      }
+      // One document of at most 15 terms: the bound is its exact score.
+      if (docs.size() == 1 && docs[0].size() <= kMaxLengthCode &&
+          model != SimilarityModel::kOverlap) {
+        EXPECT_EQ(bound, TextualSimilarity(docs[0], query.doc, model));
+      }
+    }
+  }
+  EXPECT_GT(tighter, 1000u);
 }
 
 }  // namespace

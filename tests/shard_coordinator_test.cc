@@ -12,6 +12,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -127,6 +128,27 @@ TEST(ShardSummaryTest, UpperBoundDominatesEveryObjectScore) {
   }
 }
 
+// In-place absorption keeps each union term's shortest-document code:
+// lowered by a shorter document, never raised by a longer one.
+TEST(ShardSummaryTest, AbsorbKeepsShortestDocumentCodePerTerm) {
+  ShardSummary summary;
+  AbsorbObject(&summary, Point{0.1, 0.1}, KeywordSet{5, 7, 9});
+  AbsorbObject(&summary, Point{0.2, 0.2}, KeywordSet{1, 7});
+  AbsorbObject(&summary, Point{0.3, 0.3},
+               KeywordSet{2, 9, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30,
+                          31, 32, 33, 34});
+  EXPECT_EQ(summary.uni.size(), summary.min_len.size());
+  const KeywordSet want_uni{1,  2,  5,  7,  9,  20, 21, 22, 23, 24,
+                            25, 26, 27, 28, 29, 30, 31, 32, 33, 34};
+  EXPECT_EQ(summary.uni, want_uni);
+  EXPECT_EQ(summary.min_len[0], 2);   // 1: only in the 2-term doc
+  EXPECT_EQ(summary.min_len[1], 15);  // 2: only in the 17-term doc, capped
+  EXPECT_EQ(summary.min_len[2], 3);   // 5
+  EXPECT_EQ(summary.min_len[3], 2);   // 7: 3-term doc, then 2-term doc
+  EXPECT_EQ(summary.min_len[4], 3);   // 9: the longer doc leaves it
+  EXPECT_TRUE(summary.inter.empty());
+}
+
 TEST(ShardCoordinatorTest, ClusteredQueriesPruneShardsAndMatchSingleEngine) {
   Dataset seed = ClusteredDataset();
   ShardCoordinator::Config config;
@@ -171,6 +193,49 @@ TEST(ShardCoordinatorTest, ClusteredQueriesPruneShardsAndMatchSingleEngine) {
   uint64_t per_shard_total = 0;
   for (uint64_t v : counters.per_shard_visited) per_shard_total += v;
   EXPECT_EQ(per_shard_total, counters.shards_visited);
+}
+
+// Two tiles equally far from the query, both matching its one keyword.
+// Theorem 1 alone bounds the long-document tile's text at 1: every
+// document there contains the keyword, so |N_i ∪ q| = |N_u ∩ q| = 1. Its
+// length code (15) caps the Jaccard at 1/15, below the short-document
+// tile's kth score, so the cut skips it at alpha 0.5.
+TEST(ShardCoordinatorTest, LongDocumentShardIsPrunedByLength) {
+  Dataset seed;
+  for (int i = 0; i < 8; ++i) {
+    const double off = 0.002 * i;
+    seed.Add(Point{0.1 + off, 0.5 + off},
+             std::vector<std::string>{"coffee", "s" + std::to_string(i)});
+  }
+  for (int i = 0; i < 8; ++i) {
+    const double off = 0.002 * i;
+    std::vector<std::string> doc = {"coffee"};
+    for (int t = 0; t < 16; ++t) {
+      doc.push_back("l" + std::to_string((i + t) % 20));
+    }
+    seed.Add(Point{0.9 - off, 0.5 - off}, doc);
+  }
+  ShardCoordinator::Config config;
+  config.num_shards = 2;
+  auto coordinator = ShardCoordinator::Build(seed, config).value();
+  ASSERT_EQ(coordinator->num_shards(), 2u);
+  const SpatialKeywordQuery query =
+      QueryAt(seed, Point{0.5, 0.5}, {"coffee"}, 3);
+
+  const auto answer = coordinator->TopK(query);
+  ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+  const std::vector<ScoredObject> reference = BruteForceTopK(seed, query);
+  ASSERT_EQ(answer.value().size(), reference.size());
+  for (size_t p = 0; p < reference.size(); ++p) {
+    EXPECT_EQ(answer.value()[p].id, reference[p].id);
+    EXPECT_EQ(answer.value()[p].score, reference[p].score);
+  }
+  const int long_shard = coordinator->OwnerShard(8);
+  ASSERT_GE(long_shard, 0);
+  EXPECT_NE(long_shard, coordinator->OwnerShard(0));
+  EXPECT_LT(coordinator->ShardBound(long_shard, query),
+            reference.back().score);
+  EXPECT_EQ(coordinator->shard_counters().shards_pruned, 1u);
 }
 
 TEST(ShardCoordinatorTest, FrozenCoordinatorRejectsMutations) {
@@ -443,6 +508,10 @@ TEST(ShardCoordinatorTest, ShardCountIsBoundedByTheMergedWalk) {
   config.num_shards = static_cast<uint32_t>(MergedTopKSource::kMaxSegments);
   auto coordinator = ShardCoordinator::Build(seed, config).value();
   ASSERT_GT(coordinator->num_shards(), 32u);
+  // The fan-out pool is sized by cores, not by shards.
+  const unsigned cores = std::max(1u, std::thread::hardware_concurrency());
+  EXPECT_GE(coordinator->fanout_threads(), 1);
+  EXPECT_LE(coordinator->fanout_threads(), static_cast<int>(cores));
   SpatialKeywordQuery query = QueryAt(
       seed, Point{0.3, 0.6},
       {seed.vocabulary().TermString(1), seed.vocabulary().TermString(2)}, 10);

@@ -127,5 +127,58 @@ TEST(NodeSimilarityUpperBoundTest, NeverExceedsOne) {
             1.0);
 }
 
+
+// The length-aware bound at hand-checked points: ℓ_(j) from the sorted
+// counts, max(j, ℓ_(j)) when codes tie or fall below j, and no bite on
+// Overlap.
+TEST(LengthAwareUpperBoundTest, HandCheckedValues) {
+  LengthCounts counts{};
+  EXPECT_EQ(LengthAwareUpperBound(counts, 3, SimilarityModel::kJaccard), 0.0);
+  counts[2] = 1;
+  counts[5] = 1;
+  // j = 1: 1 / (2 + 3 - 1); j = 2: 2 / (5 + 3 - 2).
+  EXPECT_EQ(LengthAwareUpperBound(counts, 3, SimilarityModel::kJaccard),
+            2.0 / 6);
+  // j = 1: 2 / (2 + 3); j = 2: 4 / (5 + 3).
+  EXPECT_EQ(LengthAwareUpperBound(counts, 3, SimilarityModel::kDice), 0.5);
+  EXPECT_EQ(LengthAwareUpperBound(counts, 3, SimilarityModel::kOverlap), 1.0);
+
+  // Three query terms tied at ℓ = 3: the query itself may be a document.
+  counts = LengthCounts{};
+  counts[3] = 3;
+  EXPECT_EQ(LengthAwareUpperBound(counts, 3, SimilarityModel::kJaccard), 1.0);
+  // Codes below j: the object still holds j terms.
+  counts = LengthCounts{};
+  counts[1] = 2;
+  EXPECT_EQ(LengthAwareUpperBound(counts, 4, SimilarityModel::kJaccard), 0.5);
+  // A capped code bounds a 40-term document by 1 / 15.
+  counts = LengthCounts{};
+  counts[LengthCode(40)] = 1;
+  EXPECT_EQ(LengthCode(40), kMaxLengthCode);
+  EXPECT_EQ(LengthAwareUpperBound(counts, 1, SimilarityModel::kJaccard),
+            1.0 / 15);
+  EXPECT_GE(LengthAwareUpperBound(counts, 1, SimilarityModel::kJaccard),
+            TextualSimilarity(KeywordSet{1}, KeywordSet{1, 2, 3, 4, 5, 6, 7,
+                                                        8, 9, 10, 11, 12, 13,
+                                                        14, 15, 16, 17, 18,
+                                                        19, 20}));
+}
+
+// The combined bound reads the codes parallel to the union's terms.
+TEST(LengthAwareUpperBoundTest, NodeBoundTakesTheMin) {
+  const KeywordSet uni{2, 4, 6, 8};
+  const uint8_t min_len[] = {1, 9, 3, 15};
+  const KeywordSet inter;
+  const KeywordSet query{4, 8, 11};
+  // Theorem 1 alone: 2 / 3. Length-aware: j = 1 at ℓ 9: 1 / 11; j = 2 at
+  // ℓ 15: 2 / 16.
+  EXPECT_EQ(NodeSimilarityUpperBound(uni, min_len, inter, query,
+                                     SimilarityModel::kJaccard),
+            2.0 / 16);
+  EXPECT_EQ(NodeSimilarityUpperBound(uni, min_len, inter, query,
+                                     SimilarityModel::kOverlap),
+            NodeSimilarityUpperBound(2, 3, 0, 3, SimilarityModel::kOverlap));
+}
+
 }  // namespace
 }  // namespace wsk

@@ -142,13 +142,13 @@ TEST(TreeFormatGoldenTest, FilesMatchPinnedDigests) {
   };
   const Case cases[] = {
       {"setr", kNodeFormatV1, 8,
-       "bef017c8f26367d4d7f23a7d3ff5c676d48852a5de70c861c3d8abadbc7c0ff2"},
+       "ae4afd92caf93755380d54c0e5a4526ca78622c8cd27a8d7b1692a2b3c4f0516"},
       {"setr", kNodeFormatV2, 8,
-       "3cc10c37d3f4c82b5532f2db8654e6f07977f017170fb07a618cb612336cc90f"},
+       "226705f64c649c91d81db196fdb26a4c57b20ec360a3f3b466a88a463062337e"},
       {"setr", kNodeFormatV1, 100,
-       "815357c650f901d23c497d0458d39a35250c5273080f0e00ef3c64b0a96b5427"},
+       "8709acee08edfbd80394fd6cd3d141946c74cf4895899a5b0408ad3f6ef7c345"},
       {"setr", kNodeFormatV2, 100,
-       "fdd17af83091026e42839dd11dbf9caf5ba61b5645d9c3f8306902c3a56b9218"},
+       "c74aba0a7c697806188f27e8da68714db9947c114db088a59bf1b782d960706c"},
       {"kcr", kNodeFormatV1, 8,
        "4799ed3a991b2ac10ed5015147962b1ffbc43d9def7922ed3e4645ad96a29c22"},
       {"kcr", kNodeFormatV2, 8,

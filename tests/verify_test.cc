@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "data/generator.h"
 #include "test_util.h"
 
@@ -128,6 +130,48 @@ TEST(VerifyTest, DetectsCountMismatchInKcrEntry) {
   EXPECT_EQ(status.code(), StatusCode::kCorruption);
   EXPECT_NE(status.message().find("entry cnt differs from subtree"),
             std::string::npos)
+      << status.ToString();
+}
+
+// A length code rewritten to another valid code decodes cleanly but no
+// longer matches the subtree's shortest document: verify re-derives ℓ_t.
+TEST(VerifyTest, DetectsLengthCodeMismatchInSetREntry) {
+  const Dataset dataset = SmallDataset(300, 9);
+  TempFile file("verify_setr_code");
+  PageId root_page;
+  BlobRef uni;
+  {
+    auto pager = Pager::Create(file.path()).value();
+    BufferPool pool(pager.get(), 4u << 20);
+    SetRTree::Options options;
+    options.capacity = 8;
+    auto tree = SetRTree::BulkLoad(dataset, &pool, options).value();
+    ASSERT_TRUE(tree->Finalize().ok());
+    root_page = tree->SearchRoot();
+    uni = tree->ReadNode(root_page).value().inner_entries[0].union_set;
+  }
+  {
+    auto pager = Pager::Open(file.path()).value();
+    std::vector<uint8_t> page(pager->page_size());
+    ASSERT_TRUE(pager->ReadPage(uni.page, page.data()).ok());
+    uint32_t count = 0;
+    std::memcpy(&count, page.data() + uni.offset, 4);
+    ASSERT_GT(count, 0u);
+    // The first term's code sits in the low nibble; move it to another
+    // code in 1..15.
+    uint8_t& codes = page[uni.offset + 4 + 4 * count];
+    const uint8_t code = codes & 0x0f;
+    codes = static_cast<uint8_t>((codes & 0xf0) | (code % 15 + 1));
+    ASSERT_TRUE(pager->WritePage(uni.page, page.data()).ok());
+  }
+  auto pager = Pager::Open(file.path()).value();
+  BufferPool pool(pager.get(), 4u << 20);
+  auto tree = SetRTree::Open(&pool).value();
+  const Status status = VerifySetRTree(*tree);
+  ASSERT_EQ(status.code(), StatusCode::kCorruption) << status.ToString();
+  const std::string want = "node " + std::to_string(root_page) +
+                           ": entry length codes differ from subtree";
+  EXPECT_NE(status.message().find(want), std::string::npos)
       << status.ToString();
 }
 

@@ -1083,7 +1083,9 @@ int Inspect(const Args& args) {
     auto pager_or = Pager::Open(index_path);
     if (!pager_or.ok()) return Fail(pager_or.status());
     auto pager = std::move(pager_or).value();
-    // The meta page leads with the tree magic ("WKRS" / "WKRC" LE).
+    // The meta page leads with the tree magic (SetRPayload::kMagic /
+    // KcrPayload::kMagic). A SetR file older than the length codes carries
+    // another magic and is reported as unrecognized.
     std::vector<uint8_t> page0(pager->page_size());
     const Status head = pager->ReadPage(0, page0.data());
     if (!head.ok()) return Fail(head);
@@ -1094,12 +1096,12 @@ int Inspect(const Args& args) {
       if (!mapped.ok()) return Fail(mapped);
     }
     BufferPool pool(pager.get(), 4u << 20);
-    if (magic == 0x53524b57) {  // "WKRS": SetR-tree
+    if (magic == SetRPayload::kMagic) {
       auto tree = SetRTree::Open(&pool);
       if (!tree.ok()) return Fail(tree.status());
       return InspectTree("setr", *tree.value(), *pager);
     }
-    if (magic == 0x43524b57) {  // "WKRC": KcR-tree
+    if (magic == KcrPayload::kMagic) {
       auto tree = KcrTree::Open(&pool);
       if (!tree.ok()) return Fail(tree.status());
       return InspectTree("kcr", *tree.value(), *pager);
