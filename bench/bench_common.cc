@@ -41,12 +41,7 @@ EngineBundle* BuildBundle(const DatasetSpec& spec) {
                                        100, config.num_objects / 5));
   config.seed = spec.seed;
   bundle->dataset = GenerateDataset(config);
-  WhyNotEngine::Config engine_config;
-  // The paper pairs a 4 MiB buffer with indexes hundreds of MiB large; at
-  // bench scale the same ratio needs a smaller buffer or every query would
-  // be served from memory and the I/O series would flatline at zero.
-  engine_config.buffer_bytes =
-      static_cast<size_t>(EnvU32("WSK_BENCH_BUFFER_KB", 512)) * 1024;
+  const WhyNotEngine::Config engine_config = BenchEngineConfig();
   bundle->engine =
       WhyNotEngine::Build(&bundle->dataset, engine_config).value();
   std::fprintf(stderr,
@@ -62,6 +57,16 @@ EngineBundle* BuildBundle(const DatasetSpec& spec) {
 }
 
 }  // namespace
+
+WhyNotEngine::Config BenchEngineConfig() {
+  WhyNotEngine::Config config;
+  // The paper pairs a 4 MiB buffer with indexes hundreds of MiB large; at
+  // bench scale the same ratio needs a smaller buffer or every query would
+  // be served from memory and the I/O series would flatline at zero.
+  config.buffer_bytes =
+      static_cast<size_t>(EnvU32("WSK_BENCH_BUFFER_KB", 512)) * 1024;
+  return config;
+}
 
 uint32_t EnvObjects() { return EnvU32("WSK_BENCH_OBJECTS", 20000); }
 

@@ -58,6 +58,10 @@ struct DatasetSpec {
 uint32_t EnvObjects();
 uint32_t EnvQueriesPerPoint();
 
+// The engine configuration every bench engine is built with: the shipped
+// defaults with a WSK_BENCH_BUFFER_KB buffer pool per index.
+WhyNotEngine::Config BenchEngineConfig();
+
 // The shared EURO-like engine (built once per process; Table II header is
 // printed on first use).
 WhyNotEngine& SharedEngine();

@@ -49,8 +49,7 @@ void RunTopK(benchmark::State& state, const wsk::TopKSource& tree,
     for (const SpatialKeywordQuery& q : queries) {
       const uint64_t before = io.physical_reads();
       benchmark::DoNotOptimize(
-          IndexTopK(tree, q, /*cancel=*/nullptr, /*use_cache=*/true, &trace)
-              .value());
+          IndexTopK(tree, q, /*cancel=*/nullptr, &trace).value());
       total_io += static_cast<double>(io.physical_reads() - before);
       ++runs;
     }
@@ -62,29 +61,44 @@ void RunTopK(benchmark::State& state, const wsk::TopKSource& tree,
   state.counters["queries"] = static_cast<double>(runs);
 }
 
-// Repeated-traversal node access with the decoded-node cache on vs off,
-// timed back-to-back over the identical warm workload. The acceptance
-// criterion for the cache layer is cache_speedup >= 2 (docs/PERF.md); the
-// regression checker enforces it via the `cache_speedup` counter
-// (--min-cache-speedup). Both legs run against a warm buffer pool, so the
-// ratio isolates what the cache saves: page fetches, node decoding, blob
-// reads, and per-node artifact construction.
-void RunNodeAccess(benchmark::State& state, const wsk::TopKSource& tree,
-                   uint32_t k) {
+// The shared engine's twin without a decoded-node cache: the same dataset
+// and buffer pools, node_cache_bytes = 0.
+wsk::WhyNotEngine& UncachedEngine() {
   using namespace wsk;
-  WhyNotEngine& engine = wsk::bench::SharedEngine();
+  static WhyNotEngine* engine = [] {
+    WhyNotEngine::Config config = wsk::bench::BenchEngineConfig();
+    config.node_cache_bytes = 0;
+    return WhyNotEngine::Build(&wsk::bench::SharedEngine().dataset(), config)
+        .value()
+        .release();  // leaked deliberately, like the shared engine
+  }();
+  return *engine;
+}
+
+// Repeated-traversal node access with the decoded-node cache on vs off:
+// the same tree walked in the shared engine (8 MiB cache) and in its
+// uncached twin, timed back-to-back over the identical warm workload. The
+// acceptance criterion for the cache layer is cache_speedup >= 2
+// (docs/PERF.md); the regression checker enforces it via the
+// `cache_speedup` counter (--min-cache-speedup). Both legs run against a
+// warm buffer pool of the same size, so the ratio isolates what the cache
+// saves: page fetches, node decoding, blob reads, and per-node artifact
+// construction.
+void RunNodeAccess(benchmark::State& state, const wsk::TopKSource& cached,
+                   const wsk::TopKSource& uncached, uint32_t k) {
+  using namespace wsk;
   const std::vector<SpatialKeywordQuery> queries =
-      MakeQueries(engine.dataset(), k);
-  auto sweep = [&](bool use_cache) {
+      MakeQueries(wsk::bench::SharedEngine().dataset(), k);
+  auto sweep = [&](const TopKSource& tree) {
     uint64_t total = 0;
     for (const SpatialKeywordQuery& q : queries) {
-      total += IndexTopK(tree, q, /*cancel=*/nullptr, use_cache).value().size();
+      total += IndexTopK(tree, q).value().size();
     }
     return total;
   };
-  // Warm both the buffer pool and the node cache before timing.
-  benchmark::DoNotOptimize(sweep(false));
-  benchmark::DoNotOptimize(sweep(true));
+  // Warm both buffer pools and the node cache before timing.
+  benchmark::DoNotOptimize(sweep(uncached));
+  benchmark::DoNotOptimize(sweep(cached));
   // Self-calibrating rep count (same scheme as bench_kernels): long enough
   // for a stable ratio everywhere.
   auto time_ns = [](auto&& fn) {
@@ -104,8 +118,8 @@ void RunNodeAccess(benchmark::State& state, const wsk::TopKSource& tree,
   double off_ns = 0.0;
   double on_ns = 0.0;
   for (auto _ : state) {
-    off_ns = time_ns([&sweep] { return sweep(false); });
-    on_ns = time_ns([&sweep] { return sweep(true); });
+    off_ns = time_ns([&] { return sweep(uncached); });
+    on_ns = time_ns([&] { return sweep(cached); });
   }
   state.counters["cache_off_ns"] = off_ns;
   state.counters["cache_on_ns"] = on_ns;
@@ -252,15 +266,19 @@ int main(int argc, char** argv) {
   // per tree; the ratio is what the regression gate cares about).
   benchmark::RegisterBenchmark("node_access/SetR/k=10",
                                [](benchmark::State& state) {
-                                 auto& engine = SharedEngine();
-                                 RunNodeAccess(state, engine.setr_tree(), 10);
+                                 RunNodeAccess(state,
+                                               SharedEngine().setr_tree(),
+                                               UncachedEngine().setr_tree(),
+                                               10);
                                })
       ->Iterations(1)
       ->Unit(benchmark::kMillisecond);
   benchmark::RegisterBenchmark("node_access/KcR/k=10",
                                [](benchmark::State& state) {
-                                 auto& engine = SharedEngine();
-                                 RunNodeAccess(state, engine.kcr_tree(), 10);
+                                 RunNodeAccess(state,
+                                               SharedEngine().kcr_tree(),
+                                               UncachedEngine().kcr_tree(),
+                                               10);
                                })
       ->Iterations(1)
       ->Unit(benchmark::kMillisecond);

@@ -41,7 +41,7 @@ StatusOr<std::vector<ScoredObject>> PlannedBackend::TopK(
   const WhyNotPlan plan = PlanWhyNot();
   std::optional<MergedTopKSource> merged;
   return IndexTopK(plan.Source(/*kcr=*/false, trace, &merged), query, cancel,
-                   /*use_cache=*/true, trace);
+                   trace);
 }
 
 std::vector<BackendBatchResult> PlannedBackend::TopKBatch(
@@ -53,7 +53,7 @@ std::vector<BackendBatchResult> PlannedBackend::TopKBatch(
   const WhyNotPlan plan = PlanWhyNot();
   std::optional<MergedTopKSource> merged;
   return BatchedIndexTopK(plan.Source(/*kcr=*/false, trace, &merged), items,
-                          /*use_cache=*/true, trace);
+                          trace);
 }
 
 StatusOr<WhyNotResult> PlannedBackend::Answer(
@@ -104,8 +104,8 @@ StatusOr<WhyNotResult> PlannedBackend::Answer(
     TraceSpan span(opts.trace, TraceStage::kInitialRank);
     initial_rank = internal::RankFromIndex(
         source, query, missing_set.MinScore(query, plan.diagonal),
-        /*limit=*/0, &exceeded, nullptr, opts.cancel, opts.use_node_cache,
-        opts.trace, &result.stats.nodes_expanded);
+        /*limit=*/0, &exceeded, nullptr, opts.cancel, opts.trace,
+        &result.stats.nodes_expanded);
   }
   if (!initial_rank.ok()) return initial_rank.status();
   const uint32_t r0 = initial_rank.value();

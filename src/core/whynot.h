@@ -14,6 +14,11 @@ namespace wsk {
 
 class TraceRecorder;  // observability/trace.h
 
+// The most worker threads one why-not query may ask for
+// (WhyNotOptions::num_threads). Fig. 10 uses at most 8; the cap keeps a
+// malformed request from starting an unbounded number of threads.
+inline constexpr int kMaxWhyNotThreads = 64;
+
 // Tuning knobs for the why-not algorithms. The three opt_* switches map to
 // the Section IV-C optimizations (Fig. 11's Opt1/Opt2/Opt3); all of them
 // only affect the basic/advanced algorithm family.
@@ -36,6 +41,7 @@ struct WhyNotOptions {
   bool opt_keyword_filtering = true;
 
   // Worker threads for candidate evaluation (Section IV-C4); 0 runs inline.
+  // At most kMaxWhyNotThreads.
   int num_threads = 0;
 
   // KcRBased only — Section V-D strategy switch. The default (false)
@@ -55,14 +61,6 @@ struct WhyNotOptions {
   // tests compare the two paths); false forces the scalar reference path.
   // The kernel also disables itself when the universe exceeds 64 terms.
   bool use_score_kernel = true;
-
-  // Decoded-node cache (docs/STORAGE.md "Node cache"): serve tree node
-  // accesses from the engine's shared cache of materialized nodes instead
-  // of re-reading and re-decoding pages per visit. Results are bit-identical
-  // either way (the cache stores exactly what a fresh decode produces; the
-  // differential tests replay both paths); false forces the uncached reads.
-  // No effect when the engine has no cache attached.
-  bool use_node_cache = true;
 
   // Optional cooperative cancellation (borrowed; must outlive the query).
   // All three algorithms check it at candidate / node-visit granularity and

@@ -144,7 +144,7 @@ Status EvaluateCandidate(const SearchFrame& f, const Candidate& cand,
   StatusOr<uint32_t> rank = RankFromIndex(
       f.source, refined, min_score, rank_limit, &exceeded,
       options.opt_keyword_filtering ? &dominators : nullptr, options.cancel,
-      options.use_node_cache, options.trace, &rank_nodes);
+      options.trace, &rank_nodes);
   if (!rank.ok()) return rank.status();
 
   {

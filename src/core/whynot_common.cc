@@ -1,6 +1,7 @@
 #include "core/whynot_common.h"
 
 #include <algorithm>
+#include <string>
 
 #include "common/macros.h"
 
@@ -120,8 +121,9 @@ Status ValidateWhyNotInput(const SpatialKeywordQuery& original,
   if (!(options.lambda >= 0.0 && options.lambda <= 1.0)) {
     return Status::InvalidArgument("lambda must lie in [0, 1]");
   }
-  if (options.num_threads < 0) {
-    return Status::InvalidArgument("num_threads must be non-negative");
+  if (options.num_threads < 0 || options.num_threads > kMaxWhyNotThreads) {
+    return Status::InvalidArgument("num_threads must lie in [0, " +
+                                   std::to_string(kMaxWhyNotThreads) + "]");
   }
   return Status::Ok();
 }
@@ -181,7 +183,7 @@ StatusOr<uint32_t> RankFromIndex(const TopKSource& tree,
                                  double min_score, int64_t limit,
                                  bool* exceeded,
                                  std::vector<ObjectId>* dominators,
-                                 const CancelToken* cancel, bool use_cache,
+                                 const CancelToken* cancel,
                                  TraceRecorder* trace,
                                  uint64_t* nodes_expanded) {
   *exceeded = false;
@@ -190,7 +192,7 @@ StatusOr<uint32_t> RankFromIndex(const TopKSource& tree,
   // count, so entries at or below it never enter the iterator's heap. The
   // check below still stops a -inf floor (which drops nothing) at the first
   // object that is not strictly better.
-  TopKIterator it(&tree, query, cancel, use_cache, trace, min_score);
+  TopKIterator it(&tree, query, cancel, trace, min_score);
   uint32_t strictly_better = 0;
   std::optional<ScoredObject> next;
   for (;;) {

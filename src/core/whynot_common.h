@@ -115,7 +115,6 @@ StatusOr<uint32_t> RankFromIndex(const TopKSource& tree,
                                  bool* exceeded,
                                  std::vector<ObjectId>* dominators,
                                  const CancelToken* cancel = nullptr,
-                                 bool use_cache = true,
                                  TraceRecorder* trace = nullptr,
                                  uint64_t* nodes_expanded = nullptr);
 

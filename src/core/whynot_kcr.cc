@@ -77,7 +77,6 @@ class KcrBatchRunner {
         best_(frame.best),
         stats_(stats),
         cancel_(frame.options.cancel),
-        use_node_cache_(frame.options.use_node_cache),
         trace_(frame.options.trace) {
     const double diagonal = plan_.diagonal;
     dom_ctx_.reserve(missing_.size());
@@ -144,7 +143,6 @@ class KcrBatchRunner {
   BestRefinement* const best_;
   WhyNotStats* stats_;
   const CancelToken* cancel_;
-  const bool use_node_cache_;
   TraceRecorder* const trace_;
   std::vector<DomContext> dom_ctx_;
 };
@@ -319,7 +317,7 @@ Status KcrBatchRunner::RunBatch(const Candidate* begin,
     // inner nodes, the per-child NodeDomStats precomputed) — either shared
     // from the engine cache or built fresh for this visit.
     StatusOr<std::shared_ptr<const KcrTree::DecodedNode>> read =
-        seg.index->kcr().ReadDecodedNode(entry.page, use_node_cache_);
+        seg.index->kcr().ReadDecodedNode(entry.page);
     if (!read.ok()) return read.status();
     const KcrTree::DecodedNode& decoded = *read.value();
     const KcrTree::Node& node = decoded.node;
@@ -488,7 +486,7 @@ Status SearchByKcrBatches(const SearchFrame& frame) {
                                             candidates.data() + chunk_end);
     };
     if (num_chunks > 1) {
-      ThreadPool pool(options.num_threads);
+      ThreadPool pool(static_cast<int>(num_chunks));
       for (size_t chunk = 0; chunk < num_chunks; ++chunk) {
         pool.Submit([&run_chunk, chunk] { run_chunk(chunk); });
       }

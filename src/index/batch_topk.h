@@ -1,16 +1,15 @@
 // Multi-query best-first top-k: one shared index walk for N queries
 // (docs/BATCHING.md).
 //
-// Each query keeps its own frontier heap and result list running exactly
-// the solo TopKIterator semantics — same SearchEntryLess tie-breaks, same
-// pop order, same early termination at its own kth score — so every
-// query's top-k is bit-identical to IndexTopK run alone. The sharing is
-// purely physical: a round-based scheduler drains each query's ready
-// object emissions, then groups the still-active queries by the node at
-// the top of their frontiers and performs one ExpandNodeBatch per distinct
-// node, amortizing the page read, node decode, and cache probe across
-// every query that was about to open that node. Queries whose frontiers
-// diverge simply stop sharing; their walks degrade gracefully to solo
+// Every query runs its own TopKIterator — its own frontier, floor, cancel
+// check and trace counters, the same SearchEntryLess tie-breaks and the
+// same early termination at its own kth score — so every query's top-k is
+// bit-identical to IndexTopK run alone. The sharing is purely physical: a
+// round-based scheduler pops each walk's ready objects, then groups the
+// walks still running by the node each must open next and makes one
+// TopKSource::ExpandNode call per distinct node, amortizing the page read,
+// node decode and cache probe across every query waiting on that node.
+// Walks whose frontiers diverge simply stop sharing; they degrade to solo
 // cost plus negligible bookkeeping.
 //
 // A query leaves the walk the moment its own k results have emitted (its
@@ -45,11 +44,11 @@ struct BatchTopKResult {
 // Runs every request to completion over one shared traversal of `source`.
 // results[i] corresponds to requests[i]; a failed slot does not disturb the
 // others. `trace` (optional, borrowed) receives one kBatchTopK span, the
-// aggregate node/object counters of the whole batch, and the batch.*
+// node/object counters of every walk in the batch, and the batch.*
 // amortization counters.
 std::vector<BatchTopKResult> BatchedIndexTopK(
     const TopKSource& source, const std::vector<BatchTopKRequest>& requests,
-    bool use_cache = true, TraceRecorder* trace = nullptr);
+    TraceRecorder* trace = nullptr);
 
 }  // namespace wsk
 

@@ -1,20 +1,20 @@
 // The leaf scorer both tree sources share (SetR-tree, Section IV-B;
 // KcR-tree, Section V-A): turns a decoded leaf — entries with `object` and
 // `loc`, plus one keyword set per entry — into exactly-scored object
-// SearchEntries, ST(o, q) per Eqn 1.
+// SearchEntries, ST(o, q) per Eqn 1, for every slot of one expansion.
 //
-// Scoring kernel: the (small) query doc is frozen as the universe once per
-// node, so each object's similarity is one footprint + popcount instead of
-// a sorted merge; every score is bit-identical to Score() (docs/PERF.md).
+// Scoring kernel: a query doc is frozen as the universe once per node, so
+// each object's similarity is one footprint + popcount instead of a sorted
+// merge; every score is bit-identical to Score() (docs/PERF.md).
 #ifndef WSK_INDEX_LEAF_SCORER_H_
 #define WSK_INDEX_LEAF_SCORER_H_
 
 #include <cmath>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "common/geometry.h"
-#include "common/macros.h"
 #include "data/query.h"
 #include "index/topk.h"
 #include "text/keyword_set.h"
@@ -22,9 +22,18 @@
 
 namespace wsk {
 
-// Appends one object entry per leaf object whose exact score exceeds
-// `floor`, in leaf order, and returns the number of objects examined
-// (emitted or not). A floor of -inf emits every object, -inf scores too.
+// Appends to each slot's output one object entry per leaf object whose
+// exact score exceeds the slot's floor, in leaf order, and adds the number
+// of objects examined (emitted or not) to its count. A floor of -inf emits
+// every object, -inf scores too.
+//
+// Universe. A slot alone is scored against its own query doc. A batch
+// freezes the union of its query docs once and footprints each object once
+// for every slot; each query doc is a subset of the union, so |doc ∩ q| and
+// |q| — the only inputs to the similarity — are the integers the query's
+// own universe yields, and the scores are bit-identical
+// (tests/batch_topk_test). A union too wide for one mask falls back to
+// each slot's own universe.
 //
 // Disjoint skip: an object sharing no query term scores
 // alpha (1 - sdist) + (1 - alpha) 0.0. With sdist >= 0 (+inf included) and
@@ -34,88 +43,56 @@ namespace wsk {
 // its distance is never computed. A NaN query location makes every score
 // NaN, which is never <= floor; the skip stays off then.
 template <typename LeafEntry>
-size_t ScoreLeaf(const std::vector<LeafEntry>& entries,
-                 const std::vector<KeywordSet>& docs, double diagonal,
-                 const SpatialKeywordQuery& query, double floor,
-                 std::vector<SearchEntry>* out) {
-  const double alpha = query.alpha;
-  const bool floored = floor > -std::numeric_limits<double>::infinity();
-  const bool skip_disjoint = 0.0 < alpha && alpha <= floor &&
-                             !std::isnan(query.loc.x) &&
-                             !std::isnan(query.loc.y);
-  const CandidateUniverse qu = CandidateUniverse::Build(query.doc);
-  const CandidateMask qmask = qu.valid() ? qu.FullMask() : 0;
-  for (size_t i = 0; i < entries.size(); ++i) {
-    const double tsim =
-        qu.valid()
-            ? ScoreCandidate(qu.FootprintOf(docs[i]), qmask, query.model)
-            : TextualSimilarity(docs[i], query.doc, query.model);
-    if (skip_disjoint && tsim == 0.0) continue;
-    const double sdist = Distance(entries[i].loc, query.loc) / diagonal;
-    const double score = alpha * (1.0 - sdist) + (1.0 - alpha) * tsim;
-    if (floored && score <= floor) continue;
-    SearchEntry entry;
-    entry.bound = score;
-    entry.is_object = true;
-    entry.object = entries[i].object;
-    out->push_back(entry);
-  }
-  return entries.size();
-}
-
-// Scores one leaf for `count` queries at once: outs[i] receives exactly
-// what ScoreLeaf(..., *queries[i], -inf, outs[i]) appends. The union of the
-// batch's query docs is frozen as one universe, so each object needs a
-// single footprint for the whole batch. Every query doc is a subset of the
-// union, so |doc ∩ q| and |q| — the only inputs to the similarity — are the
-// integers the solo per-query universe produces, and the scores are
-// bit-identical (tests/batch_topk_test).
-template <typename LeafEntry>
-void ScoreLeafBatch(const std::vector<LeafEntry>& entries,
-                    const std::vector<KeywordSet>& docs, double diagonal,
-                    const SpatialKeywordQuery* const* queries,
-                    std::vector<SearchEntry>* const* outs, size_t count) {
-  WSK_CHECK(count > 0);
-  constexpr double kNoFloor = -std::numeric_limits<double>::infinity();
-  KeywordSet union_doc = queries[0]->doc;
-  bool mixed_models = false;
-  for (size_t qi = 1; qi < count; ++qi) {
-    union_doc = union_doc.Union(queries[qi]->doc);
-    if (queries[qi]->model != queries[0]->model) mixed_models = true;
-  }
-  const CandidateUniverse qu = CandidateUniverse::Build(union_doc);
-  if (!qu.valid()) {
-    // Union too wide for one mask: per-query universes, shared decode.
-    for (size_t qi = 0; qi < count; ++qi) {
-      ScoreLeaf(entries, docs, diagonal, *queries[qi], kNoFloor, outs[qi]);
+void ScoreLeaf(const std::vector<LeafEntry>& entries,
+               const std::vector<KeywordSet>& docs, double diagonal,
+               std::span<const ExpandSlot> slots) {
+  CandidateUniverse shared;
+  std::vector<Footprint> footprints;
+  if (slots.size() > 1) {
+    KeywordSet union_doc = slots[0].query->doc;
+    for (const ExpandSlot& slot : slots.subspan(1)) {
+      union_doc = union_doc.Union(slot.query->doc);
     }
-    return;
-  }
-  std::vector<CandidateMask> qmasks(count);
-  for (size_t qi = 0; qi < count; ++qi) {
-    qmasks[qi] = qu.MaskOf(queries[qi]->doc);
-  }
-  std::vector<double> tsims(count);
-  for (size_t i = 0; i < entries.size(); ++i) {
-    const Footprint fp = qu.FootprintOf(docs[i]);
-    if (mixed_models) {
-      for (size_t qi = 0; qi < count; ++qi) {
-        tsims[qi] = ScoreCandidate(fp, qmasks[qi], queries[qi]->model);
+    shared = CandidateUniverse::Build(union_doc);
+    if (shared.valid()) {
+      footprints.reserve(docs.size());
+      for (const KeywordSet& doc : docs) {
+        footprints.push_back(shared.FootprintOf(doc));
       }
-    } else {
-      ScoreAllCandidates(fp, qmasks.data(), count, queries[0]->model,
-                         tsims.data());
     }
-    for (size_t qi = 0; qi < count; ++qi) {
-      const SpatialKeywordQuery& query = *queries[qi];
+  }
+  for (const ExpandSlot& slot : slots) {
+    const SpatialKeywordQuery& query = *slot.query;
+    const CandidateUniverse own = shared.valid()
+                                      ? CandidateUniverse()
+                                      : CandidateUniverse::Build(query.doc);
+    const CandidateUniverse& qu = shared.valid() ? shared : own;
+    const CandidateMask qmask = !qu.valid()        ? 0
+                                : shared.valid() ? qu.MaskOf(query.doc)
+                                                 : qu.FullMask();
+    const double alpha = query.alpha;
+    const double floor = slot.floor;
+    const bool floored = floor > -std::numeric_limits<double>::infinity();
+    const bool skip_disjoint = 0.0 < alpha && alpha <= floor &&
+                               !std::isnan(query.loc.x) &&
+                               !std::isnan(query.loc.y);
+    for (size_t i = 0; i < entries.size(); ++i) {
+      const double tsim =
+          !qu.valid() ? TextualSimilarity(docs[i], query.doc, query.model)
+          : footprints.empty()
+              ? ScoreCandidate(qu.FootprintOf(docs[i]), qmask, query.model)
+              : ScoreCandidate(footprints[i], qmask, query.model);
+      if (skip_disjoint && tsim == 0.0) continue;
       const double sdist = Distance(entries[i].loc, query.loc) / diagonal;
+      const double score = alpha * (1.0 - sdist) + (1.0 - alpha) * tsim;
+      if (floored && score <= floor) continue;
       SearchEntry entry;
-      entry.bound = query.alpha * (1.0 - sdist) +
-                    (1.0 - query.alpha) * tsims[qi];
+      entry.bound = score;
       entry.is_object = true;
       entry.object = entries[i].object;
-      outs[qi]->push_back(entry);
+      slot.out->push_back(entry);
     }
+    *slot.objects_scored += entries.size();
   }
 }
 

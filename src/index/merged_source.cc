@@ -27,39 +27,39 @@ PageId MergedTopKSource::SearchRoot() const {
 }
 
 Status MergedTopKSource::ExpandNode(PageId node,
-                                    const SpatialKeywordQuery& query,
-                                    double floor, bool use_cache,
-                                    std::vector<SearchEntry>* out,
-                                    uint64_t* objects_scored) const {
+                                    std::span<const ExpandSlot> slots) const {
   if (node == kVirtualRoot) {
-    // Segment roots at +inf: they are expanded before any object emits, so
-    // each segment's own bounds gate the traversal from the first level.
-    for (size_t i = 0; i < segments_.size(); ++i) {
-      const PageId root = segments_[i].source->SearchRoot();
-      if (root == kInvalidPageId) continue;
-      WSK_CHECK_MSG(root <= kLocalMask, "segment root outside namespace");
-      SearchEntry entry;
-      entry.bound = std::numeric_limits<double>::infinity();
-      entry.node = static_cast<PageId>((i + 1) << kSegmentShift) | root;
-      out->push_back(entry);
-    }
-    // Delta objects: exact scores, emitted straight into the frontier (the
-    // iterator drops those at or below its floor).
-    *objects_scored += extras_.size();
-    {
-      TraceSpan span(trace_, TraceStage::kDeltaScan);
-      for (const SpatialObject* object : extras_) {
+    for (const ExpandSlot& slot : slots) {
+      // Segment roots at +inf: they are expanded before any object emits,
+      // so each segment's own bounds gate the traversal from the first
+      // level.
+      for (size_t i = 0; i < segments_.size(); ++i) {
+        const PageId root = segments_[i].source->SearchRoot();
+        if (root == kInvalidPageId) continue;
+        WSK_CHECK_MSG(root <= kLocalMask, "segment root outside namespace");
         SearchEntry entry;
-        entry.bound = Score(*object, query, diagonal_);
-        entry.is_object = true;
-        entry.object = object->id;
-        out->push_back(entry);
+        entry.bound = std::numeric_limits<double>::infinity();
+        entry.node = static_cast<PageId>((i + 1) << kSegmentShift) | root;
+        slot.out->push_back(entry);
       }
-    }
-    if (trace_ != nullptr) {
-      trace_->Add(TraceCounter::kSegmentsVisited,
-                  segments_.size() + (extras_.empty() ? 0 : 1));
-      trace_->Add(TraceCounter::kDeltaObjectsScanned, extras_.size());
+      // Delta objects: exact scores, emitted straight into the frontier
+      // (the iterator drops those at or below its floor).
+      *slot.objects_scored += extras_.size();
+      {
+        TraceSpan span(trace_, TraceStage::kDeltaScan);
+        for (const SpatialObject* object : extras_) {
+          SearchEntry entry;
+          entry.bound = Score(*object, *slot.query, diagonal_);
+          entry.is_object = true;
+          entry.object = object->id;
+          slot.out->push_back(entry);
+        }
+      }
+      if (trace_ != nullptr) {
+        trace_->Add(TraceCounter::kSegmentsVisited,
+                    segments_.size() + (extras_.empty() ? 0 : 1));
+        trace_->Add(TraceCounter::kDeltaObjectsScanned, extras_.size());
+      }
     }
     return Status::Ok();
   }
@@ -67,54 +67,17 @@ Status MergedTopKSource::ExpandNode(PageId node,
   const size_t seg_index = (node >> kSegmentShift) - 1;
   WSK_CHECK_MSG(seg_index < segments_.size(), "page outside any segment");
   const MergedSegment& seg = segments_[seg_index];
+  std::vector<size_t> starts;
+  starts.reserve(slots.size());
+  for (const ExpandSlot& slot : slots) starts.push_back(slot.out->size());
   // Objects the segment's leaf scorer examined count as scored even when
   // tombstoned here.
-  std::vector<SearchEntry> scratch;
-  WSK_RETURN_IF_ERROR(seg.source->ExpandNode(node & kLocalMask, query, floor,
-                                             use_cache, &scratch,
-                                             objects_scored));
-  for (SearchEntry& entry : scratch) {
-    if (entry.is_object) {
-      if (seg.visibility != nullptr &&
-          !seg.visibility->IsVisible(entry.object)) {
-        continue;  // tombstoned at this snapshot
-      }
-    } else {
-      WSK_CHECK_MSG(entry.node <= kLocalMask, "child page outside namespace");
-      entry.node =
-          static_cast<PageId>((seg_index + 1) << kSegmentShift) | entry.node;
-    }
-    out->push_back(entry);
-  }
-  return Status::Ok();
-}
-
-Status MergedTopKSource::ExpandNodeBatch(
-    PageId node, const SpatialKeywordQuery* const* queries,
-    std::vector<SearchEntry>* const* outs, size_t count,
-    bool use_cache) const {
-  if (node == kVirtualRoot) {
-    // Per-query fan-out: the root emits exactly-scored delta objects, which
-    // depend on each query individually — nothing physical to amortize.
-    uint64_t objects_scored = 0;
-    for (size_t qi = 0; qi < count; ++qi) {
-      WSK_RETURN_IF_ERROR(
-          ExpandNode(node, *queries[qi],
-                     -std::numeric_limits<double>::infinity(), use_cache,
-                     outs[qi], &objects_scored));
-    }
-    return Status::Ok();
-  }
-  const size_t seg_index = (node >> kSegmentShift) - 1;
-  WSK_CHECK_MSG(seg_index < segments_.size(), "page outside any segment");
-  const MergedSegment& seg = segments_[seg_index];
-  std::vector<std::vector<SearchEntry>> scratch(count);
-  std::vector<std::vector<SearchEntry>*> scratch_ptrs(count);
-  for (size_t qi = 0; qi < count; ++qi) scratch_ptrs[qi] = &scratch[qi];
-  WSK_RETURN_IF_ERROR(seg.source->ExpandNodeBatch(
-      node & kLocalMask, queries, scratch_ptrs.data(), count, use_cache));
-  for (size_t qi = 0; qi < count; ++qi) {
-    for (SearchEntry& entry : scratch[qi]) {
+  WSK_RETURN_IF_ERROR(seg.source->ExpandNode(node & kLocalMask, slots));
+  for (size_t s = 0; s < slots.size(); ++s) {
+    std::vector<SearchEntry>& out = *slots[s].out;
+    size_t kept = starts[s];
+    for (size_t e = starts[s]; e < out.size(); ++e) {
+      SearchEntry entry = out[e];
       if (entry.is_object) {
         if (seg.visibility != nullptr &&
             !seg.visibility->IsVisible(entry.object)) {
@@ -126,8 +89,9 @@ Status MergedTopKSource::ExpandNodeBatch(
         entry.node =
             static_cast<PageId>((seg_index + 1) << kSegmentShift) | entry.node;
       }
-      outs[qi]->push_back(entry);
+      out[kept++] = entry;
     }
+    out.resize(kept);
   }
   return Status::Ok();
 }

@@ -27,6 +27,7 @@
 #ifndef WSK_INDEX_MERGED_SOURCE_H_
 #define WSK_INDEX_MERGED_SOURCE_H_
 
+#include <span>
 #include <vector>
 
 #include "data/dataset.h"
@@ -72,19 +73,12 @@ class MergedTopKSource : public TopKSource {
                    TraceRecorder* trace = nullptr);
 
   PageId SearchRoot() const override;
-  // Forwards the floor to the owning segment's source.
-  Status ExpandNode(PageId node, const SpatialKeywordQuery& query,
-                    double floor, bool use_cache,
-                    std::vector<SearchEntry>* out,
-                    uint64_t* objects_scored) const override;
-  // Delegates the shared expansion to the owning segment's source (one
-  // decode for the whole batch), then re-applies the per-segment namespace
-  // and visibility transform per query. The virtual root stays per-query:
-  // delta objects are scored per query anyway (docs/BATCHING.md).
-  Status ExpandNodeBatch(PageId node,
-                         const SpatialKeywordQuery* const* queries,
-                         std::vector<SearchEntry>* const* outs, size_t count,
-                         bool use_cache) const override;
+  // The virtual root fans out per slot (delta objects are scored per query
+  // anyway). A segment node is expanded once by the owning segment's
+  // source, floors forwarded, and each slot's new entries are then
+  // namespaced and filtered for visibility in place.
+  Status ExpandNode(PageId node,
+                    std::span<const ExpandSlot> slots) const override;
 
  private:
   static constexpr PageId kLocalMask = (1u << kSegmentShift) - 1;

@@ -584,44 +584,20 @@ void StaticRTree<Payload>::AppendInnerEntries(
 }
 
 template <typename Payload>
-Status StaticRTree<Payload>::ExpandNode(PageId page,
-                                        const SpatialKeywordQuery& query,
-                                        double floor, bool use_cache,
-                                        std::vector<SearchEntry>* out,
-                                        uint64_t* objects_scored) const {
-  StatusOr<std::shared_ptr<const DecodedNode>> read =
-      ReadDecodedNode(page, use_cache);
+Status StaticRTree<Payload>::ExpandNode(
+    PageId page, std::span<const ExpandSlot> slots) const {
+  StatusOr<std::shared_ptr<const DecodedNode>> read = ReadDecodedNode(page);
   if (!read.ok()) return read.status();
   const DecodedNode& decoded = *read.value();
   if (decoded.node.is_leaf) {
-    *objects_scored += ScoreLeaf(decoded.node.leaf_entries, decoded.leaf_docs,
-                                 diagonal_, query, floor, out);
-  } else {
-    AppendInnerEntries(decoded, query, out);
-  }
-  return Status::Ok();
-}
-
-template <typename Payload>
-Status StaticRTree<Payload>::ExpandNodeBatch(
-    PageId page, const SpatialKeywordQuery* const* queries,
-    std::vector<SearchEntry>* const* outs, size_t count,
-    bool use_cache) const {
-  if (count == 0) return Status::Ok();
-  StatusOr<std::shared_ptr<const DecodedNode>> read =
-      ReadDecodedNode(page, use_cache);
-  if (!read.ok()) return read.status();
-  const DecodedNode& decoded = *read.value();
-  if (!decoded.node.is_leaf) {
-    // Inner nodes: the decode is the shared cost; the bound is a per-query
-    // computation either way.
-    for (size_t qi = 0; qi < count; ++qi) {
-      AppendInnerEntries(decoded, *queries[qi], outs[qi]);
-    }
+    ScoreLeaf(decoded.node.leaf_entries, decoded.leaf_docs, diagonal_, slots);
     return Status::Ok();
   }
-  ScoreLeafBatch(decoded.node.leaf_entries, decoded.leaf_docs, diagonal_,
-                 queries, outs, count);
+  // Inner nodes: the read and decode are the shared cost; the bound is a
+  // per-query computation either way.
+  for (const ExpandSlot& slot : slots) {
+    AppendInnerEntries(decoded, *slot.query, slot.out);
+  }
   return Status::Ok();
 }
 

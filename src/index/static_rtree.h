@@ -38,6 +38,7 @@
 #define WSK_INDEX_STATIC_RTREE_H_
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/geometry.h"
@@ -156,20 +157,12 @@ class StaticRTree : public TopKSource {
   // already finalizes; calling it again is harmless.
   Status Finalize();
 
-  // TopKSource:
+  // TopKSource: one read of the node for every slot. Leaves go through the
+  // shared floor-aware ScoreLeaf (leaf_scorer.h); inner entries get
+  // alpha (1 - MinDist) + (1 - alpha) Payload::TextBound per query.
   PageId SearchRoot() const override;
-  // Leaves go through the shared floor-aware ScoreLeaf (leaf_scorer.h);
-  // inner entries get alpha (1 - MinDist) + (1 - alpha) Payload::TextBound.
-  Status ExpandNode(PageId node, const SpatialKeywordQuery& query,
-                    double floor, bool use_cache,
-                    std::vector<SearchEntry>* out,
-                    uint64_t* objects_scored) const override;
-  // One decode + one footprint per object for the whole batch; bit-exact
-  // per-query entries (docs/BATCHING.md).
-  Status ExpandNodeBatch(PageId node,
-                         const SpatialKeywordQuery* const* queries,
-                         std::vector<SearchEntry>* const* outs, size_t count,
-                         bool use_cache) const override;
+  Status ExpandNode(PageId node,
+                    std::span<const ExpandSlot> slots) const override;
 
   // Attaches a shared decoded-node cache (not owned); the tree registers
   // itself under a fresh cache tree-id. Pass nullptr to detach.
@@ -180,9 +173,9 @@ class StaticRTree : public TopKSource {
   uint32_t cache_tree_id() const { return cache_tree_id_; }
 
   // Reads a fully materialized node, through the cache when one is attached
-  // and `use_cache` is true. With `use_cache` false the read behaves
-  // exactly like the uncached path (no lookup, no insert, no counters), so
-  // differential runs can replay both paths.
+  // and `use_cache` is true. With `use_cache` false the read decodes the
+  // file's bytes (no lookup, no insert, no counters): the verifiers must
+  // check what is on disk, not a cached copy.
   StatusOr<std::shared_ptr<const DecodedNode>> ReadDecodedNode(
       PageId page, bool use_cache = true) const;
 

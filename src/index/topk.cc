@@ -4,26 +4,12 @@
 
 namespace wsk {
 
-Status TopKSource::ExpandNodeBatch(PageId node,
-                                   const SpatialKeywordQuery* const* queries,
-                                   std::vector<SearchEntry>* const* outs,
-                                   size_t count, bool use_cache) const {
-  for (size_t i = 0; i < count; ++i) {
-    uint64_t objects_scored = 0;
-    WSK_RETURN_IF_ERROR(
-        ExpandNode(node, *queries[i], -std::numeric_limits<double>::infinity(),
-                   use_cache, outs[i], &objects_scored));
-  }
-  return Status::Ok();
-}
-
 TopKIterator::TopKIterator(const TopKSource* source, SpatialKeywordQuery query,
-                           const CancelToken* cancel, bool use_cache,
-                           TraceRecorder* trace, double floor)
+                           const CancelToken* cancel, TraceRecorder* trace,
+                           double floor)
     : source_(source),
       query_(std::move(query)),
       cancel_(cancel),
-      use_cache_(use_cache),
       trace_(trace),
       floor_(floor),
       floored_(floor > -std::numeric_limits<double>::infinity()) {
@@ -50,37 +36,52 @@ TopKIterator::~TopKIterator() {
   trace_->Add(TraceCounter::kLeafObjectsScored, objects_scored_);
 }
 
+PageId TopKIterator::PopReady(std::optional<ScoredObject>* out) {
+  out->reset();
+  if (heap_.empty()) return kInvalidPageId;
+  const SearchEntry& top = heap_.top();
+  if (!top.is_object) return top.node;
+  ++num_emitted_;
+  *out = ScoredObject{top.object, top.bound};
+  heap_.pop();
+  return kInvalidPageId;
+}
+
+Status TopKIterator::BeginExpand(ExpandSlot* slot) {
+  heap_.pop();
+  if (cancel_ != nullptr) WSK_RETURN_IF_ERROR(cancel_->Check());
+  scratch_.clear();
+  *slot = ExpandSlot{&query_, floor_, &scratch_, &objects_scored_};
+  return Status::Ok();
+}
+
+void TopKIterator::EndExpand() {
+  ++nodes_visited_;
+  for (const SearchEntry& child : scratch_) {
+    if (!child.is_object) ++nodes_seen_;
+    if (floored_ && child.bound <= floor_) continue;
+    heap_.push(child);
+  }
+}
+
 Status TopKIterator::Next(std::optional<ScoredObject>* out) {
   out->reset();
   if (!status_.ok()) return status_;
-  while (!heap_.empty()) {
-    const SearchEntry top = heap_.top();
-    heap_.pop();
-    if (top.is_object) {
-      ++num_emitted_;
-      *out = ScoredObject{top.object, top.bound};
-      return Status::Ok();
-    }
-    if (cancel_ != nullptr) WSK_RETURN_IF_ERROR(cancel_->Check());
-    scratch_.clear();
-    WSK_RETURN_IF_ERROR(source_->ExpandNode(top.node, query_, floor_,
-                                            use_cache_, &scratch_,
-                                            &objects_scored_));
-    ++nodes_visited_;
-    for (const SearchEntry& child : scratch_) {
-      if (!child.is_object) ++nodes_seen_;
-      if (floored_ && child.bound <= floor_) continue;
-      heap_.push(child);
-    }
+  for (;;) {
+    const PageId node = PopReady(out);
+    if (node == kInvalidPageId) return Status::Ok();  // emitted or exhausted
+    ExpandSlot slot;
+    WSK_RETURN_IF_ERROR(BeginExpand(&slot));
+    WSK_RETURN_IF_ERROR(source_->ExpandNode(node, {&slot, 1}));
+    EndExpand();
   }
-  return Status::Ok();
 }
 
 StatusOr<std::vector<ScoredObject>> IndexTopK(
     const TopKSource& source, const SpatialKeywordQuery& query,
-    const CancelToken* cancel, bool use_cache, TraceRecorder* trace) {
+    const CancelToken* cancel, TraceRecorder* trace) {
   TraceSpan span(trace, TraceStage::kTopK);
-  TopKIterator it(&source, query, cancel, use_cache, trace);
+  TopKIterator it(&source, query, cancel, trace);
   WSK_RETURN_IF_ERROR(it.status());
   // No reserve(k): k comes from outside and may far exceed the index.
   std::vector<ScoredObject> result;

@@ -7,12 +7,17 @@
 // emits objects one at a time in non-increasing score order — exactly what
 // the why-not algorithms need to "process the query until the missing
 // object appears" or until the Eqn 6 rank bound is exceeded.
+//
+// There is one expansion path. A solo walk expands each node as a batch of
+// one; BatchedIndexTopK (batch_topk.h) steps many iterators and expands a
+// node once for every walk waiting on it (docs/BATCHING.md).
 #ifndef WSK_INDEX_TOPK_H_
 #define WSK_INDEX_TOPK_H_
 
 #include <limits>
 #include <optional>
 #include <queue>
+#include <span>
 #include <vector>
 
 #include "common/cancel.h"
@@ -41,6 +46,18 @@ struct SearchEntryLess {
   }
 };
 
+// One query's share of a node expansion. The source appends one entry per
+// child of the node to `out`, except that object entries whose exact score
+// is <= `floor` may be left out (-inf keeps every child), and adds the
+// number of leaf objects it examined — appended or left out — to
+// *objects_scored.
+struct ExpandSlot {
+  const SpatialKeywordQuery* query = nullptr;
+  double floor = -std::numeric_limits<double>::infinity();
+  std::vector<SearchEntry>* out = nullptr;
+  uint64_t* objects_scored = nullptr;
+};
+
 // An index capable of best-first spatial keyword search.
 class TopKSource {
  public:
@@ -49,27 +66,13 @@ class TopKSource {
   // Root node slot, or kInvalidPageId for an empty index.
   virtual PageId SearchRoot() const = 0;
 
-  // Appends one SearchEntry per child of `node` to `out`, except that
-  // object entries whose exact score is <= `floor` may be left out (a
-  // floor of -inf keeps every child). Adds the number of leaf objects
-  // examined — appended or left out — to *objects_scored. `use_cache`
-  // selects whether an attached decoded-node cache may serve the node;
-  // with false the expansion behaves exactly like the uncached read path.
-  virtual Status ExpandNode(PageId node, const SpatialKeywordQuery& query,
-                            double floor, bool use_cache,
-                            std::vector<SearchEntry>* out,
-                            uint64_t* objects_scored) const = 0;
-
-  // Expands `node` once for `count` queries at a time: outs[i] receives
-  // exactly the entries ExpandNode(node, *queries[i], -inf, ...) would
-  // append — bit-identical bounds, same order — so a batched traversal can
-  // substitute one shared expansion for N solo ones (docs/BATCHING.md). The
-  // base implementation loops over ExpandNode; tree sources override it to
-  // decode/pin the node once and score the whole batch against it.
-  virtual Status ExpandNodeBatch(PageId node,
-                                 const SpatialKeywordQuery* const* queries,
-                                 std::vector<SearchEntry>* const* outs,
-                                 size_t count, bool use_cache) const;
+  // Expands `node` once for every slot. A slot receives the same entries,
+  // bit for bit and in the same order, whether it is expanded alone or
+  // with others: a batch only shares the node's read and decode (and a
+  // leaf's keyword footprints) among the queries waiting on it. The node
+  // cache serves the read whenever the source has one attached.
+  virtual Status ExpandNode(PageId node,
+                            std::span<const ExpandSlot> slots) const = 0;
 };
 
 // Streams objects in (score desc, id asc) order. Typical use:
@@ -92,7 +95,7 @@ class TopKIterator {
   // A query failing ValidateTopKQuery expands nothing; status() and every
   // Next() return its kInvalidArgument.
   TopKIterator(const TopKSource* source, SpatialKeywordQuery query,
-               const CancelToken* cancel = nullptr, bool use_cache = true,
+               const CancelToken* cancel = nullptr,
                TraceRecorder* trace = nullptr,
                double floor = -std::numeric_limits<double>::infinity());
   ~TopKIterator();
@@ -103,6 +106,20 @@ class TopKIterator {
   // Sets *out to the next object, or nullopt when the index is exhausted.
   // Returns kCancelled / kDeadlineExceeded when the cancel token fired.
   Status Next(std::optional<ScoredObject>* out);
+
+  // Stepping for a scheduler that expands one node for many iterators
+  // (BatchedIndexTopK). Next() is PopReady until it names a node, then
+  // BeginExpand, the source's ExpandNode on that one slot, and EndExpand.
+  //
+  // Pops the top object into *out when the frontier starts with one.
+  // Otherwise leaves *out empty and returns the node the walk must open
+  // next, or kInvalidPageId when the frontier is exhausted.
+  PageId PopReady(std::optional<ScoredObject>* out);
+  // Pops that node and checks the cancel token; on success fills *slot
+  // with this walk's share of the node's expansion.
+  Status BeginExpand(ExpandSlot* slot);
+  // Pushes the children the expansion appended (those above the floor).
+  void EndExpand();
 
   // The construction-time query check.
   const Status& status() const { return status_; }
@@ -119,7 +136,6 @@ class TopKIterator {
   SpatialKeywordQuery query_;
   Status status_;
   const CancelToken* cancel_ = nullptr;
-  bool use_cache_ = true;
   TraceRecorder* trace_ = nullptr;
   double floor_;
   bool floored_;  // floor_ > -inf
@@ -139,8 +155,7 @@ class TopKIterator {
 // The k best objects; kInvalidArgument for a malformed query, any k.
 StatusOr<std::vector<ScoredObject>> IndexTopK(
     const TopKSource& source, const SpatialKeywordQuery& query,
-    const CancelToken* cancel = nullptr, bool use_cache = true,
-    TraceRecorder* trace = nullptr);
+    const CancelToken* cancel = nullptr, TraceRecorder* trace = nullptr);
 
 }  // namespace wsk
 

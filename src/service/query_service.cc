@@ -58,7 +58,6 @@ QueryService::QueryService(const QueryBackend* backend,
   WSK_CHECK_MSG(config_.num_workers >= 1,
                 "QueryService requires at least one worker (got %d)",
                 config_.num_workers);
-  WSK_CHECK(config_.cache_location_quantum > 0.0);
   static_assert(std::size(kCounterNames) == kNumCounterSlots);
   static_assert(std::size(kHistogramNames) == kNumHistogramSlots);
   for (size_t i = 0; i < kNumCounterSlots; ++i) {
@@ -264,8 +263,8 @@ std::future<StatusOr<typename Call::Response>> QueryService::Submit(
   // The one cache lookup, on the caller's thread: a hit takes no pool
   // slot and never waits in the queue or a batch window.
   if (!opts.bypass_cache) {
-    request->key = request->call.Fingerprint(
-        config_.cache_location_quantum, backend_->topology_fingerprint());
+    request->key =
+        request->call.Fingerprint(backend_->topology_fingerprint());
     const Call& c = request->call;
     if (std::shared_ptr<const ResultCache::Entry> hit = cache_.Lookup(
             request->key, [this, &c](const ResultCache::Entry& e) {

@@ -74,7 +74,6 @@ struct QueryServiceConfig {
   size_t max_inflight = 256;  // admitted (queued + executing); 0 = unlimited
   double default_timeout_ms = 0.0;  // per-request deadline; 0 = none
   size_t cache_capacity = 1024;     // result cache entries; 0 disables
-  double cache_location_quantum = 1e-6;  // fingerprint grid cell size
   // Batched top-k execution (docs/BATCHING.md). With batch_max_size > 1 a
   // collector thread groups admitted top-k requests behind a short
   // collection window and drives them through QueryBackend::TopKBatch —
@@ -210,8 +209,8 @@ class QueryService {
     Status Validate() const { return ValidateTopKQuery(query); }
     const char* Algorithm() const { return "topk"; }
     bool ServiceTraced() const { return true; }
-    std::string Fingerprint(double quantum, uint64_t topology) const {
-      return FingerprintTopK(query, quantum, topology);
+    std::string Fingerprint(uint64_t topology) const {
+      return FingerprintTopK(query, topology);
     }
     bool CacheValid(const QueryBackend& backend,
                     const ResultCache::Entry& e) const {
@@ -239,9 +238,8 @@ class QueryService {
     // the service's own, so it is never absorbed into the stage metrics
     // or sampled into a profile.
     bool ServiceTraced() const { return options.trace == nullptr; }
-    std::string Fingerprint(double quantum, uint64_t topology) const {
-      return FingerprintWhyNot(algorithm, query, missing, options, quantum,
-                               topology);
+    std::string Fingerprint(uint64_t topology) const {
+      return FingerprintWhyNot(algorithm, query, missing, options, topology);
     }
     bool CacheValid(const QueryBackend& backend,
                     const ResultCache::Entry& e) const {

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/macros.h"
-
 namespace wsk {
 
 namespace {
@@ -24,11 +22,9 @@ int64_t Quantize(double v, double quantum) {
   return static_cast<int64_t>(std::llround(v / quantum));
 }
 
-void AppendQueryCore(std::string* out, const SpatialKeywordQuery& query,
-                     double location_quantum) {
-  WSK_CHECK(location_quantum > 0.0);
-  AppendI64(out, Quantize(query.loc.x, location_quantum));
-  AppendI64(out, Quantize(query.loc.y, location_quantum));
+void AppendQueryCore(std::string* out, const SpatialKeywordQuery& query) {
+  AppendI64(out, Quantize(query.loc.x, kCacheLocationQuantum));
+  AppendI64(out, Quantize(query.loc.y, kCacheLocationQuantum));
   AppendU64(out, query.k);
   AppendI64(out, Quantize(query.alpha, 1e-9));
   AppendU64(out, static_cast<uint64_t>(query.model));
@@ -40,12 +36,11 @@ void AppendQueryCore(std::string* out, const SpatialKeywordQuery& query,
 }  // namespace
 
 std::string FingerprintTopK(const SpatialKeywordQuery& query,
-                            double location_quantum,
                             uint64_t dataset_version) {
   std::string key;
   key.push_back('T');
   AppendU64(&key, dataset_version);
-  AppendQueryCore(&key, query, location_quantum);
+  AppendQueryCore(&key, query);
   return key;
 }
 
@@ -53,13 +48,12 @@ std::string FingerprintWhyNot(WhyNotAlgorithm algorithm,
                               const SpatialKeywordQuery& query,
                               const std::vector<ObjectId>& missing,
                               const WhyNotOptions& options,
-                              double location_quantum,
                               uint64_t dataset_version) {
   std::string key;
   key.push_back('W');
   key.push_back(static_cast<char>(algorithm));
   AppendU64(&key, dataset_version);
-  AppendQueryCore(&key, query, location_quantum);
+  AppendQueryCore(&key, query);
   std::vector<ObjectId> sorted = missing;
   std::sort(sorted.begin(), sorted.end());
   sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());

@@ -4,8 +4,8 @@
 // keyword sets) is exactly what a service-level cache captures: the cache
 // key is a *canonical fingerprint* of the request, so textually different
 // but semantically identical requests share an entry:
-//   - the location is quantized to a grid cell (two queries within the
-//     same ~quantum-sized cell are served the same answer),
+//   - the location is quantized to a grid of kCacheLocationQuantum cells
+//     (two queries within the same cell are served the same answer),
 //   - keywords are the Vocabulary's dense term ids, which KeywordSet keeps
 //     sorted and deduplicated — set semantics, order-independent,
 //   - missing-object ids are sorted and deduplicated,
@@ -49,18 +49,21 @@
 
 namespace wsk {
 
+// The fingerprint grid's cell size, in the dataset's coordinate units:
+// fine enough that only float noise, never a different place, shares a
+// key.
+inline constexpr double kCacheLocationQuantum = 1e-6;
+
 // Canonical cache keys. The returned string is an opaque byte sequence;
 // equal requests (in the sense above) produce equal strings. The version
 // argument is whatever structural stamp the caller wants baked into the
 // key — QueryService passes the backend's topology fingerprint.
 std::string FingerprintTopK(const SpatialKeywordQuery& query,
-                            double location_quantum,
                             uint64_t dataset_version = 0);
 std::string FingerprintWhyNot(WhyNotAlgorithm algorithm,
                               const SpatialKeywordQuery& query,
                               const std::vector<ObjectId>& missing,
                               const WhyNotOptions& options,
-                              double location_quantum,
                               uint64_t dataset_version = 0);
 
 class ResultCache {

@@ -1,8 +1,10 @@
 // Batched multi-query top-k (docs/BATCHING.md): BatchedIndexTopK must be
 // bit-identical to IndexTopK run solo for every query in the batch, on
-// both tree sources, across batch sizes, mixed similarity models (which
-// fall back to per-query leaf scoring), cancellation mid-batch, and k
-// larger than the dataset. The trace counters must account the
+// both tree sources, across batch sizes, mixed similarity models (one
+// shared leaf universe, each query scored under its own model),
+// cancellation mid-batch, and k larger than the dataset. One node
+// expansion with N slots must equal N single-slot expansions, on the trees
+// and on the merged multi-segment source. The trace counters must account the
 // amortization exactly: every per-query node opening is either the
 // expansion that performed the physical work or a shared ride on one.
 #include "index/batch_topk.h"
@@ -17,6 +19,7 @@
 #include "common/cancel.h"
 #include "data/generator.h"
 #include "index/kcr_tree.h"
+#include "index/merged_source.h"
 #include "index/setr_tree.h"
 #include "index/topk.h"
 #include "test_util.h"
@@ -201,7 +204,7 @@ TEST_F(BatchTopKTest, TraceCountersAccountAmortizationExactly) {
                                          BatchTopKRequest{&queries[0], nullptr});
   TraceRecorder trace(0);
   std::vector<BatchTopKResult> batched =
-      BatchedIndexTopK(*setr_tree_, requests, /*use_cache=*/true, &trace);
+      BatchedIndexTopK(*setr_tree_, requests, &trace);
   for (const BatchTopKResult& slot : batched) ASSERT_TRUE(slot.status.ok());
 
   EXPECT_EQ(trace.counter(TraceCounter::kBatchQueries), 4u);
@@ -214,42 +217,111 @@ TEST_F(BatchTopKTest, TraceCountersAccountAmortizationExactly) {
   EXPECT_EQ(trace.StageCount(TraceStage::kBatchTopK), 1u);
 }
 
-TEST_F(BatchTopKTest, ExpandNodeBatchMatchesSoloExpansion) {
+// Hides every third object id (a segment's tombstones).
+class EveryThirdHidden : public ObjectVisibility {
+ public:
+  bool IsVisible(ObjectId id) const override { return id % 3 != 0; }
+};
+
+// One ExpandNode call with N slots must append to each slot exactly what N
+// calls of one slot each append. Odd slots carry a floor, so the batched
+// leaf scorer's floor and disjoint skip are held to the solo ones too.
+void ExpectBatchMatchesSolo(const TopKSource& source, PageId node,
+                            const std::vector<SpatialKeywordQuery>& queries) {
+  std::vector<std::vector<SearchEntry>> batch_out(queries.size());
+  std::vector<uint64_t> batch_scored(queries.size(), 0);
+  std::vector<ExpandSlot> slots;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    const double floor =
+        i % 2 == 0 ? -std::numeric_limits<double>::infinity()
+                   : queries[i].alpha;
+    slots.push_back(
+        ExpandSlot{&queries[i], floor, &batch_out[i], &batch_scored[i]});
+  }
+  ASSERT_TRUE(source.ExpandNode(node, slots).ok());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    SCOPED_TRACE("query " + std::to_string(i));
+    std::vector<SearchEntry> solo;
+    uint64_t objects_scored = 0;
+    ExpandSlot slot = slots[i];
+    slot.out = &solo;
+    slot.objects_scored = &objects_scored;
+    ASSERT_TRUE(source.ExpandNode(node, {&slot, 1}).ok());
+    EXPECT_EQ(batch_scored[i], objects_scored);
+    ASSERT_EQ(batch_out[i].size(), solo.size());
+    for (size_t e = 0; e < solo.size(); ++e) {
+      EXPECT_EQ(batch_out[i][e].bound, solo[e].bound) << "entry " << e;
+      EXPECT_EQ(batch_out[i][e].is_object, solo[e].is_object);
+      EXPECT_EQ(batch_out[i][e].node, solo[e].node);
+      EXPECT_EQ(batch_out[i][e].object, solo[e].object);
+    }
+  }
+}
+
+// Checks `node` and then its first child, level by level, down to a leaf.
+// Returns the leaf's single-slot expansion for queries[0] (no floor) and
+// the objects its scorer examined.
+void ExpectBatchMatchesSoloDownToLeaf(
+    const TopKSource& source, PageId node,
+    const std::vector<SpatialKeywordQuery>& queries,
+    std::vector<SearchEntry>* leaf, uint64_t* leaf_scored) {
+  for (;;) {
+    SCOPED_TRACE("node " + std::to_string(node));
+    ExpectBatchMatchesSolo(source, node, queries);
+    leaf->clear();
+    *leaf_scored = 0;
+    const ExpandSlot slot{&queries[0],
+                          -std::numeric_limits<double>::infinity(), leaf,
+                          leaf_scored};
+    ASSERT_TRUE(source.ExpandNode(node, {&slot, 1}).ok());
+    ASSERT_FALSE(leaf->empty());
+    if ((*leaf)[0].is_object) return;
+    node = (*leaf)[0].node;
+  }
+}
+
+TEST_F(BatchTopKTest, BatchExpansionMatchesSoloExpansionOnTrees) {
   const std::vector<SpatialKeywordQuery> queries = MakeQueries(5);
   for (const TopKSource* source :
        {static_cast<const TopKSource*>(setr_tree_.get()),
         static_cast<const TopKSource*>(kcr_tree_.get())}) {
     const PageId root = source->SearchRoot();
     ASSERT_NE(root, kInvalidPageId);
-    std::vector<const SpatialKeywordQuery*> ptrs;
-    std::vector<std::vector<SearchEntry>> batch_out(queries.size());
-    std::vector<std::vector<SearchEntry>*> outs;
-    for (size_t i = 0; i < queries.size(); ++i) {
-      ptrs.push_back(&queries[i]);
-      outs.push_back(&batch_out[i]);
-    }
-    ASSERT_TRUE(source
-                    ->ExpandNodeBatch(root, ptrs.data(), outs.data(),
-                                      queries.size(), /*use_cache=*/true)
-                    .ok());
-    for (size_t i = 0; i < queries.size(); ++i) {
-      SCOPED_TRACE("query " + std::to_string(i));
-      std::vector<SearchEntry> solo;
-      uint64_t objects_scored = 0;
-      ASSERT_TRUE(source
-                      ->ExpandNode(root, queries[i],
-                                   -std::numeric_limits<double>::infinity(),
-                                   /*use_cache=*/true, &solo, &objects_scored)
-                      .ok());
-      ASSERT_EQ(batch_out[i].size(), solo.size());
-      for (size_t e = 0; e < solo.size(); ++e) {
-        EXPECT_EQ(batch_out[i][e].bound, solo[e].bound) << "entry " << e;
-        EXPECT_EQ(batch_out[i][e].is_object, solo[e].is_object);
-        EXPECT_EQ(batch_out[i][e].node, solo[e].node);
-        EXPECT_EQ(batch_out[i][e].object, solo[e].object);
-      }
-    }
+    std::vector<SearchEntry> leaf;
+    uint64_t leaf_scored = 0;
+    ExpectBatchMatchesSoloDownToLeaf(*source, root, queries, &leaf,
+                                     &leaf_scored);
   }
+}
+
+TEST_F(BatchTopKTest, BatchExpansionMatchesSoloExpansionOnMergedSource) {
+  // Two segments, one tombstone-filtered, plus delta objects: the virtual
+  // root fans out per slot; segment nodes are expanded once, then
+  // re-namespaced and filtered per slot.
+  const std::vector<SpatialKeywordQuery> queries = MakeQueries(5);
+  EveryThirdHidden hidden;
+  std::vector<SpatialObject> delta;
+  for (ObjectId id = 0; id < 6; ++id) {
+    SpatialObject o = dataset_.object(7 * id + 2);
+    o.id = static_cast<ObjectId>(dataset_.size()) + id;
+    delta.push_back(o);
+  }
+  std::vector<const SpatialObject*> extras;
+  for (const SpatialObject& o : delta) extras.push_back(&o);
+  const MergedTopKSource merged(
+      {{setr_tree_.get(), &hidden}, {kcr_tree_.get(), nullptr}},
+      std::move(extras), dataset_.diagonal());
+
+  ExpectBatchMatchesSolo(merged, MergedTopKSource::kVirtualRoot, queries);
+  // The first segment, from its inner root down to a leaf.
+  const PageId segment0 = PageId{1} << MergedTopKSource::kSegmentShift;
+  std::vector<SearchEntry> leaf;
+  uint64_t leaf_scored = 0;
+  ExpectBatchMatchesSoloDownToLeaf(merged, segment0 | setr_tree_->SearchRoot(),
+                                   queries, &leaf, &leaf_scored);
+  // The leaf's tombstoned objects were examined, then filtered.
+  EXPECT_LT(leaf.size(), leaf_scored);
+  for (const SearchEntry& e : leaf) EXPECT_NE(e.object % 3, 0u);
 }
 
 }  // namespace

@@ -1,10 +1,10 @@
 // Cache-on/off differential (docs/STORAGE.md "Node cache"): every why-not
-// algorithm must return the *identical* refined query with the decoded-node
-// cache enabled and disabled — same keywords, k, rank, edit distance, and
-// penalty. The cache's contract is bit-identical reads (a cached node is
-// exactly what a fresh decode produces), so even tie-breaks must not
-// drift. Runs over seeded randomized instances (same generator as the
-// oracle suite); failures print the seed-bearing scenario description.
+// algorithm must return the *identical* refined query from an engine with
+// a decoded-node cache and from one without — same keywords, k, rank, edit
+// distance, and penalty. The cache's contract is bit-identical reads (a
+// cached node is exactly what a fresh decode produces), so even tie-breaks
+// must not drift. Runs over seeded randomized instances (same generator as
+// the oracle suite); failures print the seed-bearing scenario description.
 #include <optional>
 #include <vector>
 
@@ -39,32 +39,32 @@ TEST_P(CacheDifferentialTest, CacheOnOffIdentical) {
   }
   SCOPED_TRACE(scenario->Describe());
 
-  // Small nodes and a small cache so the traversal actually cycles through
-  // hits, misses, and evictions instead of fitting entirely in budget.
+  // Two engines over the same dataset: one with a small cache over small
+  // nodes, so the traversal actually cycles through hits, misses, and
+  // evictions instead of fitting entirely in budget, and one without.
   WhyNotEngine::Config config;
   config.node_capacity = 16;
   config.node_cache_bytes = 64 << 10;
-  StatusOr<std::unique_ptr<WhyNotEngine>> built =
+  StatusOr<std::unique_ptr<WhyNotEngine>> cached =
       WhyNotEngine::Build(&scenario->dataset, config);
-  ASSERT_TRUE(built.ok()) << built.status().ToString();
-  const std::unique_ptr<WhyNotEngine>& engine = built.value();
-  ASSERT_NE(engine->node_cache(), nullptr);
-  engine->node_cache()->set_verify_fingerprints(true);
+  ASSERT_TRUE(cached.ok()) << cached.status().ToString();
+  ASSERT_NE(cached.value()->node_cache(), nullptr);
+  cached.value()->node_cache()->set_verify_fingerprints(true);
+  config.node_cache_bytes = 0;
+  StatusOr<std::unique_ptr<WhyNotEngine>> uncached =
+      WhyNotEngine::Build(&scenario->dataset, config);
+  ASSERT_TRUE(uncached.ok()) << uncached.status().ToString();
+  ASSERT_EQ(uncached.value()->node_cache(), nullptr);
 
   for (WhyNotAlgorithm algorithm : kAlgorithms) {
     SCOPED_TRACE(WhyNotAlgorithmName(algorithm));
-    WhyNotOptions with_cache = scenario->options;
-    with_cache.use_node_cache = true;
-    WhyNotOptions without_cache = scenario->options;
-    without_cache.use_node_cache = false;
-
     StatusOr<WhyNotResult> on =
-        engine->Answer(algorithm, scenario->query, scenario->missing,
-                       with_cache);
+        cached.value()->Answer(algorithm, scenario->query, scenario->missing,
+                               scenario->options);
     ASSERT_TRUE(on.ok()) << on.status().ToString();
     StatusOr<WhyNotResult> off =
-        engine->Answer(algorithm, scenario->query, scenario->missing,
-                       without_cache);
+        uncached.value()->Answer(algorithm, scenario->query,
+                                 scenario->missing, scenario->options);
     ASSERT_TRUE(off.ok()) << off.status().ToString();
 
     EXPECT_EQ(on.value().already_in_result, off.value().already_in_result);

@@ -55,7 +55,7 @@ struct IndexFile {
 std::vector<ScoredObject> Drain(const TopKSource& source,
                                 const SpatialKeywordQuery& query,
                                 double floor, TraceRecorder* trace = nullptr) {
-  TopKIterator it(&source, query, nullptr, true, trace, floor);
+  TopKIterator it(&source, query, nullptr, trace, floor);
   std::vector<ScoredObject> out;
   std::optional<ScoredObject> next;
   for (;;) {
@@ -238,7 +238,7 @@ class FloorPropertyTest : public ::testing::Test {
           uint64_t nodes = 0;
           const uint32_t rank =
               RankFromIndex(source, q, floor, limit, &exceeded, &dominators,
-                            nullptr, true, nullptr, &nodes)
+                            nullptr, nullptr, &nodes)
                   .value();
           EXPECT_EQ(rank, ref_rank) << "limit " << limit;
           EXPECT_EQ(exceeded, ref_exceeded) << "limit " << limit;

@@ -19,11 +19,8 @@ SpatialKeywordQuery MakeQuery(double x = 0.25, double y = 0.75,
   return q;
 }
 
-constexpr double kQuantum = 1e-6;
-
 TEST(FingerprintTest, IdenticalQueriesCollide) {
-  EXPECT_EQ(FingerprintTopK(MakeQuery(), kQuantum),
-            FingerprintTopK(MakeQuery(), kQuantum));
+  EXPECT_EQ(FingerprintTopK(MakeQuery()), FingerprintTopK(MakeQuery()));
 }
 
 TEST(FingerprintTest, KeywordOrderIsCanonical) {
@@ -31,59 +28,58 @@ TEST(FingerprintTest, KeywordOrderIsCanonical) {
   a.doc = KeywordSet{7, 3, 1};
   SpatialKeywordQuery b = MakeQuery();
   b.doc = KeywordSet{1, 1, 3, 7};  // duplicates collapse too
-  EXPECT_EQ(FingerprintTopK(a, kQuantum), FingerprintTopK(b, kQuantum));
+  EXPECT_EQ(FingerprintTopK(a), FingerprintTopK(b));
 }
 
 TEST(FingerprintTest, LocationQuantization) {
   // Within a quantum cell: same key. A cell apart: different key.
-  EXPECT_EQ(FingerprintTopK(MakeQuery(0.25), kQuantum),
-            FingerprintTopK(MakeQuery(0.25 + kQuantum * 0.2), kQuantum));
-  EXPECT_NE(FingerprintTopK(MakeQuery(0.25), kQuantum),
-            FingerprintTopK(MakeQuery(0.25 + kQuantum * 10), kQuantum));
+  EXPECT_EQ(FingerprintTopK(MakeQuery(0.25)),
+            FingerprintTopK(MakeQuery(0.25 + kCacheLocationQuantum * 0.2)));
+  EXPECT_NE(FingerprintTopK(MakeQuery(0.25)),
+            FingerprintTopK(MakeQuery(0.25 + kCacheLocationQuantum * 10)));
 }
 
 TEST(FingerprintTest, ParametersThatChangeAnswersChangeKeys) {
-  EXPECT_NE(FingerprintTopK(MakeQuery(0.25, 0.75, 10), kQuantum),
-            FingerprintTopK(MakeQuery(0.25, 0.75, 11), kQuantum));
-  EXPECT_NE(FingerprintTopK(MakeQuery(0.25, 0.75, 10, 0.5), kQuantum),
-            FingerprintTopK(MakeQuery(0.25, 0.75, 10, 0.6), kQuantum));
+  EXPECT_NE(FingerprintTopK(MakeQuery(0.25, 0.75, 10)),
+            FingerprintTopK(MakeQuery(0.25, 0.75, 11)));
+  EXPECT_NE(FingerprintTopK(MakeQuery(0.25, 0.75, 10, 0.5)),
+            FingerprintTopK(MakeQuery(0.25, 0.75, 10, 0.6)));
   SpatialKeywordQuery other_doc = MakeQuery();
   other_doc.doc = KeywordSet{1, 3};
-  EXPECT_NE(FingerprintTopK(MakeQuery(), kQuantum),
-            FingerprintTopK(other_doc, kQuantum));
+  EXPECT_NE(FingerprintTopK(MakeQuery()), FingerprintTopK(other_doc));
 }
 
 TEST(FingerprintTest, TopKAndWhyNotNeverCollide) {
   WhyNotOptions options;
-  EXPECT_NE(FingerprintTopK(MakeQuery(), kQuantum),
+  EXPECT_NE(FingerprintTopK(MakeQuery()),
             FingerprintWhyNot(WhyNotAlgorithm::kKcrBased, MakeQuery(), {1},
-                              options, kQuantum));
+                              options));
 }
 
 TEST(FingerprintTest, WhyNotMissingSetIsCanonical) {
   WhyNotOptions options;
   const auto a = FingerprintWhyNot(WhyNotAlgorithm::kKcrBased, MakeQuery(),
-                                   {5, 2, 9}, options, kQuantum);
+                                   {5, 2, 9}, options);
   const auto b = FingerprintWhyNot(WhyNotAlgorithm::kKcrBased, MakeQuery(),
-                                   {9, 5, 2, 5}, options, kQuantum);
+                                   {9, 5, 2, 5}, options);
   EXPECT_EQ(a, b);
   const auto c = FingerprintWhyNot(WhyNotAlgorithm::kKcrBased, MakeQuery(),
-                                   {5, 2}, options, kQuantum);
+                                   {5, 2}, options);
   EXPECT_NE(a, c);
 }
 
 TEST(FingerprintTest, WhyNotAlgorithmAndLambdaAreKeyed) {
   WhyNotOptions options;
   const auto kcr = FingerprintWhyNot(WhyNotAlgorithm::kKcrBased, MakeQuery(),
-                                     {1}, options, kQuantum);
+                                     {1}, options);
   const auto bs = FingerprintWhyNot(WhyNotAlgorithm::kBasic, MakeQuery(), {1},
-                                    options, kQuantum);
+                                    options);
   EXPECT_NE(kcr, bs);
 
   WhyNotOptions other_lambda = options;
   other_lambda.lambda = 0.9;
   EXPECT_NE(kcr, FingerprintWhyNot(WhyNotAlgorithm::kKcrBased, MakeQuery(),
-                                   {1}, other_lambda, kQuantum));
+                                   {1}, other_lambda));
 }
 
 TEST(FingerprintTest, OptimizationSwitchesAreNotKeyed) {
@@ -94,10 +90,8 @@ TEST(FingerprintTest, OptimizationSwitchesAreNotKeyed) {
   b.num_threads = 8;
   b.opt_early_stop = !b.opt_early_stop;
   b.opt_enumeration_order = !b.opt_enumeration_order;
-  EXPECT_EQ(FingerprintWhyNot(WhyNotAlgorithm::kAdvanced, MakeQuery(), {1}, a,
-                              kQuantum),
-            FingerprintWhyNot(WhyNotAlgorithm::kAdvanced, MakeQuery(), {1}, b,
-                              kQuantum));
+  EXPECT_EQ(FingerprintWhyNot(WhyNotAlgorithm::kAdvanced, MakeQuery(), {1}, a),
+            FingerprintWhyNot(WhyNotAlgorithm::kAdvanced, MakeQuery(), {1}, b));
 }
 
 std::shared_ptr<const ResultCache::Entry> MakeEntry(double score) {

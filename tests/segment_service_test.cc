@@ -125,22 +125,21 @@ TEST_F(SegmentServiceTest, StaleCachedResultsAreNeverServedAfterMutation) {
 
 TEST_F(SegmentServiceTest, FingerprintEmbedsDatasetVersion) {
   const SpatialKeywordQuery query = Query();
-  const std::string v1 = FingerprintTopK(query, 1e-6, 1);
-  const std::string v2 = FingerprintTopK(query, 1e-6, 2);
+  const std::string v1 = FingerprintTopK(query, 1);
+  const std::string v2 = FingerprintTopK(query, 2);
   EXPECT_NE(v1, v2);
   // Default version 0 == legacy key: read-only backends are unchanged.
-  EXPECT_EQ(FingerprintTopK(query, 1e-6), FingerprintTopK(query, 1e-6, 0));
+  EXPECT_EQ(FingerprintTopK(query), FingerprintTopK(query, 0));
 
   WhyNotOptions options;
   const std::string w1 = FingerprintWhyNot(WhyNotAlgorithm::kAdvanced, query,
-                                           {3}, options, 1e-6, 1);
+                                           {3}, options, 1);
   const std::string w2 = FingerprintWhyNot(WhyNotAlgorithm::kAdvanced, query,
-                                           {3}, options, 1e-6, 2);
+                                           {3}, options, 2);
   EXPECT_NE(w1, w2);
-  EXPECT_EQ(FingerprintWhyNot(WhyNotAlgorithm::kAdvanced, query, {3}, options,
-                              1e-6),
+  EXPECT_EQ(FingerprintWhyNot(WhyNotAlgorithm::kAdvanced, query, {3}, options),
             FingerprintWhyNot(WhyNotAlgorithm::kAdvanced, query, {3}, options,
-                              1e-6, 0));
+                              0));
 }
 
 TEST_F(SegmentServiceTest, ReadOnlyBackendRejectsMutationsThroughService) {

@@ -88,6 +88,15 @@ TEST(ValidateTest, RejectsOutOfDomain) {
   bad_options = options;
   bad_options.num_threads = -1;
   EXPECT_FALSE(ValidateWhyNotInput(good, {1}, bad_options, 100).ok());
+  // Validation only: none of these starts a thread.
+  for (int threads : {kMaxWhyNotThreads + 1, 1000000}) {
+    bad_options.num_threads = threads;
+    EXPECT_EQ(ValidateWhyNotInput(good, {1}, bad_options, 100).code(),
+              StatusCode::kInvalidArgument)
+        << threads;
+  }
+  bad_options.num_threads = kMaxWhyNotThreads;
+  EXPECT_TRUE(ValidateWhyNotInput(good, {1}, bad_options, 100).ok());
 
   // Non-finite inputs fail every range test instead of slipping past it.
   const double nan = std::numeric_limits<double>::quiet_NaN();
