@@ -1,9 +1,10 @@
 // Fig. 10 — varying the number of worker threads ∈ {1, 2, 4, 8} for the
 // parallelized AdvancedBS and KcRBased (Section IV-C4 / VII-B7).
 //
-// Note: wall-clock speedup tops out at the machine's core count; on a
-// single-core container the series is expected to stay flat (EXPERIMENTS.md
-// discusses this hardware substitution).
+// With T threads the caller and up to T - 1 shared-executor helpers share
+// the work, so wall-clock speedup tops out at the machine's core count.
+// KcRBased cuts each batch into T chunks with one KcR traversal each, so
+// its nodes_expanded grows with T (EXPERIMENTS.md, Fig. 10).
 #include "bench_common.h"
 
 int main(int argc, char** argv) {

@@ -48,7 +48,7 @@ struct SegmentCountersSnapshot {
   uint64_t delta_objects = 0;    // gauge (active + sealed deltas)
   uint64_t live_objects = 0;     // gauge
   // Background-merge visibility (docs/OBSERVABILITY.md "Continuous
-  // telemetry"): total wall time the merge worker spent in completed
+  // telemetry"): total wall time merge tasks spent in completed
   // passes, the duration of the most recent pass, and how many post-
   // watermark tombstones swaps replayed onto fresh segments.
   uint64_t merge_busy_us = 0;

@@ -14,9 +14,9 @@ namespace wsk {
 
 class TraceRecorder;  // observability/trace.h
 
-// The most worker threads one why-not query may ask for
+// The most threads one why-not query may ask for
 // (WhyNotOptions::num_threads). Fig. 10 uses at most 8; the cap keeps a
-// malformed request from starting an unbounded number of threads.
+// malformed request from cutting its work into unbounded pieces.
 inline constexpr int kMaxWhyNotThreads = 64;
 
 // Tuning knobs for the why-not algorithms. The three opt_* switches map to
@@ -40,8 +40,11 @@ struct WhyNotOptions {
   // bound.
   bool opt_keyword_filtering = true;
 
-  // Worker threads for candidate evaluation (Section IV-C4); 0 runs inline.
-  // At most kMaxWhyNotThreads.
+  // Threads for candidate evaluation (Section IV-C4): with T > 0 the
+  // calling thread plus up to T - 1 helpers from the shared executor
+  // (common/thread_pool.h), which creates no thread per query; 0 and 1 run
+  // on the calling thread alone. KcRBased cuts each batch into min(T, batch)
+  // chunks. At most kMaxWhyNotThreads.
   int num_threads = 0;
 
   // KcRBased only — Section V-D strategy switch. The default (false)

@@ -1,6 +1,5 @@
 #include "core/whynot_bs.h"
 
-#include <atomic>
 #include <mutex>
 #include <unordered_set>
 
@@ -27,12 +26,11 @@ struct SharedState {
   std::unordered_set<ObjectId> dominator_cache;
   std::vector<ObjectId> dominator_list;  // stable snapshot source
 
-  // The frame's stats, guarded by mu. Every candidate fetched by a worker
-  // lands in exactly one of evaluated (rank queries run, including capped
-  // ones), filtered (Opt3 dominator-cache prunes), skipped_order (Opt2
-  // order-stop skips) or pruned_bounds (Eqn 6 rank bound < 1); the
-  // unfetched tail is folded into the skipped total afterwards, which
-  // keeps the disposition partition exact.
+  // The frame's stats, guarded by mu. Every candidate lands in exactly one
+  // of evaluated (rank queries run, including capped ones), filtered (Opt3
+  // dominator-cache prunes), skipped_order (Opt2 order-stop skips) or
+  // pruned_bounds (Eqn 6 rank bound < 1), which keeps the disposition
+  // partition exact.
   WhyNotStats* stats = nullptr;
 };
 
@@ -170,46 +168,21 @@ Status SearchByRankQueries(const SearchFrame& frame) {
   const std::vector<Candidate>& candidates = frame.candidates;
   SharedState state;
   state.stats = frame.stats;
-  Status worker_status;  // first error, guarded by status_mu
-  std::mutex status_mu;
-  std::atomic<size_t> next_index{0};
-
-  auto worker = [&]() {
-    for (;;) {
-      const size_t i = next_index.fetch_add(1);
-      if (i >= candidates.size()) return;
-      {
-        std::lock_guard<std::mutex> lock(state.mu);
-        if (i >= state.stop_order) {
-          // This index was fetched; the rest are tail.
-          ++state.stats->candidates_skipped_order;
-          return;
-        }
-      }
-      Status s = EvaluateCandidate(frame, candidates[i], i, &state);
-      if (!s.ok()) {
-        std::lock_guard<std::mutex> lock(status_mu);
-        if (worker_status.ok()) worker_status = s;
-        return;
-      }
-    }
-  };
-
+  // With num_threads = T the caller and up to T - 1 executor helpers
+  // evaluate candidates from one cursor.
   const int num_threads = frame.options.num_threads;
-  if (num_threads > 0) {
-    ThreadPool pool(num_threads);
-    for (int t = 0; t < num_threads; ++t) pool.Submit(worker);
-    pool.Wait();
-  } else {
-    worker();
-  }
-  WSK_RETURN_IF_ERROR(worker_status);
-  // Fetched candidates were counted where they were dispatched; the
-  // unfetched tail behind the order stop is skipped wholesale.
-  frame.stats->candidates_skipped_order +=
-      candidates.size() -
-      std::min<uint64_t>(next_index.load(), candidates.size());
-  return Status::Ok();
+  return ParallelFor(
+      candidates.size(), num_threads > 1 ? num_threads - 1 : 0,
+      [&](size_t i) -> Status {
+        {
+          std::lock_guard<std::mutex> lock(state.mu);
+          if (i >= state.stop_order) {
+            ++state.stats->candidates_skipped_order;  // behind the stop
+            return Status::Ok();
+          }
+        }
+        return EvaluateCandidate(frame, candidates[i], i, &state);
+      });
 }
 
 }  // namespace wsk::internal

@@ -14,9 +14,9 @@
 
 namespace wsk::internal {
 
-// Ranks the frame's candidates one rank query each, on options.num_threads
-// workers (0 = the calling thread) that share p_c, the order stop and the
-// Opt3 dominator cache.
+// Ranks the frame's candidates one rank query each, on the calling thread
+// plus options.num_threads - 1 executor helpers (ParallelFor), which share
+// p_c, the order stop and the Opt3 dominator cache.
 Status SearchByRankQueries(const SearchFrame& frame);
 
 }  // namespace wsk::internal

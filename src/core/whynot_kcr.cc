@@ -473,29 +473,18 @@ Status SearchByKcrBatches(const SearchFrame& frame) {
         options.num_threads > 0
             ? std::min<size_t>(options.num_threads, batch_size)
             : 1;
+    // The caller and up to num_chunks - 1 executor helpers run the chunks.
     std::vector<WhyNotStats> chunk_stats(num_chunks);
-    std::vector<Status> chunk_status(num_chunks);
-    auto run_chunk = [&](size_t chunk) {
-      const size_t chunk_begin =
-          start + chunk * batch_size / num_chunks;
-      const size_t chunk_end =
-          start + (chunk + 1) * batch_size / num_chunks;
-      if (chunk_begin >= chunk_end) return;
-      KcrBatchRunner runner(frame, &chunk_stats[chunk]);
-      chunk_status[chunk] = runner.RunBatch(candidates.data() + chunk_begin,
-                                            candidates.data() + chunk_end);
-    };
-    if (num_chunks > 1) {
-      ThreadPool pool(static_cast<int>(num_chunks));
-      for (size_t chunk = 0; chunk < num_chunks; ++chunk) {
-        pool.Submit([&run_chunk, chunk] { run_chunk(chunk); });
-      }
-      pool.Wait();
-    } else {
-      run_chunk(0);
-    }
+    WSK_RETURN_IF_ERROR(ParallelFor(
+        num_chunks, num_chunks - 1, [&](size_t chunk) -> Status {
+          const size_t chunk_begin = start + chunk * batch_size / num_chunks;
+          const size_t chunk_end =
+              start + (chunk + 1) * batch_size / num_chunks;
+          KcrBatchRunner runner(frame, &chunk_stats[chunk]);
+          return runner.RunBatch(candidates.data() + chunk_begin,
+                                 candidates.data() + chunk_end);
+        }));
     for (size_t chunk = 0; chunk < num_chunks; ++chunk) {
-      WSK_RETURN_IF_ERROR(chunk_status[chunk]);
       frame.stats->nodes_expanded += chunk_stats[chunk].nodes_expanded;
       frame.stats->candidates_pruned_bounds +=
           chunk_stats[chunk].candidates_pruned_bounds;

@@ -32,6 +32,10 @@
 // Old-view readers keep the inputs alive; the inputs retire when the last
 // snapshot drops, at which point their node-cache entries are erased and
 // their I/O counters fold into the retired accumulator.
+//
+// Merges run as tasks on the process's shared executor
+// (common/thread_pool.h), at most one per manager at a time; the
+// destructor waits for a queued or running one.
 #ifndef WSK_SEGMENT_SEGMENT_MANAGER_H_
 #define WSK_SEGMENT_SEGMENT_MANAGER_H_
 
@@ -44,7 +48,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "core/backend.h"
 #include "segment/delta_segment.h"
 #include "segment/frozen_segment.h"
@@ -78,11 +81,10 @@ class SegmentManager {
     uint64_t seq = 0;
   };
 
-  // `vocabulary`, `node_cache` (nullable), and `merge_pool` are borrowed
-  // and must outlive the manager.
+  // `vocabulary` and `node_cache` (nullable) are borrowed and must outlive
+  // the manager.
   SegmentManager(const Options& options, double diagonal,
-                 Vocabulary* vocabulary, NodeCache* node_cache,
-                 ThreadPool* merge_pool);
+                 Vocabulary* vocabulary, NodeCache* node_cache);
   ~SegmentManager();
 
   SegmentManager(const SegmentManager&) = delete;
@@ -123,7 +125,7 @@ class SegmentManager {
   SegmentCountersSnapshot counters() const;
   BackendIoSnapshot io_snapshot() const;
 
-  // Test hook: runs on the merge thread after the new frozen segment is
+  // Test hook: runs in the merge task after the new frozen segment is
   // built, before the swap lock is taken — mid-merge queries and mutations
   // issued from the hook exercise the protocol's concurrent window.
   void set_before_swap_hook(std::function<void()> hook);
@@ -148,7 +150,6 @@ class SegmentManager {
   const double diagonal_;
   Vocabulary* const vocabulary_;
   NodeCache* const node_cache_;
-  ThreadPool* const merge_pool_;
 
   mutable std::mutex writer_mu_;
   std::condition_variable merge_cv_;

@@ -37,7 +37,6 @@ StatusOr<std::unique_ptr<SegmentedEngine>> SegmentedEngine::Build(
   if (config.node_cache_bytes > 0) {
     engine->node_cache_ = std::make_unique<NodeCache>(config.node_cache_bytes);
   }
-  engine->merge_pool_ = std::make_unique<ThreadPool>(1);
   SegmentManager::Options options;
   options.index.work_dir = config.work_dir;
   options.index.page_size = config.page_size;
@@ -47,8 +46,7 @@ StatusOr<std::unique_ptr<SegmentedEngine>> SegmentedEngine::Build(
   options.delta_capacity = config.delta_capacity;
   options.auto_merge = config.auto_merge;
   engine->manager_ = std::make_unique<SegmentManager>(
-      options, seed.diagonal(), engine->vocab(),
-      engine->node_cache_.get(), engine->merge_pool_.get());
+      options, seed.diagonal(), engine->vocab(), engine->node_cache_.get());
   WSK_RETURN_IF_ERROR(engine->manager_->SeedFrozen(seed.objects()));
   return engine;
 }

@@ -19,7 +19,6 @@
 #include <string>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "core/planned_backend.h"
 #include "segment/segment_manager.h"
 
@@ -126,7 +125,6 @@ class SegmentedEngine : public PlannedBackend {
   Vocabulary* shared_vocab_ = nullptr;
   std::unique_ptr<Vocabulary> vocabulary_;
   std::unique_ptr<NodeCache> node_cache_;
-  std::unique_ptr<ThreadPool> merge_pool_;
   std::unique_ptr<SegmentManager> manager_;  // declared last: drains merges
 };
 

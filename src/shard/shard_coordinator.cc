@@ -1,15 +1,13 @@
 #include "shard/shard_coordinator.h"
 
 #include <algorithm>
-#include <condition_variable>
 #include <cstring>
-#include <exception>
 #include <limits>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <utility>
 
+#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "shard/shard_partition.h"
 
@@ -60,19 +58,6 @@ void MergeInto(std::vector<ScoredObject>* merged,
   std::sort(merged->begin(), merged->end(), ScoreGreater{});
   if (merged->size() > k) merged->resize(k);
 }
-
-// Per-call state of one TopK fan-out. Shared with the pool tasks, so a
-// task dequeued after its request returned finds the cursor exhausted and
-// touches nothing else.
-struct FanOutState {
-  std::vector<uint32_t> shards;  // bound order
-  std::vector<Status> status;
-  std::vector<std::vector<ScoredObject>> found;
-  std::atomic<size_t> next{0};  // claim cursor into `shards`
-  std::mutex mu;
-  std::condition_variable done_cv;
-  size_t finished = 0;  // guarded by mu
-};
 
 uint64_t FnvMix(uint64_t hash, uint64_t value) {
   for (int i = 0; i < 8; ++i) {
@@ -155,15 +140,6 @@ StatusOr<std::unique_ptr<ShardCoordinator>> ShardCoordinator::Build(
   }
   c->next_insert_id_ = max_id;
   c->topology_ = topology;
-  // The caller visits one shard itself, so num_shards - 2 workers cover
-  // every shard left after the first cut; more threads than cores only
-  // queue on them.
-  if (c->shards_.size() >= 3) {
-    const size_t cores =
-        std::max<size_t>(1, std::thread::hardware_concurrency());
-    c->fanout_pool_ = std::make_unique<ThreadPool>(
-        static_cast<int>(std::min(c->shards_.size() - 2, cores)));
-  }
   return c;
 }
 
@@ -228,59 +204,21 @@ Status ShardCoordinator::FanOut(const std::vector<RankedShard>& order,
                                 const CancelToken* cancel,
                                 TraceRecorder* trace,
                                 std::vector<ScoredObject>* merged) const {
-  auto state = std::make_shared<FanOutState>();
+  // The caller visits shards itself and executor helpers join it, so a
+  // request never waits for a free thread. An exception from a shard visit
+  // comes back as Internal.
   const size_t n = end - begin;
-  for (size_t i = begin; i < end; ++i) state->shards.push_back(order[i].shard);
-  state->status.resize(n);
-  state->found.resize(n);
-
-  // Claims shards until the cursor runs out. The caller runs this too, so
-  // when every worker is busy with other requests it visits all n shards
-  // itself; tasks that start later find nothing left to claim. `this`,
-  // `query`, `cancel` and `trace` are only touched for a claimed shard,
-  // and the caller returns only after every claimed shard has finished.
-  // An exception must not escape a claimed shard either: it would leave
-  // the caller waiting, or unwind it while workers still read the query.
-  auto drain = [this, state, &query, cancel, trace] {
-    const size_t count = state->shards.size();
-    for (size_t i = state->next.fetch_add(1, std::memory_order_relaxed);
-         i < count; i = state->next.fetch_add(1, std::memory_order_relaxed)) {
-      Status status = cancel != nullptr ? cancel->Check() : Status::Ok();
-      if (status.ok()) {
-        try {
-          StatusOr<std::vector<ScoredObject>> partial =
-              VisitShard(state->shards[i], query, cancel, trace);
-          if (partial.ok()) {
-            state->found[i] = std::move(partial).value();
-          } else {
-            status = partial.status();
-          }
-        } catch (const std::exception& e) {
-          status = Status::Internal(std::string("shard visit threw: ") +
-                                    e.what());
-        } catch (...) {
-          status = Status::Internal("shard visit threw a non-std exception");
-        }
-      }
-      state->status[i] = std::move(status);
-      std::lock_guard<std::mutex> lock(state->mu);
-      if (++state->finished == count) state->done_cv.notify_all();
-    }
-  };
-  const size_t helpers = std::min<size_t>(
-      fanout_pool_ != nullptr ? fanout_pool_->num_threads() : 0, n - 1);
-  for (size_t h = 0; h < helpers; ++h) fanout_pool_->Submit(drain);
-  drain();
-  {
-    std::unique_lock<std::mutex> lock(state->mu);
-    state->done_cv.wait(lock, [&] { return state->finished == n; });
-  }
-
-  for (const Status& status : state->status) {
-    if (!status.ok()) return status;
-  }
-  for (const std::vector<ScoredObject>& found : state->found) {
-    MergeInto(merged, found, query.k);
+  std::vector<std::vector<ScoredObject>> found(n);
+  WSK_RETURN_IF_ERROR(ParallelFor(n, n - 1, [&](size_t i) -> Status {
+    if (cancel != nullptr) WSK_RETURN_IF_ERROR(cancel->Check());
+    StatusOr<std::vector<ScoredObject>> partial =
+        VisitShard(order[begin + i].shard, query, cancel, trace);
+    if (!partial.ok()) return partial.status();
+    found[i] = std::move(partial).value();
+    return Status::Ok();
+  }));
+  for (const std::vector<ScoredObject>& partial : found) {
+    MergeInto(merged, partial, query.k);
   }
   return Status::Ok();
 }
@@ -460,8 +398,12 @@ int ShardCoordinator::OwnerShard(ObjectId id) const {
 }
 
 uint32_t ShardCoordinator::RouteInsert(Point loc) const {
+  // Updates stretch the summary MBRs until they overlap, so MBR distance
+  // ties often; a tie goes to the smaller shard, keeping the tiles
+  // balanced, and then to the lower index.
   uint32_t best = 0;
   double best_dist = std::numeric_limits<double>::infinity();
+  size_t best_size = std::numeric_limits<size_t>::max();
   for (size_t i = 0; i < shards_.size(); ++i) {
     const Shard& shard = *shards_[i];
     double dist;
@@ -471,8 +413,10 @@ uint32_t ShardCoordinator::RouteInsert(Point loc) const {
                  ? MinDist(loc, shard.summary.mbr)
                  : std::numeric_limits<double>::infinity();
     }
-    if (dist < best_dist) {
+    const size_t size = shard.live->manager()->live_objects();
+    if (dist < best_dist || (dist == best_dist && size < best_size)) {
       best_dist = dist;
+      best_size = size;
       best = static_cast<uint32_t>(i);
     }
   }
@@ -549,6 +493,16 @@ Status ShardCoordinator::Delete(ObjectId id) const {
     owner_.erase(id);
   }
   shard.mutations.fetch_add(1, std::memory_order_relaxed);
+  return Status::Ok();
+}
+
+Status ShardCoordinator::ForceMerge() const {
+  if (!config_.live) {
+    return Status::FailedPrecondition("backend is read-only");
+  }
+  for (const std::unique_ptr<Shard>& shard : shards_) {
+    WSK_RETURN_IF_ERROR(shard->live->ForceMerge());
+  }
   return Status::Ok();
 }
 

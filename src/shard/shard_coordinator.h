@@ -12,9 +12,9 @@
 // bound (shard_summary.h) and visits the best-bound shard on the calling
 // thread. It then cuts every shard whose bound is strictly below that
 // shard's kth score (the shards_pruned counter) and visits the rest
-// concurrently: the caller and a coordinator-owned pool of num_shards - 2
-// workers (at most one per core) claim shards from one per-call cursor,
-// and all partials go through one order-insensitive ScoreGreater merge.
+// concurrently: the caller and up to one helper per shared-executor worker
+// claim shards from one ParallelFor cursor (common/thread_pool.h), and all
+// partials go through one order-insensitive ScoreGreater merge.
 // Answers are the same as with a serial visit that re-applies the cut
 // after every shard; the visited set can only be larger. It stays the one
 // top-k override because a solo merged walk, though it expands fewer
@@ -28,7 +28,8 @@
 // bit-identical to an unsharded engine.
 //
 // Mutations route by ownership: inserts to the shard whose summary MBR is
-// nearest, updates/deletes to the owning shard. The coordinator allocates
+// nearest (a tie to the shard with the fewest live objects), updates and
+// deletes to the owning shard. The coordinator allocates
 // globally sequential object ids (SegmentManager's forced-id insert), so a
 // sharded run assigns the same ids as an unsharded one. All shard engines
 // intern through one coordinator-owned vocabulary, keeping term ids and
@@ -43,7 +44,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "core/backend.h"
 #include "core/engine.h"
 #include "segment/segmented_engine.h"
@@ -117,6 +117,8 @@ class ShardCoordinator : public PlannedBackend {
   Status Update(ObjectId id, Point loc,
                 const std::vector<std::string>& keywords) const override;
   Status Delete(ObjectId id) const override;
+  // Synchronous compaction of every shard, one after another (live mode).
+  Status ForceMerge() const;
 
   // --- introspection (tests, benchmarks) ---
 
@@ -126,10 +128,6 @@ class ShardCoordinator : public PlannedBackend {
   int OwnerShard(ObjectId id) const;
   // The shard's current Theorem 1 upper bound for `query`.
   double ShardBound(size_t shard, const SpatialKeywordQuery& query) const;
-  // Threads in the fan-out pool (0 below three shards).
-  int fanout_threads() const {
-    return fanout_pool_ != nullptr ? fanout_pool_->num_threads() : 0;
-  }
   const Vocabulary& vocabulary() const { return *vocabulary_; }
   double diagonal() const { return diagonal_; }
 
@@ -167,7 +165,8 @@ class ShardCoordinator : public PlannedBackend {
                 const CancelToken* cancel, TraceRecorder* trace,
                 std::vector<ScoredObject>* merged) const;
 
-  // Insert routing: the shard whose summary MBR is nearest to `loc`.
+  // Insert routing: the shard whose summary MBR is nearest to `loc`; a
+  // tie goes to the fewest live objects, then the lowest index.
   uint32_t RouteInsert(Point loc) const;
   void AbsorbMutation(Shard* shard, Point loc, const KeywordSet& doc) const;
 
@@ -188,11 +187,6 @@ class ShardCoordinator : public PlannedBackend {
   // Wall time spent inside scatter-gather TopK (all exits), exported as
   // wsk_bg_scatter_busy_seconds_total.
   mutable std::atomic<uint64_t> scatter_busy_us_{0};
-
-  // TopK's fan-out workers (null below 3 shards). Declared last so it is
-  // destroyed first: a queued task outliving its request touches only its
-  // own per-call state.
-  std::unique_ptr<ThreadPool> fanout_pool_;
 };
 
 }  // namespace wsk

@@ -9,6 +9,7 @@
 #include "shard/shard_coordinator.h"
 
 #include <algorithm>
+#include <filesystem>
 #include <memory>
 #include <set>
 #include <string>
@@ -18,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include "common/cancel.h"
+#include "common/thread_pool.h"
 #include "core/engine.h"
 #include "data/generator.h"
 #include "data/query.h"
@@ -508,10 +510,6 @@ TEST(ShardCoordinatorTest, ShardCountIsBoundedByTheMergedWalk) {
   config.num_shards = static_cast<uint32_t>(MergedTopKSource::kMaxSegments);
   auto coordinator = ShardCoordinator::Build(seed, config).value();
   ASSERT_GT(coordinator->num_shards(), 32u);
-  // The fan-out pool is sized by cores, not by shards.
-  const unsigned cores = std::max(1u, std::thread::hardware_concurrency());
-  EXPECT_GE(coordinator->fanout_threads(), 1);
-  EXPECT_LE(coordinator->fanout_threads(), static_cast<int>(cores));
   SpatialKeywordQuery query = QueryAt(
       seed, Point{0.3, 0.6},
       {seed.vocabulary().TermString(1), seed.vocabulary().TermString(2)}, 10);
@@ -529,6 +527,89 @@ TEST(ShardCoordinatorTest, ShardCountIsBoundedByTheMergedWalk) {
   const auto rank = coordinator->Rank(query, target);
   ASSERT_TRUE(rank.ok()) << rank.status().ToString();
   EXPECT_EQ(rank.value(), BruteForceRank(seed, query, target));
+}
+
+// Threads of this process: one entry per thread under /proc/self/task.
+size_t ProcessThreads() {
+  size_t count = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ++count;
+  }
+  return count;
+}
+
+// A live coordinator at the shard cap starts no threads of its own: its
+// fan-out helpers and every shard's merges run on the shared executor, so
+// building it, answering a top-k and compacting every shard grow the
+// process by at most the executor's workers.
+TEST(ShardCoordinatorTest, ALiveCoordinatorRunsOnTheSharedExecutor) {
+  Dataset seed = UniformDataset(1000);
+  ShardCoordinator::Config config;
+  config.num_shards = static_cast<uint32_t>(MergedTopKSource::kMaxSegments);
+  config.live = true;
+  config.buffer_bytes = 64u << 10;
+  config.node_cache_bytes = 0;
+  const size_t before = ProcessThreads();
+  auto coordinator = ShardCoordinator::Build(seed, config).value();
+  ASSERT_GT(coordinator->num_shards(), 32u);
+
+  const SpatialKeywordQuery query = QueryAt(
+      seed, Point{0.3, 0.6},
+      {seed.vocabulary().TermString(1), seed.vocabulary().TermString(2)}, 10);
+  const auto topk = coordinator->TopK(query);
+  ASSERT_TRUE(topk.ok()) << topk.status().ToString();
+  ExpectSameTopK(topk.value(), BruteForceTopK(seed, query));
+
+  // One delete per shard leaves every shard something to compact.
+  std::set<int> touched;
+  for (const SpatialObject& o : seed.objects()) {
+    if (touched.insert(coordinator->OwnerShard(o.id)).second) {
+      ASSERT_TRUE(coordinator->Delete(o.id).ok());
+    }
+  }
+  ASSERT_EQ(touched.size(), coordinator->num_shards());
+  ASSERT_TRUE(coordinator->ForceMerge().ok());
+  EXPECT_GE(coordinator->segment_counters().merges,
+            coordinator->num_shards());
+
+  EXPECT_LE(ProcessThreads(),
+            before + static_cast<size_t>(SharedExecutor().num_threads()));
+}
+
+// Updates stretch every shard's MBR over the whole space, so every insert
+// afterwards ties on MBR distance; ties go to the smallest shard, and the
+// shards stay balanced instead of the first one taking every insert.
+TEST(ShardCoordinatorTest, InsertTiesGoToTheSmallestShard) {
+  Dataset seed = UniformDataset(2000);
+  ShardCoordinator::Config config;
+  config.num_shards = 4;
+  config.live = true;
+  config.buffer_bytes = 64u << 10;
+  config.node_cache_bytes = 0;
+  config.auto_merge = false;
+  auto coordinator = ShardCoordinator::Build(seed, config).value();
+  ASSERT_EQ(coordinator->num_shards(), 4u);
+
+  std::vector<int> stretched(coordinator->num_shards(), 0);
+  for (const SpatialObject& o : seed.objects()) {
+    const int shard = coordinator->OwnerShard(o.id);
+    ASSERT_GE(shard, 0);
+    if (stretched[shard] >= 2) continue;
+    const Point corner = stretched[shard] == 0 ? Point{0.0, 0.0}
+                                               : Point{1.0, 1.0};
+    ASSERT_TRUE(coordinator->Update(o.id, corner, {"stretch"}).ok());
+    ++stretched[shard];
+  }
+  for (int count : stretched) ASSERT_EQ(count, 2);
+
+  for (int i = 0; i < 400; ++i) {
+    ASSERT_TRUE(coordinator->Insert(Point{0.5, 0.5}, {"center"}).ok());
+  }
+  const ShardCountersSnapshot counters = coordinator->shard_counters();
+  const auto [lo, hi] = std::minmax_element(counters.per_shard_objects.begin(),
+                                            counters.per_shard_objects.end());
+  EXPECT_LE(*hi - *lo, 1u) << "smallest " << *lo << ", largest " << *hi;
 }
 
 }  // namespace
